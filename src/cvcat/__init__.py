@@ -20,8 +20,8 @@ from .oracle import TwoModeGrid, ancilla_grid_for, build_two_mode_grid, \
 from .phase_space import SupportRegion, WignerGrid, build_support_region, \
     intersect_horizontal, semiclassical_shear, suggest_wigner_bounds, \
     wigner_log_negativity, wigner_transform
-from .special_numerics import QuadratureSpec, airy_ai, airy_ai_scaled, \
-    default_oscillatory_spec, integrate_adaptive, integrate_oscillatory_gaussian
+from .special_numerics import airy_ai, airy_ai_scaled, \
+    integrate_oscillatory_gaussian
 from .states import CatParams, GateParams, GridSpec, WaveFunction, \
     cat_params_from_gate, default_grid, make_cubic_phase_state, make_ideal_cat, \
     make_squeezed_vacuum, wavefunction_from_json, wavefunction_to_json
@@ -32,8 +32,7 @@ __all__ = [
     "__version__",
     "CvcatError", "DomainError", "ConvergenceError",
     "ZeroProbabilityOutcomeError", "DegenerateSuperpositionError",
-    "QuadratureSpec", "airy_ai", "airy_ai_scaled", "default_oscillatory_spec",
-    "integrate_adaptive", "integrate_oscillatory_gaussian",
+    "airy_ai", "airy_ai_scaled", "integrate_oscillatory_gaussian",
     "GridSpec", "WaveFunction", "GateParams", "CatParams", "default_grid",
     "make_squeezed_vacuum", "make_cubic_phase_state", "make_ideal_cat",
     "cat_params_from_gate", "wavefunction_to_json", "wavefunction_from_json",

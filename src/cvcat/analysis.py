@@ -70,6 +70,8 @@ def phase_aligned_l2(a: WaveFunction, b: WaveFunction) -> float:
 
 def db_to_s(db: float) -> float:
     """Squeezing in dB to the momentum squeeze factor: s = 10^(-dB/20)."""
+    if not math.isfinite(db):
+        raise DomainError("squeezing in dB must be finite")
     if db < 0:
         raise DomainError("squeezing in dB must be >= 0")
     return 10.0 ** (-db / 20.0)

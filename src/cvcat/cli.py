@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -39,6 +40,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _axis_points(text: str) -> int:
+    """argparse type for Wigner axis sizes: an integer of at least 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 points, got {value}")
+    return value
 
 
 def _add_common(sub, grid=True):
@@ -98,8 +107,8 @@ def build_parser() -> _Parser:
     p = subs.add_parser("wigner", help="Wigner function as a CSV matrix")
     p.add_argument("--source", choices=("output", "cubic", "cat", "vacuum"))
     p.add_argument("--bounds", help="xmin:xmax:pmin:pmax (default: automatic)")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--np", type=int)
+    p.add_argument("--nx", type=_axis_points)
+    p.add_argument("--np", type=_axis_points)
     _add_common(p)
 
     for name in ("sweep-infidelity", "sweep-probability"):
@@ -271,7 +280,19 @@ def _cmd_sweep(cfg) -> int:
         _emit(json.dumps(payload, default=float) + "\n", cfg["out"])
     else:
         _emit(rows_to_csv(rows), cfg["out"])
-    return EXIT_OK
+    return _report_failed_rows(rows)
+
+
+def _report_failed_rows(rows) -> int:
+    """One stderr line when rows failed; a domain exit when all of them did."""
+    failed = Counter(r.error.split(":", 1)[0] for r in rows if r.error)
+    n_failed = sum(failed.values())
+    if not n_failed:
+        return EXIT_OK
+    kinds = ", ".join(f"{name} {count}" for name, count in sorted(failed.items()))
+    print(f"sweep: {len(rows) - n_failed} rows ok, {n_failed} failed ({kinds})",
+          file=sys.stderr)
+    return EXIT_DOMAIN if n_failed == len(rows) else EXIT_OK
 
 
 def _cmd_support_region(cfg) -> int:

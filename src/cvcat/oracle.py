@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ZeroProbabilityOutcomeError
 from .gate import ConditionalOutput
-from .special_numerics import QuadratureSpec, default_oscillatory_spec, \
-    integrate_oscillatory_gaussian
+from .special_numerics import integrate_oscillatory_gaussian
 from .states import GateParams, GridSpec, WaveFunction
 
 __all__ = [
@@ -31,15 +30,12 @@ _MAX_ENTRIES = 2 ** 26      # quadratic-memory cap: desk-scale validation only
 _PHASE_STEP_LIMIT = 0.5     # rad of entangling/cubic phase per ancilla step
 
 
-def oracle_added_factor(x: float, params: GateParams,
-                        spec: QuadratureSpec | None = None) -> complex:
+def oracle_added_factor(x: float, params: GateParams) -> complex:
     """Added factor by direct quadrature of its defining integral."""
     if not params.gamma > 0:
         raise DomainError("oracle_added_factor needs gamma > 0")
-    if spec is None:
-        spec = default_oscillatory_spec(params.s)
     integral = integrate_oscillatory_gaussian(x - params.y_m, params.gamma,
-                                              params.s, spec)
+                                              params.s)
     return math.sqrt(params.s) / (math.pi ** 0.75 * math.sqrt(2.0)) * integral
 
 
@@ -113,12 +109,15 @@ def build_two_mode_grid(input: WaveFunction, params: GateParams,
 
 
 def oracle_two_mode(input: WaveFunction, params: GateParams,
-                    grid_2: GridSpec | None = None,
-                    chunk_rows: int = 64) -> ConditionalOutput:
+                    grid_2: GridSpec | None = None) -> ConditionalOutput:
     """End-to-end grid simulation: entangle, project on y_m, normalize.
 
-    Row-chunked so the full two-mode matrix never has to be materialized;
-    values are identical to the TwoModeGrid route.
+    The projected amplitude is the trapezoid sum over x2_j of
+    exp(i x1 x2_j) times the ancilla column. Both grids are uniform, so with
+    j = J m + r the kernel factorises as exp(i x1 (x2_0 + r dx2)) times
+    exp(i x1 J dx2 m): two small exp tables and one matrix product replace
+    the n1 x n2 table of complex exponentials, and the full two-mode matrix
+    is never materialized.
     """
     if abs(input.norm_squared() - 1.0) > 1e-6:
         raise DomainError("oracle_two_mode expects a normalized input state")
@@ -135,18 +134,21 @@ def oracle_two_mode(input: WaveFunction, params: GateParams,
     with np.errstate(under="ignore"):
         sq = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x2) ** 2)
         # cubic resource phase and homodyne projection phase, fused per column
-        column = sq * np.exp(1j * (params.gamma * x2 ** 3 - params.y_m * x2))
+        column = sq * np.exp(1j * (params.gamma * x2 * x2 * x2 - params.y_m * x2))
     x1 = input.x
-    out = np.empty(input.n_points, dtype=complex)
-    # trapezoid weights over x2; endpoints carry half weight
-    w2 = np.full(grid_2.n_points, grid_2.dx)
-    w2[0] *= 0.5
-    w2[-1] *= 0.5
-    weighted = column * w2
-    for lo in range(0, input.n_points, chunk_rows):
-        hi = min(lo + chunk_rows, input.n_points)
-        phases = np.exp(1j * np.outer(x1[lo:hi], x2))
-        out[lo:hi] = phases @ weighted
+    n2, dx2 = grid_2.n_points, grid_2.dx
+    big_j = math.isqrt(n2 - 1) + 1          # ceil(sqrt(n2))
+    big_m = -(-n2 // big_j)                 # ceil(n2 / J)
+    # trapezoid weights over x2 (endpoints carry half weight), zero-padded
+    # to J*M and laid out as weights[m, r] for column j = J m + r
+    weights = np.zeros(big_j * big_m, dtype=complex)
+    weights[:n2] = column * dx2
+    weights[0] *= 0.5
+    weights[n2 - 1] *= 0.5
+    weights = weights.reshape(big_m, big_j)
+    fine = np.exp(1j * np.outer(x1, grid_2.x_min + dx2 * np.arange(big_j)))
+    coarse = np.exp(1j * np.outer(x1, (big_j * dx2) * np.arange(big_m)))
+    out = np.sum(coarse * (fine @ weights.T), axis=1)
     out *= input.amplitudes / math.sqrt(2.0 * math.pi)
     prob = float(np.trapezoid(np.abs(out) ** 2, dx=input.dx))
     if prob < 1e-300:

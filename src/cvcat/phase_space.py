@@ -103,6 +103,8 @@ def wigner_transform(state: WaveFunction,
     x_min, x_max, p_min, p_max = bounds
     if not (x_min < x_max and p_min < p_max):
         raise DomainError("invalid phase-space bounds")
+    if n_x < 2 or n_p < 2:
+        raise DomainError("wigner_transform needs n_x, n_p >= 2")
     dens = state.density()
     for edge in (x_min, x_max):
         if state.x_min <= edge <= state.x_max:

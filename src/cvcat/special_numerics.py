@@ -1,4 +1,4 @@
-"""Real-argument Airy function and the quadrature engines used everywhere else.
+"""Real-argument Airy function and the oracle's oscillatory-Gaussian quadrature.
 
 Ai(z) is assembled from three regimes:
 
@@ -14,25 +14,24 @@ the seam: the Maclaurin cancellation grows like exp((2/3)|z|^(3/2)) while the
 asymptotic optimal-truncation error only decays like exp(-(4/3)|z|^(3/2)).
 Matching both at |z| in [4, 6] bottoms out near 1e-9 absolute, which is not
 enough for the gate's closed-form/quadrature cross-checks near Airy zeros.
+
+The quadrature at the end of the module shares no code with the Airy
+evaluation, so the oracle built on it stays an independent check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
-    "QuadratureSpec",
     "airy_ai",
     "airy_ai_scaled",
-    "integrate_adaptive",
     "integrate_oscillatory_gaussian",
-    "default_oscillatory_spec",
 ]
 
 # Ai(0) = 3^(-2/3)/Gamma(2/3),  Ai'(0) = -3^(-1/3)/Gamma(1/3)
@@ -277,131 +276,43 @@ def airy_ai_scaled(z):
 # Quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budgets for the quadrature engines."""
+def integrate_oscillatory_gaussian(delta: float, gamma: float, s: float) -> complex:
+    """Integral over x of exp(i x(delta + gamma x^2)) exp(-(s x)^2 / 2).
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2_000_000
-    truncation_radius: float = 10.0
+    The integrand is entire and decays in the strip 0 <= Im x <= c, so the
+    path moves to Im x = c, where x = t + ic gives
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-        if not self.truncation_radius > 0:
-            raise DomainError("truncation_radius must be positive")
+        exp(k0 - a t^2 + i t (beta + gamma t^2)),  a = 3 gamma c + s^2 / 2,
 
-
-def default_oscillatory_spec(s: float) -> QuadratureSpec:
-    """Default spec for the Gaussian-damped oscillatory integral.
-
-    Truncation at 10/s puts the envelope below 2e-22.
+    and the trapezoid rule converges geometrically (Trefethen & Weideman,
+    SIAM Review 56(3), 2014). For delta > 0, c is the saddle point, where
+    beta = 0; for delta <= 0, c = 1/max(|delta|, 1) keeps the integrand's
+    peak e^k0 of order 1. The half-width T meets e^(-a T^2) <= e^(-40 - delta c)
+    and the step h = pi/(omega_max + sqrt(40 a)) resolves the largest local
+    angular frequency on |t| <= T with the Gaussian bandwidth to spare.
     """
-    return QuadratureSpec(truncation_radius=10.0 / s)
-
-
-# Gauss-Kronrod 7-15 abscissae/weights on [-1, 1].
-_XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277,
-    0.381830050505119, 0.417959183673469,
-])
-
-
-def _gk15(f: Callable, a: float, b: float):
-    """One Gauss-Kronrod 7-15 panel: (kronrod value, error estimate)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    xs = np.concatenate((c - h * _XGK[:-1], [c], c + h * _XGK[-2::-1]))
-    fv = np.asarray(f(xs), dtype=complex)
-    # symmetric pairs ordered outermost-first to match the weight tables;
-    # index 7 is the midpoint
-    pairs = fv[:7] + fv[14:7:-1]
-    k = h * (np.sum(pairs * _WGK[:-1]) + fv[7] * _WGK[-1])
-    g = h * (np.sum(pairs[1::2] * _WG[:-1]) + fv[7] * _WG[-1])
-    return k, abs(k - g)
-
-
-def integrate_adaptive(f: Callable, a: float, b: float,
-                       spec: QuadratureSpec = QuadratureSpec()):
-    """Adaptive Gauss-Kronrod integration of a vectorized integrand on [a, b].
-
-    Returns ``(value, err_estimate)`` with complex ``value``. Raises
-    ConvergenceError (carrying the best estimate) once the subdivision budget
-    is exhausted without meeting ``max(abs_tol, rel_tol*|value|)``.
-    """
-    if not a < b:
-        raise DomainError("integrate_adaptive requires a < b")
-    val, err = _gk15(f, a, b)
-    intervals = [(err, a, b, val)]
-    n_sub = 1
-    while True:
-        total = sum(iv[3] for iv in intervals)
-        total_err = sum(iv[0] for iv in intervals)
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total, total_err
-        if n_sub >= spec.max_subdivisions:
-            raise ConvergenceError(
-                "subdivision budget exhausted without convergence",
-                best_estimate=total, err_estimate=total_err)
-        worst = max(range(len(intervals)), key=lambda i: intervals[i][0])
-        _, wa, wb, _ = intervals.pop(worst)
-        mid = 0.5 * (wa + wb)
-        v1, e1 = _gk15(f, wa, mid)
-        v2, e2 = _gk15(f, mid, wb)
-        intervals.append((e1, wa, mid, v1))
-        intervals.append((e2, mid, wb, v2))
-        n_sub += 1
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def integrate_oscillatory_gaussian(delta: float, gamma: float, s: float,
-                                   spec: QuadratureSpec | None = None) -> complex:
-    """Integral over x' of exp(i x'(delta + gamma x'^2)) exp(-(s x')^2 / 2).
-
-    Composite Gauss panels sized so the local phase advance per panel stays
-    below 0.5 rad (local angular frequency |delta + 3 gamma x'^2|, plus the
-    envelope rate s), truncated at |x'| <= truncation_radius.
-    """
+    if not all(map(math.isfinite, (delta, gamma, s))):
+        raise DomainError("delta, gamma and s must be finite")
     if not s > 0:
         raise DomainError("squeeze factor s must be positive")
     if gamma < 0:
         # integrand(delta, -gamma) = conj(integrand(delta, gamma))
-        return np.conj(integrate_oscillatory_gaussian(delta, -gamma, s, spec))
-    if spec is None:
-        spec = default_oscillatory_spec(s)
-    r = spec.truncation_radius
-    # Panel density from the antiderivative of |delta| + s + 3 gamma x^2.
-    g_total = (abs(delta) + s) * r + gamma * r ** 3
-    n_panels_half = max(1, int(math.ceil(g_total / 0.5)))
-    if 2 * n_panels_half > spec.max_subdivisions:
-        raise ConvergenceError(
-            "oscillatory panel count exceeds max_subdivisions",
-            best_estimate=None, err_estimate=None)
-    dense = np.linspace(0.0, r, 4 * n_panels_half + 1)
-    g_dense = (abs(delta) + s) * dense + gamma * dense ** 3
-    targets = np.linspace(0.0, g_total, n_panels_half + 1)
-    edges = np.interp(targets, g_dense, dense)
-    edges[0], edges[-1] = 0.0, r
-    edges = np.concatenate((-edges[::-1], edges[1:]))
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    x = (centers[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
+        return np.conj(integrate_oscillatory_gaussian(delta, -gamma, s))
+    s2 = s * s
+    if gamma == 0:
+        c = 0.0
+    elif delta > 0:
+        c = (math.sqrt(s2 * s2 + 12.0 * gamma * delta) - s2) / (6.0 * gamma)
+    else:
+        c = 1.0 / max(-delta, 1.0)
+    a = 3.0 * gamma * c + 0.5 * s2
+    beta = delta - 3.0 * gamma * c * c - s2 * c
+    k0 = -delta * c + gamma * c ** 3 + 0.5 * s2 * c * c
+    half = math.sqrt((40.0 + delta * c) / a)
+    omega_max = max(abs(beta), abs(beta + 3.0 * gamma * half * half))
+    h = math.pi / (omega_max + math.sqrt(40.0 * a))
+    n = math.ceil(half / h)
+    t = h * np.arange(-n, n + 1)
     with np.errstate(under="ignore"):
-        fv = np.exp(1j * x * (delta + gamma * x * x)) * np.exp(-0.5 * (s * x) ** 2)
-    w = (halves[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return complex(np.sum(fv * w))
+        fv = np.exp(k0 - a * t * t + 1j * t * (beta + gamma * t * t))
+    return complex(h * np.sum(fv))

@@ -40,6 +40,8 @@ class GridSpec:
     n_points: int = 2048
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise DomainError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise DomainError("grid requires x_min < x_max")
         if self.n_points < 16:
@@ -117,6 +119,8 @@ class GateParams:
     y_m: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.gamma, self.s, self.y_m))):
+            raise DomainError("gamma, s and y_m must be finite")
         if not self.s > 0:
             raise DomainError("squeeze factor s must be positive")
         if self.gamma < 0:

@@ -101,6 +101,11 @@ class TestDbToS:
         with pytest.raises(DomainError):
             db_to_s(-1.0)
 
+    def test_rejects_non_finite(self):
+        for db in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                db_to_s(db)
+
 
 class TestEfficiencyScore:
     def test_zeros(self):

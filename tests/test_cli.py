@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cvcat.analysis import SweepRow, rows_to_csv
 from cvcat.cli import main
 from cvcat.errors import ConvergenceError
 from cvcat.states import wavefunction_from_json
@@ -84,6 +85,19 @@ class TestWignerCommand:
         assert main(["wigner", "--bounds", "1:2:3"]) == 1
         capsys.readouterr()
 
+    def test_axis_points_below_two_is_usage_error(self, capsys):
+        for flag in ("--nx", "--np"):
+            for value in ("1", "0", "-3"):
+                assert main(["wigner", flag, value]) == 64
+                assert "at least 2" in capsys.readouterr().err
+
+    def test_axis_points_below_two_from_config_is_domain_error(self, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nx": 1}))
+        assert main(["wigner", "--config", str(cfg)]) == 1
+        assert "n_x, n_p >= 2" in capsys.readouterr().err
+
 
 class TestSweepCommands:
     def test_infidelity_csv(self, tmp_path, capsys):
@@ -119,6 +133,30 @@ class TestSweepCommands:
         assert main(["sweep-infidelity", "--ym", "3",
                      "--db-range", "20:0"]) == 1
         capsys.readouterr()
+
+    def test_all_rows_failed_exits_domain(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-infidelity", "--ym", "0", "--db-range", "0:20:3",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "sweep: 0 rows ok, 3 failed (DomainError 3)\n"
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(r.endswith("to derive cat parameters")
+                                      for r in rows)
+
+    def test_partial_failure_summary_leaves_stdout_alone(self, monkeypatch,
+                                                         capsys):
+        import cvcat.cli as cli_mod
+        rows = [SweepRow(1.0, probability_density=0.5),
+                SweepRow(2.0, error="DomainError: a"),
+                SweepRow(3.0, error="ZeroProbabilityOutcomeError: b"),
+                SweepRow(4.0, error="DomainError: c")]
+        monkeypatch.setattr(cli_mod, "run_sweep", lambda spec: rows)
+        assert main(["sweep-probability", "--ym", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == rows_to_csv(rows)
+        assert captured.err == ("sweep: 1 rows ok, 3 failed "
+                                "(DomainError 2, ZeroProbabilityOutcomeError 1)\n")
 
     def test_fixed_rule_requires_gamma(self, capsys):
         assert main(["sweep-infidelity", "--ym", "3",

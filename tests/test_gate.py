@@ -107,6 +107,11 @@ class TestApplyGate:
         with pytest.raises(ZeroProbabilityOutcomeError):
             apply_gate(vacuum(), GateParams(gamma=0.0, s=0.5, y_m=50.0))
 
+    def test_nan_gamma_not_routed_to_gaussian_case(self):
+        vac = make_squeezed_vacuum(1.0, GridSpec(-10.0, 10.0, 256))
+        with pytest.raises(DomainError):
+            outcome_probability_density(vac, math.nan, 1.0, 3.0)
+
     def test_rejects_unnormalized_input(self):
         vac = vacuum()
         doubled = type(vac)(vac.x_min, vac.x_max, vac.n_points,

@@ -65,6 +65,22 @@ class TestOracleTwoMode:
             / oracle.probability_density
         assert rel <= 1e-6
 
+    def test_factorised_sum_matches_two_mode_matrix(self):
+        """The factorised projection equals the trapezoid sum over the full
+        entangled matrix, up to the rounding of the split phases."""
+        vac = make_squeezed_vacuum(1.0, GridSpec(-11.0, 11.0, 129))
+        for params in (GateParams(gamma=0.1, s=0.5623413251903491, y_m=3.0),
+                       GateParams(gamma=0.5, s=0.5, y_m=-4.0)):
+            tm = build_two_mode_grid(vac, params)
+            projected = np.trapezoid(
+                tm.amplitudes * np.exp(-1j * params.y_m * tm.grid_2.x),
+                dx=tm.grid_2.dx, axis=1) / math.sqrt(2.0 * math.pi)
+            prob = float(np.trapezoid(np.abs(projected) ** 2, dx=vac.dx))
+            oracle = oracle_two_mode(vac, params)
+            assert abs(oracle.probability_density - prob) <= 1e-12 * prob
+            assert np.max(np.abs(oracle.state.amplitudes
+                                 - projected / math.sqrt(prob))) <= 1e-11
+
     def test_grid_halving_convergence(self):
         params = GateParams(gamma=0.1, s=10.0 ** (-5.0 / 20.0), y_m=3.0)
         dists = []

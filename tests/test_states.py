@@ -151,6 +151,20 @@ class TestWaveFunction:
         grid = default_grid(3.0, 512)
         assert grid.x_min == -11.0 and grid.x_max == 11.0
 
+    def test_gate_params_reject_non_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for kwargs in ({"gamma": bad, "s": 1.0, "y_m": 3.0},
+                           {"gamma": 0.1, "s": bad, "y_m": 3.0},
+                           {"gamma": 0.1, "s": 1.0, "y_m": bad}):
+                with pytest.raises(DomainError):
+                    GateParams(**kwargs)
+
+    def test_grid_spec_rejects_non_finite_bounds(self):
+        for lo, hi in ((-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0),
+                       (-1.0, math.nan)):
+            with pytest.raises(DomainError):
+                GridSpec(lo, hi, 64)
+
     def test_gate_params_validation(self):
         with pytest.raises(DomainError):
             GateParams(gamma=0.1, s=0.0, y_m=3.0)
