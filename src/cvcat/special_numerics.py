@@ -276,6 +276,11 @@ def airy_ai_scaled(z):
 # Quadrature
 # ---------------------------------------------------------------------------
 
+# The trapezoid sum is cut where the integrand has fallen by e^(-_TAIL_EXPONENT)
+# below its peak; the same exponent sets the Gaussian bandwidth the step resolves.
+_TAIL_EXPONENT = 40.0
+
+
 def integrate_oscillatory_gaussian(delta: float, gamma: float, s: float) -> complex:
     """Integral over x of exp(i x(delta + gamma x^2)) exp(-(s x)^2 / 2).
 
@@ -287,9 +292,10 @@ def integrate_oscillatory_gaussian(delta: float, gamma: float, s: float) -> comp
     and the trapezoid rule converges geometrically (Trefethen & Weideman,
     SIAM Review 56(3), 2014). For delta > 0, c is the saddle point, where
     beta = 0; for delta <= 0, c = 1/max(|delta|, 1) keeps the integrand's
-    peak e^k0 of order 1. The half-width T meets e^(-a T^2) <= e^(-40 - delta c)
-    and the step h = pi/(omega_max + sqrt(40 a)) resolves the largest local
-    angular frequency on |t| <= T with the Gaussian bandwidth to spare.
+    peak e^k0 of order 1. With L = _TAIL_EXPONENT = 40, the half-width T meets
+    e^(-a T^2) <= e^(-L - delta c) and the step h = pi/(omega_max + sqrt(L a))
+    resolves the largest local angular frequency on |t| <= T with the
+    Gaussian bandwidth to spare.
     """
     if not all(map(math.isfinite, (delta, gamma, s))):
         raise DomainError("delta, gamma and s must be finite")
@@ -308,9 +314,9 @@ def integrate_oscillatory_gaussian(delta: float, gamma: float, s: float) -> comp
     a = 3.0 * gamma * c + 0.5 * s2
     beta = delta - 3.0 * gamma * c * c - s2 * c
     k0 = -delta * c + gamma * c ** 3 + 0.5 * s2 * c * c
-    half = math.sqrt((40.0 + delta * c) / a)
+    half = math.sqrt((_TAIL_EXPONENT + delta * c) / a)
     omega_max = max(abs(beta), abs(beta + 3.0 * gamma * half * half))
-    h = math.pi / (omega_max + math.sqrt(40.0 * a))
+    h = math.pi / (omega_max + math.sqrt(_TAIL_EXPONENT * a))
     n = math.ceil(half / h)
     t = h * np.arange(-n, n + 1)
     with np.errstate(under="ignore"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cvcat import special_numerics
 from cvcat.errors import DomainError
 from cvcat.special_numerics import airy_ai, airy_ai_scaled, \
     integrate_oscillatory_gaussian
@@ -95,6 +96,33 @@ class TestIntegrateOscillatoryGaussian:
             plus = integrate_oscillatory_gaussian(delta, 0.2, 0.7)
             minus = integrate_oscillatory_gaussian(delta, -0.2, 0.7)
             assert plus == np.conj(minus)
+
+    def test_convergence_under_radius_doubling(self, monkeypatch):
+        """Quadrupling the tail exponent doubles the trapezoid half-width (and
+        halves the step); the sum must not move."""
+        cases = [(0.0, 0.1, 1.0), (2.0, 0.1, 1.0), (-3.0, 0.5, 1.0),
+                 (0.5, 0.2, 0.5623413251903491)]
+        base = [integrate_oscillatory_gaussian(*case) for case in cases]
+        monkeypatch.setattr(special_numerics, "_TAIL_EXPONENT",
+                            4.0 * special_numerics._TAIL_EXPONENT)
+        for case, a in zip(cases, base):
+            b = integrate_oscillatory_gaussian(*case)
+            assert abs(a - b) < 1e-9, case
+
+    def test_agrees_with_adaptive(self, mp):
+        """Against mpmath's adaptive quadrature of the integrand on the real
+        axis, truncated at |x| = 10/s: no contour shift, no trapezoid rule."""
+        cases = [(0.0, 0.1, 1.0), (2.0, 0.1, 1.0), (-3.0, 0.5, 1.0),
+                 (0.5, 0.2, 0.5623413251903491)]
+        for delta, gamma, s in cases:
+            def f(x):
+                return mp.exp(1j * x * (delta + gamma * x ** 2)
+                              - (s * x) ** 2 / 2)
+            radius = 10.0 / s
+            want = complex(mp.quad(f, mp.linspace(-radius, radius,
+                                                  int(4 * radius) + 1)))
+            got = integrate_oscillatory_gaussian(delta, gamma, s)
+            assert abs(got - want) <= 1e-8 * abs(want) + 1e-10
 
     def test_matches_high_precision_reference(self, mp):
         """|got - want| <= 1e-10 |want| + 1e-13 |I(0)| on both sides of the
