@@ -11,8 +11,8 @@ fidelity/probability trade-off.
 from .analysis import SweepRow, SweepSpec, db_to_s, efficiency_score, \
     fidelity, log_inverse_s_values, phase_aligned_l2, resample, rows_to_csv, \
     run_sweep
-from .errors import ConvergenceError, CvcatError, DegenerateSuperpositionError, \
-    DomainError, ZeroProbabilityOutcomeError
+from .errors import CvcatError, DegenerateSuperpositionError, DomainError, \
+    ZeroProbabilityOutcomeError
 from .gate import ConditionalOutput, added_factor, added_factor_grid, \
     apply_gate, outcome_probability_density
 from .oracle import TwoModeGrid, ancilla_grid_for, build_two_mode_grid, \
@@ -30,7 +30,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "CvcatError", "DomainError", "ConvergenceError",
+    "CvcatError", "DomainError",
     "ZeroProbabilityOutcomeError", "DegenerateSuperpositionError",
     "airy_ai", "airy_ai_scaled", "integrate_oscillatory_gaussian",
     "GridSpec", "WaveFunction", "GateParams", "CatParams", "default_grid",

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,8 +11,8 @@ from .errors import CvcatError, DomainError
 from .gate import apply_gate
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
-from .states import CatParams, GateParams, GridSpec, WaveFunction, \
-    cat_params_from_gate, default_grid, make_ideal_cat, make_squeezed_vacuum
+from .states import GateParams, GridSpec, WaveFunction, cat_params_from_gate, \
+    default_grid, make_ideal_cat, make_squeezed_vacuum
 
 __all__ = [
     "fidelity",
@@ -105,8 +103,6 @@ class SweepSpec:
     gamma_rule: str = "fixed"          # "fixed" | "proportional_y_m_over_30"
     outputs: frozenset = frozenset({"infidelity", "probability"})
     n_grid_points: int = 2048
-    optimize_cat: bool = False         # local (p_plus, theta) refinement;
-    #                                    goes beyond the published recipe
 
     def __post_init__(self):
         if self.variable not in ("inverse_s", "y_m"):
@@ -151,29 +147,6 @@ def _row_params(spec: SweepSpec, value: float) -> GateParams:
     return GateParams(gamma=gamma, s=s, y_m=y_m)
 
 
-def _refine_cat(out_state: WaveFunction, cat: CatParams, grid: GridSpec) -> float:
-    """Local coordinate-descent refinement of (p_plus, theta); returns best F."""
-    best = fidelity(out_state, make_ideal_cat(cat, grid))
-    p, th = cat.p_plus, cat.theta
-    step_p, step_t = 0.05 * max(p, 1.0), 0.05
-    for _ in range(40):
-        improved = False
-        for dp, dt in ((step_p, 0), (-step_p, 0), (0, step_t), (0, -step_t)):
-            cand_p, cand_t = p + dp, th + dt
-            if cand_p < 0:
-                continue
-            f = fidelity(out_state,
-                         make_ideal_cat(CatParams(cand_p, cand_t), grid))
-            if f > best:
-                best, p, th, improved = f, cand_p, cand_t, True
-        if not improved:
-            step_p *= 0.5
-            step_t *= 0.5
-            if step_p < 1e-6 and step_t < 1e-6:
-                break
-    return best
-
-
 def _evaluate_row(spec: SweepSpec, value: float) -> SweepRow:
     try:
         params = _row_params(spec, value)
@@ -184,10 +157,7 @@ def _evaluate_row(spec: SweepSpec, value: float) -> SweepRow:
         fields = {}
         f_cat = math.nan
         if {"infidelity", "efficiency"} & spec.outputs:
-            if spec.optimize_cat:
-                f_cat = _refine_cat(out.state, cat, grid)
-            else:
-                f_cat = fidelity(out.state, make_ideal_cat(cat, grid))
+            f_cat = fidelity(out.state, make_ideal_cat(cat, grid))
         if "infidelity" in spec.outputs:
             fields["infidelity"] = 1.0 - f_cat
         if "probability" in spec.outputs or "efficiency" in spec.outputs:
@@ -204,25 +174,10 @@ def _evaluate_row(spec: SweepSpec, value: float) -> SweepRow:
         return SweepRow(variable_value=value, error=f"{type(exc).__name__}: {exc}")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("CVCAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every scan point; per-row failures are recorded in-row.
-
-    Rows are independent pure computations, so the output is deterministic
-    and ordered by input index regardless of the CVCAT_THREADS setting.
-    """
-    workers = min(_max_workers(), len(spec.values))
-    if workers == 1:
-        return [_evaluate_row(spec, v) for v in spec.values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda v: _evaluate_row(spec, v), spec.values))
+    """Evaluate every scan point in input order; per-row failures are
+    recorded in-row."""
+    return [_evaluate_row(spec, v) for v in spec.values]
 
 
 def rows_to_csv(rows) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import SweepSpec, db_to_s, rows_to_csv, run_sweep
-from .errors import ConvergenceError, CvcatError, DomainError
+from .errors import CvcatError, DomainError
 from .gate import added_factor, apply_gate
 from .oracle import oracle_added_factor
 from .phase_space import build_support_region, suggest_wigner_bounds, \
@@ -28,7 +28,6 @@ from .states import GateParams, GridSpec, cat_params_from_gate, default_grid, \
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_CONVERGENCE = 2
 EXIT_USAGE = 64
 
 VERIFY_TOLERANCE = 1e-8
@@ -377,9 +376,6 @@ def main(argv=None) -> int:
                 json.dump(dumpable, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         return _COMMANDS[args.command](cfg)
-    except ConvergenceError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except CvcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -9,19 +9,6 @@ class DomainError(CvcatError):
     """Input outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(CvcatError):
-    """A quadrature or iteration budget was exhausted before convergence.
-
-    Carries the best available estimate so callers can inspect how far
-    off the result was.
-    """
-
-    def __init__(self, message, best_estimate=None, err_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.err_estimate = err_estimate
-
-
 class ZeroProbabilityOutcomeError(CvcatError):
     """The conditional state is undefined: the outcome has ~zero probability."""
 

@@ -154,12 +154,6 @@ class TestSweep:
         b = run_sweep(self.spec())
         assert rows_to_csv(a) == rows_to_csv(b)
 
-    def test_thread_count_does_not_change_rows(self, monkeypatch):
-        serial = run_sweep(self.spec())
-        monkeypatch.setenv("CVCAT_THREADS", "3")
-        threaded = run_sweep(self.spec())
-        assert rows_to_csv(serial) == rows_to_csv(threaded)
-
     def test_row_fields(self):
         rows = run_sweep(self.spec())
         assert [r.variable_value for r in rows] == [1.0, 2.0, 4.0]

@@ -5,7 +5,6 @@ import pytest
 
 from cvcat.analysis import SweepRow, rows_to_csv
 from cvcat.cli import main
-from cvcat.errors import ConvergenceError
 from cvcat.states import wavefunction_from_json
 
 
@@ -25,16 +24,6 @@ class TestExitCodes:
     def test_domain_error(self, capsys):
         assert main(["gate", "--gamma", "-1", "--ym", "3", "--db", "5"]) == 1
         assert "error" in capsys.readouterr().err
-
-    def test_convergence_error(self, capsys, monkeypatch):
-        import cvcat.cli as cli_mod
-
-        def boom(cfg):
-            raise ConvergenceError("no convergence")
-
-        monkeypatch.setitem(cli_mod._COMMANDS, "gate", boom)
-        assert main(["gate"]) == 2
-        capsys.readouterr()
 
     def test_success(self, tmp_path, capsys):
         out = tmp_path / "state.json"

@@ -9,6 +9,9 @@ from cvcat.special_numerics import airy_ai, airy_ai_scaled, \
     integrate_oscillatory_gaussian
 
 AI_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
+# The regime seams |z| = 4 and |z| = 9, and points 1e-9 either side of them.
+SEAMS = np.array([sign * edge + d for edge in (4.0, 9.0) for sign in (-1.0, 1.0)
+                  for d in (-1e-9, 0.0, 1e-9)])
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +49,23 @@ class TestAiryAi:
 
     def test_matches_integral_representation(self, mp):
         """Against mpmath's 30-digit Ai, the function that
-        (1/pi) * integral_0^inf cos(t^3/3 + z t) dt defines."""
-        for z in (-7.5, -2.0, 1.0, 5.0):
-            assert abs(airy_ai(z) - float(mp.airyai(z))) < 1e-10
+        (1/pi) * integral_0^inf cos(t^3/3 + z t) dt defines, on
+        z = -40..40 at step 0.1 and at the regime seams."""
+        z = np.concatenate([np.arange(-400, 401) / 10.0, SEAMS])
+        got = airy_ai(z)
+        want = np.array([float(mp.airyai(mp.mpf(v))) for v in z])
+        err = np.abs(got - want)
+        assert np.all(err <= 1e-10 * np.abs(want) + 1e-14), z[np.argmax(err)]
+
+    def test_batch_matches_scalar_calls(self):
+        """A point's value does not depend on the batch it is evaluated in,
+        so a scalar added_factor equals its element of the grid."""
+        z = np.concatenate([np.linspace(-40.0, 40.0, 97), SEAMS])
+        batch = airy_ai(z)
+        assert all(batch[i] == airy_ai(float(v)) for i, v in enumerate(z))
+        z = z[z >= 0.0]
+        batch = airy_ai_scaled(z)
+        assert all(batch[i] == airy_ai_scaled(float(v)) for i, v in enumerate(z))
 
     def test_ode_residual(self):
         h = 1e-3
@@ -73,6 +90,17 @@ class TestAiryAiScaled:
             plain = airy_ai(z)
             recon = airy_ai_scaled(z) * math.exp(-(2.0 / 3.0) * z ** 1.5)
             assert abs(recon - plain) <= 1e-12 * abs(plain)
+
+    def test_matches_high_precision_reference(self, mp):
+        """Against mpmath's 30-digit Ai(z) exp((2/3) z^(3/2)) on z = 0..200 at
+        step 0.1 and at the seams z = 4 and z = 9."""
+        z = np.concatenate([np.arange(0, 2001) / 10.0, SEAMS[SEAMS > 0.0]])
+        got = airy_ai_scaled(z)
+        want = np.array([float(mp.airyai(mp.mpf(v))
+                               * mp.exp(2 * mp.mpf(v) ** mp.mpf(1.5) / 3))
+                         for v in z])
+        err = np.abs(got - want)
+        assert np.all(err <= 1e-10 * np.abs(want) + 1e-14), z[np.argmax(err)]
 
     def test_asymptotic_amplitude(self):
         ratio = airy_ai_scaled(100.0) / (1.0 / (2.0 * math.sqrt(math.pi) * 100.0 ** 0.25))
