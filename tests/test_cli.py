@@ -74,6 +74,12 @@ class TestWignerCommand:
         assert main(["wigner", "--bounds", "1:2:3"]) == 1
         capsys.readouterr()
 
+    def test_non_finite_bounds_is_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "--source", "vacuum", "--bounds=-6:6:-6:inf",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_axis_points_below_two_is_usage_error(self, capsys):
         for flag in ("--nx", "--np"):
             for value in ("1", "0", "-3"):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from cvcat.errors import DomainError
 from cvcat.gate import apply_gate
-from cvcat.phase_space import build_support_region, intersect_horizontal, \
-    semiclassical_shear, suggest_wigner_bounds, wigner_log_negativity, \
-    wigner_transform
+from cvcat.phase_space import WignerGrid, build_support_region, \
+    intersect_horizontal, semiclassical_shear, suggest_wigner_bounds, \
+    wigner_log_negativity, wigner_transform
 from cvcat.states import CatParams, GateParams, GridSpec, \
     cat_params_from_gate, make_cubic_phase_state, make_ideal_cat, \
     make_squeezed_vacuum
@@ -57,6 +58,55 @@ class TestWignerTransform:
                         1.5 * vac.amplitudes)
         with pytest.raises(DomainError):
             wigner_transform(bad, (-6.0, 6.0, -6.0, 6.0), 64, 64)
+
+    @pytest.mark.parametrize("n_x", [31, 33, 301])
+    def test_off_lattice_matches_ideal_cat_closed_form(self, n_x):
+        # W = sum_ab c_a* c_b exp(-x^2 - (p - p+(a+b)/2)^2 + i p+ x (b-a)) / pi
+        # with c_+- = exp(+-i theta) / sqrt(denom); 31, 33 and 301 columns
+        # fill less than one, just over one and many column blocks
+        p_plus, theta = math.sqrt(10.0), math.pi / 4.0
+        cat = make_ideal_cat(CatParams(p_plus, theta))
+        w = wigner_transform(cat, (-6.07, 5.93, -9.9, 10.3), n_x, 257)
+        offset = (w.x - cat.x_min) / cat.dx
+        assert np.median(np.abs(offset - np.round(offset))) > 0.1
+        denom = 2.0 * (1.0 + math.cos(2.0 * theta) * math.exp(-p_plus ** 2))
+        x, p = w.x[:, None], w.p[None, :]
+        want = np.zeros((n_x, 257), dtype=complex)
+        for a in (1, -1):
+            for b in (1, -1):
+                coef = np.exp(1j * theta * (b - a)) / denom
+                want += coef * np.exp(-x ** 2 - (p - p_plus * (a + b) / 2.0) ** 2
+                                      + 1j * p_plus * x * (b - a))
+        assert np.max(np.abs(w.values - want.real / math.pi)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bounds_rejected(self, bad):
+        vac = make_squeezed_vacuum(1.0, GridSpec(-8.0, 8.0, 512))
+        for k in range(4):
+            bounds = [-6.0, 6.0, -6.0, 6.0]
+            bounds[k] = bad
+            with pytest.raises(DomainError):
+                wigner_transform(vac, tuple(bounds), 64, 64)
+
+
+class TestWignerGrid:
+    def test_fewer_than_two_points_rejected(self):
+        with pytest.raises(DomainError):
+            WignerGrid(-1.0, 1.0, -1.0, 1.0, 1, 4, np.zeros((1, 4)))
+        with pytest.raises(DomainError):
+            WignerGrid(-1.0, 1.0, -1.0, 1.0, 4, 1, np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 2), (5, 3)])
+    def test_csv_matches_savetxt(self, shape):
+        special = [-0.0, 5e-324, 2.2e-310, 1e300, -1e300, -1.0 / 3.0,
+                   math.pi, 0.1, -7.0, 1e-17, 123456789.0, -2.5e-5,
+                   0.0, 1.0, -0.5]
+        values = np.array(special[:shape[0] * shape[1]]).reshape(shape)
+        grid = WignerGrid(-1.5, 2.0, -3.25, 4.0, *shape, values)
+        buf = io.StringIO()
+        np.savetxt(buf, values, delimiter=",", fmt="%.17g")
+        assert grid.to_csv() == f"-1.5,2.0,-3.25,4.0,{shape[0]},{shape[1]}\n" \
+            + buf.getvalue()
 
 
 class TestWignerLogNegativity:
