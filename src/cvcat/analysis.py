@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CvcatError, DomainError
-from .gate import apply_gate
+from .gate import PROBABILITY_FLOOR, added_factor_rows, apply_gate
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
 from .states import GateParams, GridSpec, WaveFunction, cat_params_from_gate, \
@@ -112,8 +112,12 @@ class SweepSpec:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise DomainError("sweep values must be nonempty")
+        if not all(map(math.isfinite, vals)):
+            raise DomainError("sweep values must be finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise DomainError("sweep values must be strictly increasing")
+        if self.variable == "inverse_s" and vals[0] <= 0:
+            raise DomainError("inverse_s sweep values must be positive")
         bad = set(self.outputs) - {"infidelity", "probability", "wln", "efficiency"}
         if bad:
             raise DomainError(f"unknown outputs {sorted(bad)}")
@@ -147,37 +151,81 @@ def _row_params(spec: SweepSpec, value: float) -> GateParams:
     return GateParams(gamma=gamma, s=s, y_m=y_m)
 
 
-def _evaluate_row(spec: SweepSpec, value: float) -> SweepRow:
-    try:
-        params = _row_params(spec, value)
-        cat = cat_params_from_gate(params)
-        grid = default_grid(cat.p_plus, spec.n_grid_points)
-        vacuum = make_squeezed_vacuum(1.0, grid)
-        out = apply_gate(vacuum, params)
-        fields = {}
-        f_cat = math.nan
-        if {"infidelity", "efficiency"} & spec.outputs:
-            f_cat = fidelity(out.state, make_ideal_cat(cat, grid))
-        if "infidelity" in spec.outputs:
-            fields["infidelity"] = 1.0 - f_cat
-        if "probability" in spec.outputs or "efficiency" in spec.outputs:
-            fields["probability_density"] = out.probability_density
-        if "efficiency" in spec.outputs:
-            fields["efficiency"] = efficiency_score(f_cat, out.probability_density)
-        if "wln" in spec.outputs:
-            bounds = suggest_wigner_bounds(out.state)
-            n_p = max(256, int((bounds[3] - bounds[2]) / 0.08))
-            w = wigner_transform(out.state, bounds, 256, n_p)
-            fields["wln"] = wigner_log_negativity(w)
-        return SweepRow(variable_value=value, **fields)
-    except CvcatError as exc:
-        return SweepRow(variable_value=value, error=f"{type(exc).__name__}: {exc}")
+# points per factor call in run_sweep: bounds the (rows, n) block temporaries
+_ROW_BLOCK_POINTS = 8192
+
+
+def _failed(value: float, exc: CvcatError) -> SweepRow:
+    return SweepRow(variable_value=value, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every scan point in input order; per-row failures are
-    recorded in-row."""
-    return [_evaluate_row(spec, v) for v in spec.values]
+    """Evaluate every scan point; rows that share a grid share one vacuum and
+    one ideal cat per target, and go through the factor as (rows, n) blocks.
+    Per-row failures are recorded in-row, with the error of the row alone."""
+    rows, groups = [None] * len(spec.values), {}
+    for i, value in enumerate(spec.values):
+        try:
+            params = _row_params(spec, value)
+            cat = cat_params_from_gate(params)
+            grid = default_grid(cat.p_plus, spec.n_grid_points)
+            groups.setdefault(grid, []).append((i, params, cat))
+        except CvcatError as exc:
+            rows[i] = _failed(value, exc)
+    for grid, members in groups.items():
+        step, cache = max(1, _ROW_BLOCK_POINTS // grid.n_points), {}
+        for start in range(0, len(members), step):
+            _gate_block(spec, grid, members[start:start + step], rows, cache)
+    return rows
+
+
+def _gate_block(spec, grid, block, rows, cache):
+    """One factor call for rows on ``grid``; ``cache`` holds its vacuum and cats."""
+    try:
+        if grid not in cache:
+            # its normalized flag is apply_gate's input-norm check
+            cache[grid] = make_squeezed_vacuum(1.0, grid)
+        vacuum = cache[grid]
+        states = vacuum.amplitudes * added_factor_rows(
+            vacuum.x, [params for _, params, _ in block])
+    except CvcatError as exc:
+        for member in block:   # row by row, so the error lands in its own row
+            if len(block) > 1:
+                _gate_block(spec, grid, [member], rows, cache)
+            else:
+                rows[member[0]] = _failed(spec.values[member[0]], exc)
+        return
+    prob = np.trapezoid(np.abs(states) ** 2, dx=vacuum.dx, axis=1)
+    # normalized in place; a row under the probability floor is scaled by
+    # the floor and never read
+    states /= np.sqrt(np.maximum(prob, PROBABILITY_FLOOR))[:, None]
+    norm2 = np.trapezoid(np.abs(states) ** 2, dx=vacuum.dx, axis=1)
+    for (i, params, cat), p, n2, state in zip(block, prob.tolist(), norm2, states):
+        value, fields, f_cat = spec.values[i], {}, math.nan
+        try:
+            if not (p >= PROBABILITY_FLOOR and abs(n2 - 1.0) <= 1e-6):
+                apply_gate(vacuum, params)   # raises the row's own error
+            if {"infidelity", "efficiency"} & spec.outputs:
+                if cat not in cache:
+                    cache[cat] = make_ideal_cat(cat, grid)
+                overlap = np.trapezoid(np.conj(state) * cache[cat].amplitudes,
+                                       dx=vacuum.dx)
+                f_cat = float(abs(overlap) ** 2)
+            if "infidelity" in spec.outputs:
+                fields["infidelity"] = 1.0 - f_cat
+            if {"probability", "efficiency"} & spec.outputs:
+                fields["probability_density"] = p
+            if "efficiency" in spec.outputs:
+                fields["efficiency"] = efficiency_score(f_cat, p)
+            if "wln" in spec.outputs:
+                state = apply_gate(vacuum, params).state
+                bounds = suggest_wigner_bounds(state)
+                n_p = max(256, int((bounds[3] - bounds[2]) / 0.08))
+                w = wigner_transform(state, bounds, 256, n_p)
+                fields["wln"] = wigner_log_negativity(w)
+            rows[i] = SweepRow(variable_value=value, **fields)
+        except CvcatError as exc:
+            rows[i] = _failed(value, exc)
 
 
 def rows_to_csv(rows) -> str:

@@ -20,8 +20,8 @@ from .analysis import SweepSpec, db_to_s, rows_to_csv, run_sweep
 from .errors import CvcatError, DomainError
 from .gate import added_factor, apply_gate
 from .oracle import oracle_added_factor
-from .phase_space import build_support_region, suggest_wigner_bounds, \
-    wigner_transform
+from .phase_space import _csv_matrix, build_support_region, \
+    suggest_wigner_bounds, wigner_transform
 from .states import GateParams, GridSpec, cat_params_from_gate, default_grid, \
     make_cubic_phase_state, make_ideal_cat, make_squeezed_vacuum, \
     wavefunction_to_json
@@ -49,12 +49,13 @@ def _axis_points(text: str) -> int:
     return value
 
 
-def _add_common(sub, grid=True):
-    sub.add_argument("--gamma", type=float, help="cubic deformation coefficient")
-    sub.add_argument("--ym", type=float, help="ancilla momentum outcome")
-    sub.add_argument("--db", type=float, help="initial ancilla squeezing in dB")
+def _add_common(sub, grid=True, physics=True):
+    if physics:
+        sub.add_argument("--gamma", type=float, help="cubic deformation coefficient")
+        sub.add_argument("--ym", type=float, help="ancilla momentum outcome")
+        sub.add_argument("--db", type=float, help="initial ancilla squeezing in dB")
+        sub.add_argument("--format", choices=("csv", "json"), help="output format")
     sub.add_argument("--out", help="output file path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
     sub.add_argument("--config", help="JSON config file mirroring the flags")
     sub.add_argument("--dump-config", dest="dump_config",
                      help="write the effective config as JSON and continue")
@@ -85,8 +86,7 @@ _DEFAULTS = {
     "support-region": {"gamma": 0.1, "db": 5.0, "sigma_level": 2.0,
                        "n_boundary": 256, "format": "csv", "out": None,
                        "ym": None},
-    "verify": {"fast": False, "out": None, "format": "csv", "gamma": None,
-               "ym": None, "db": None},
+    "verify": {"fast": False, "out": None},
 }
 
 
@@ -127,7 +127,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("verify", help="closed form vs quadrature oracle")
     p.add_argument("--fast", action="store_true", default=None,
                    help="reduced parameter grid")
-    _add_common(p, grid=False)
+    _add_common(p, grid=False, physics=False)
     return parser
 
 
@@ -182,10 +182,8 @@ def _build_state(cfg):
 
 
 def _state_csv(wf) -> str:
-    lines = ["x,re,im"]
-    for x, a in zip(wf.x, wf.amplitudes):
-        lines.append(f"{x:.17g},{a.real:.17g},{a.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    amp = wf.amplitudes
+    return "x,re,im\n" + _csv_matrix(np.column_stack([wf.x, amp.real, amp.imag]))
 
 
 def _cmd_state(cfg) -> int:
@@ -275,7 +273,9 @@ def _cmd_sweep(cfg) -> int:
                             "gamma_rule": cfg["gamma_rule"], "y_m": cfg["ym"],
                             "outputs": sorted(outputs)},
                    "version": __version__,
-                   "rows": [vars(r) for r in rows]}
+                   # null, not a non-standard NaN token, marks an unrequested output
+                   "rows": [{k: None if isinstance(v, float) and math.isnan(v)
+                             else v for k, v in vars(r).items()} for r in rows]}
         _emit(json.dumps(payload, default=float) + "\n", cfg["out"])
     else:
         _emit(rows_to_csv(rows), cfg["out"])
@@ -346,7 +346,8 @@ def run_verification(fast: bool = False):
 
 def _cmd_verify(cfg) -> int:
     worst = run_verification(bool(cfg["fast"]))
-    print(f"max relative deviation {worst:.6e} (tolerance {VERIFY_TOLERANCE:.0e})")
+    _emit(f"max relative deviation {worst:.6e} "
+          f"(tolerance {VERIFY_TOLERANCE:.0e})\n", cfg["out"])
     return EXIT_OK if worst <= VERIFY_TOLERANCE else EXIT_DOMAIN
 
 

@@ -20,11 +20,12 @@ __all__ = [
     "ConditionalOutput",
     "added_factor",
     "added_factor_grid",
+    "added_factor_rows",
     "apply_gate",
     "outcome_probability_density",
 ]
 
-_PROBABILITY_FLOOR = 1e-300
+PROBABILITY_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -40,40 +41,54 @@ class ConditionalOutput:
             raise DomainError("probability_density must be >= 0")
 
 
-def added_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
-    """Airy-form multiplicative factor evaluated on an array of coordinates.
-
-    Assembled in log space: log-prefactor, exponent argument, and the scaled
-    Airy decay are summed before a single exponentiation, so the growing
-    exponential never meets the decaying Ai at overflow scale. The plain Ai
-    is used on the oscillatory side, where no scaling is needed.
-    """
+def _factor_constants(params: GateParams) -> tuple:
+    """y_m, log-prefactor, exponent rate and shift, Airy scale and shift."""
     gamma, s, y_m = params.gamma, params.s, params.y_m
     if not gamma > 0:
         raise DomainError("added_factor needs gamma > 0; "
                           "gamma = 0 is the Gaussian special case")
-    x = np.asarray(x, dtype=float)
-    delta = x - y_m
     log_pref = 0.5 * math.log(2.0 * s) + 0.25 * math.log(math.pi) \
         - (1.0 / 3.0) * math.log(3.0 * gamma)
-    exp_arg = (s * s / (6.0 * gamma)) * (delta + s ** 4 / (18.0 * gamma))
-    z = (3.0 * gamma) ** (-1.0 / 3.0) * (delta + s ** 4 / (12.0 * gamma))
+    return (y_m, log_pref, s * s / (6.0 * gamma), s ** 4 / (18.0 * gamma),
+            (3.0 * gamma) ** (-1.0 / 3.0), s ** 4 / (12.0 * gamma))
 
+
+def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift) -> np.ndarray:
+    """Assembled in log space: log-prefactor, exponent argument, and the scaled
+    Airy decay are summed before a single exponentiation, so the growing
+    exponential never meets the decaying Ai at overflow scale. The plain Ai
+    is used on the oscillatory side, where no scaling is needed.
+
+    Float constants give an array shaped like x, (rows, 1) columns one row
+    per setting; every element sees the same operations either way."""
+    delta = x - y_m
+    lead = log_pref + rate * (delta + exp_shift)
+    z = scale * (delta + z_shift)
     out = np.empty_like(z)
     pos = z > 0.0
     if np.any(pos):
         zp = z[pos]
         scaled = airy_ai_scaled(zp)
         with np.errstate(under="ignore"):
-            out[pos] = np.exp(log_pref + exp_arg[pos]
-                              - (2.0 / 3.0) * zp ** 1.5 + np.log(scaled))
+            out[pos] = np.exp(lead[pos] - (2.0 / 3.0) * zp ** 1.5 + np.log(scaled))
     if np.any(~pos):
-        zn = z[~pos]
-        ai = np.asarray(airy_ai(zn))
+        ai = np.asarray(airy_ai(z[~pos]))
         with np.errstate(under="ignore", divide="ignore"):
-            mag = np.exp(log_pref + exp_arg[~pos] + np.log(np.abs(ai)))
+            mag = np.exp(lead[~pos] + np.log(np.abs(ai)))
         out[~pos] = np.where(ai == 0.0, 0.0, np.sign(ai) * mag)
     return out
+
+
+def added_factor_rows(x: np.ndarray, rows) -> np.ndarray:
+    """Airy-form factor on a 1-D coordinate array, one row per GateParams."""
+    columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
+    return _factor(np.asarray(x, dtype=float), *columns.transpose(1, 0, 2))
+
+
+def added_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
+    """Airy-form multiplicative factor evaluated on an array of coordinates:
+    the one-row case of ``added_factor_rows``."""
+    return _factor(np.asarray(x, dtype=float), *_factor_constants(params))
 
 
 def added_factor(x: float, params: GateParams) -> complex:
@@ -102,7 +117,7 @@ def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:
         raise DomainError("apply_gate expects a normalized input state")
     unnorm = _unnormalized_output(input, params)
     prob = float(np.trapezoid(np.abs(unnorm) ** 2, dx=input.dx))
-    if prob < _PROBABILITY_FLOOR:
+    if prob < PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(
             f"outcome y_m={params.y_m} has probability density {prob}; "
             "the conditional state is undefined")

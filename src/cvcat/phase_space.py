@@ -3,7 +3,6 @@ shear picture with its support-region construction."""
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,14 @@ __all__ = [
     "intersect_horizontal",
     "suggest_wigner_bounds",
 ]
+
+
+def _csv_matrix(values: np.ndarray) -> str:
+    """One line per row of comma-separated %.17g values: the bytes of
+    np.savetxt(..., delimiter=",", fmt="%.17g"), from one format string."""
+    n_rows, n_cols = values.shape
+    row = ",".join(["%.17g"] * n_cols) + "\n"
+    return (row * n_rows) % tuple(values.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,9 @@ class WignerGrid:
 
     def to_csv(self) -> str:
         """CSV matrix with a one-line header 'x_min,x_max,p_min,p_max,n_x,n_p'."""
-        buf = io.StringIO()
-        buf.write(f"{self.x_min!r},{self.x_max!r},{self.p_min!r},"
-                  f"{self.p_max!r},{self.n_x},{self.n_p}\n")
-        row = ",".join(["%.17g"] * self.n_p) + "\n"
-        buf.write((row * self.n_x) % tuple(self.values.ravel().tolist()))
-        return buf.getvalue()
+        return (f"{self.x_min!r},{self.x_max!r},{self.p_min!r},"
+                f"{self.p_max!r},{self.n_x},{self.n_p}\n"
+                + _csv_matrix(self.values))
 
 
 # columns per batched inverse FFT: bounds the (block, pad) temporaries
@@ -191,10 +195,7 @@ class SupportRegion:
         return float(0.5 * abs(np.sum(x[:-1] * p[1:] - x[1:] * p[:-1])))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,p\n")
-        np.savetxt(buf, self.boundary, delimiter=",", fmt="%.17g")
-        return buf.getvalue()
+        return "x,p\n" + _csv_matrix(self.boundary)
 
 
 def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,

@@ -149,6 +149,19 @@ class TestSweep:
         with pytest.raises(DomainError):
             self.spec(gamma_rule="sometimes")
 
+    @pytest.mark.parametrize("values", [
+        (1.0, math.nan, 2.0), (math.nan,), (1.0, math.inf), (-math.inf, 1.0),
+        (0.0, 1.0), (-1.0, 2.0)])
+    def test_rejects_non_finite_and_non_positive_inverse_s(self, values):
+        with pytest.raises(DomainError):
+            self.spec(values=values)
+
+    def test_rejects_non_finite_y_m(self):
+        with pytest.raises(DomainError):
+            self.spec(variable="y_m", values=(3.0, math.nan, 6.0))
+        # y_m <= 0 is a per-row error, not a spec error
+        self.spec(variable="y_m", values=(-1.0, 0.0, 3.0))
+
     def test_deterministic(self):
         a = run_sweep(self.spec())
         b = run_sweep(self.spec())

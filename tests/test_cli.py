@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from cvcat.analysis import SweepRow, rows_to_csv
+from cvcat.analysis import SweepRow, db_to_s, rows_to_csv
 from cvcat.cli import main
-from cvcat.states import wavefunction_from_json
+from cvcat.states import GridSpec, make_cubic_phase_state, \
+    wavefunction_from_json
 
 
 class TestExitCodes:
@@ -49,6 +50,18 @@ class TestStateCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,re,im"
         assert len(lines[1].split(",")) == 3
+
+    def test_csv_bytes_match_per_sample_format(self, tmp_path, capsys):
+        out = tmp_path / "cubic.csv"
+        assert main(["state", "--kind", "cubic", "--format", "csv",
+                     "--grid-points", "64", "--out", str(out)]) == 0
+        capsys.readouterr()
+        s = db_to_s(5.0)
+        wf = make_cubic_phase_state(0.1, s, GridSpec(-10.0 / s, 10.0 / s, 64))
+        # reference: each sample formatted on its own
+        want = "".join(f"{x:.17g},{a.real:.17g},{a.imag:.17g}\n"
+                       for x, a in zip(wf.x, wf.amplitudes))
+        assert out.read_text() == "x,re,im\n" + want
 
 
 class TestWignerCommand:
@@ -153,6 +166,21 @@ class TestSweepCommands:
         assert captured.err == ("sweep: 1 rows ok, 3 failed "
                                 "(DomainError 2, ZeroProbabilityOutcomeError 1)\n")
 
+    def test_json_writes_null_not_nan(self, tmp_path, capsys):
+        out = tmp_path / "prob.json"
+        assert main(["sweep-probability", "--ym", "3", "--db-range", "0:20:3",
+                     "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["infidelity"] is None and row["wln"] is None
+            assert row["efficiency"] is None and row["probability_density"] > 0
+
     def test_fixed_rule_requires_gamma(self, capsys):
         assert main(["sweep-infidelity", "--ym", "3",
                      "--gamma-rule", "fixed"]) == 1
@@ -200,3 +228,17 @@ class TestVerifyCommand:
         assert main(["verify", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "max relative deviation" in out
+
+    def test_out_writes_the_stdout_line(self, tmp_path, capsys):
+        assert main(["verify", "--fast"]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--fast", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout
+
+    @pytest.mark.parametrize("flag", [["--gamma", "5"], ["--ym", "3"],
+                                      ["--db", "99"], ["--format", "json"]])
+    def test_physics_flags_are_usage_errors(self, flag, capsys):
+        assert main(["verify", "--fast", *flag]) == 64
+        capsys.readouterr()

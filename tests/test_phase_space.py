@@ -6,9 +6,9 @@ import pytest
 
 from cvcat.errors import DomainError
 from cvcat.gate import apply_gate
-from cvcat.phase_space import WignerGrid, build_support_region, \
-    intersect_horizontal, semiclassical_shear, suggest_wigner_bounds, \
-    wigner_log_negativity, wigner_transform
+from cvcat.phase_space import SupportRegion, WignerGrid, \
+    build_support_region, intersect_horizontal, semiclassical_shear, \
+    suggest_wigner_bounds, wigner_log_negativity, wigner_transform
 from cvcat.states import CatParams, GateParams, GridSpec, \
     cat_params_from_gate, make_cubic_phase_state, make_ideal_cat, \
     make_squeezed_vacuum
@@ -169,6 +169,15 @@ class TestSupportRegion:
         assert len(intervals) == 2
         (a0, a1), (b0, b1) = intervals
         assert a1 < b0
+
+    def test_csv_matches_savetxt(self):
+        region = build_support_region(0.3, 0.2, sigma_level=1.5, n_boundary=32)
+        boundary = region.boundary.copy()
+        boundary[1:4] = [[-0.0, 5e-324], [1e300, -1e-17], [-1.0 / 3.0, 0.0]]
+        region = SupportRegion(boundary=boundary, sigma_level=1.5)
+        buf = io.StringIO()
+        np.savetxt(buf, boundary, delimiter=",", fmt="%.17g")
+        assert region.to_csv() == "x,p\n" + buf.getvalue()
 
     def test_validation(self):
         with pytest.raises(DomainError):
