@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CvcatError, DomainError
-from .gate import PROBABILITY_FLOOR, added_factor_rows, apply_gate
+from .gate import PROBABILITY_FLOOR, added_factor_rows, apply_gate, \
+    norm_squared
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
 from .states import GateParams, GridSpec, WaveFunction, cat_params_from_gate, \
@@ -195,11 +196,11 @@ def _gate_block(spec, grid, block, rows, cache):
             else:
                 rows[member[0]] = _failed(spec.values[member[0]], exc)
         return
-    prob = np.trapezoid(np.abs(states) ** 2, dx=vacuum.dx, axis=1)
+    prob = norm_squared(states, vacuum.dx)
     # normalized in place; a row under the probability floor is scaled by
     # the floor and never read
     states /= np.sqrt(np.maximum(prob, PROBABILITY_FLOOR))[:, None]
-    norm2 = np.trapezoid(np.abs(states) ** 2, dx=vacuum.dx, axis=1)
+    norm2 = norm_squared(states, vacuum.dx)
     for (i, params, cat), p, n2, state in zip(block, prob.tolist(), norm2, states):
         value, fields, f_cat = spec.values[i], {}, math.nan
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ZeroProbabilityOutcomeError
-from .special_numerics import airy_ai, airy_ai_scaled
+from .special_numerics import ASYMP_EDGE, airy_ai, airy_ai_scaled
 from .states import GateParams, WaveFunction
 
 __all__ = [
@@ -54,10 +54,13 @@ def _factor_constants(params: GateParams) -> tuple:
 
 
 def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift) -> np.ndarray:
-    """Assembled in log space: log-prefactor, exponent argument, and the scaled
-    Airy decay are summed before a single exponentiation, so the growing
-    exponential never meets the decaying Ai at overflow scale. The plain Ai
-    is used on the oscillatory side, where no scaling is needed.
+    """Assembled in log space: log-prefactor, exponent argument and log |Ai|
+    are summed before a single exponentiation, so the growing exponential
+    never meets the decaying Ai at overflow scale. On the asymptotic side,
+    z >= ASYMP_EDGE, Ai = airy_ai_scaled(z) exp(-zeta) can underflow, so the
+    scaled form enters with -zeta added to the exponent. Below the edge Ai
+    is no smaller than Ai(9) ~ 1e-10 (away from its zeros on z < 0), so the
+    plain Ai enters as log |Ai|, its sign restored after the exponentiation.
 
     Float constants give an array shaped like x, (rows, 1) columns one row
     per setting; every element sees the same operations either way."""
@@ -65,17 +68,20 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift) -> np.ndarray:
     lead = log_pref + rate * (delta + exp_shift)
     z = scale * (delta + z_shift)
     out = np.empty_like(z)
-    pos = z > 0.0
-    if np.any(pos):
-        zp = z[pos]
-        scaled = airy_ai_scaled(zp)
+    # scaled branch first: a z that overflowed to +inf fails there, with
+    # airy_ai_scaled's error
+    asy = z >= ASYMP_EDGE
+    if asy.any():
+        za = z[asy]
+        scaled = airy_ai_scaled(za)
         with np.errstate(under="ignore"):
-            out[pos] = np.exp(lead[pos] - (2.0 / 3.0) * zp ** 1.5 + np.log(scaled))
-    if np.any(~pos):
-        ai = np.asarray(airy_ai(z[~pos]))
+            out[asy] = np.exp(lead[asy] - (2.0 / 3.0) * (za * np.sqrt(za))
+                              + np.log(scaled))
+    low = ~asy
+    if low.any():
+        ai = airy_ai(z[low])
         with np.errstate(under="ignore", divide="ignore"):
-            mag = np.exp(lead[~pos] + np.log(np.abs(ai)))
-        out[~pos] = np.where(ai == 0.0, 0.0, np.sign(ai) * mag)
+            out[low] = np.copysign(np.exp(lead[low] + np.log(np.abs(ai))), ai)
     return out
 
 
@@ -111,12 +117,19 @@ def _unnormalized_output(input: WaveFunction, params: GateParams) -> np.ndarray:
     return input.amplitudes * factor
 
 
+def norm_squared(amplitudes: np.ndarray, dx: float):
+    """Trapezoid integral of |amplitudes|^2 along the last axis. On the
+    unnormalized output this is P(y_m), and every route to P uses it, so
+    apply_gate, outcome_probability_density and run_sweep agree to the bit."""
+    return np.trapezoid(np.abs(amplitudes) ** 2, dx=dx, axis=-1)
+
+
 def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:
     """Condition the input on the ancilla momentum outcome params.y_m."""
     if abs(input.norm_squared() - 1.0) > 1e-6:
         raise DomainError("apply_gate expects a normalized input state")
     unnorm = _unnormalized_output(input, params)
-    prob = float(np.trapezoid(np.abs(unnorm) ** 2, dx=input.dx))
+    prob = float(norm_squared(unnorm, input.dx))
     if prob < PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(
             f"outcome y_m={params.y_m} has probability density {prob}; "
@@ -135,4 +148,4 @@ def outcome_probability_density(input: WaveFunction, gamma: float, s: float,
     if abs(input.norm_squared() - 1.0) > 1e-6:
         raise DomainError("outcome_probability_density expects a normalized input")
     unnorm = _unnormalized_output(input, GateParams(gamma=gamma, s=s, y_m=y_m))
-    return float(np.trapezoid(np.abs(unnorm) ** 2, dx=input.dx))
+    return float(norm_squared(unnorm, input.dx))

@@ -6,6 +6,7 @@ values. Canonical units, hbar = 1; the vacuum has Var(x) = Var(p) = 1/2.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -78,22 +79,31 @@ class WaveFunction:
             raise DomainError("x_min must be below x_max")
         if self.n_points < 16:
             raise DomainError("n_points must be >= 16")
-        amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        # a private copy: freezing the caller's buffer would leave its other
+        # views able to write into this state behind the cached norm
+        amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (self.n_points,):
             raise DomainError("amplitudes length must equal n_points")
-        if not np.all(np.isfinite(amp.view(float))):
+        if not np.isfinite(amp.view(float)).all():
             raise DomainError("amplitudes must be finite")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-        n2 = self.norm_squared()
+        density = np.abs(amp) ** 2
+        n2 = float(np.trapezoid(density, dx=self.dx))
         if not math.isfinite(n2):
             raise DomainError("norm^2 must be finite")
         if self.normalized and abs(n2 - 1.0) > 1e-6:
             raise DomainError(f"normalized flag set but norm^2 = {n2}")
+        amp.setflags(write=False)
+        density.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "_density", density)
+        object.__setattr__(self, "_norm_squared", n2)
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """Grid coordinates, computed on first use; read-only."""
+        x = np.linspace(self.x_min, self.x_max, self.n_points)
+        x.setflags(write=False)
+        return x
 
     @property
     def dx(self) -> float:
@@ -104,10 +114,12 @@ class WaveFunction:
         return GridSpec(self.x_min, self.x_max, self.n_points)
 
     def norm_squared(self) -> float:
-        return float(np.trapezoid(np.abs(self.amplitudes) ** 2, dx=self.dx))
+        """Trapezoid integral of density(), computed once at construction."""
+        return self._norm_squared
 
     def density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        """|amplitudes|^2, computed once at construction; read-only."""
+        return self._density
 
 
 @dataclass(frozen=True)

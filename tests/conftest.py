@@ -1,5 +1,7 @@
 import sys
 
+import pytest
+
 ACCEPTANCE_LINES = []
 
 
@@ -11,3 +13,29 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="module")
+def mp():
+    """mpmath at 30 significant digits: a reference that shares no code with
+    cvcat's Airy function or its quadrature."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        yield mpmath
+
+
+@pytest.fixture(scope="module")
+def reference_integral(mp):
+    """Integral of exp(i x(delta + gamma x^2) - (s x)^2 / 2) over the real line.
+
+    Closed form for gamma > 0: 2 pi (3 gamma)^(-1/3) e^E Ai(z), with
+    E = s^2/(6 gamma) (delta + s^4/(18 gamma)) and
+    z = (3 gamma)^(-1/3) (delta + s^4/(12 gamma)).
+    """
+    def integral(delta, gamma, s):
+        d, g, s = mp.mpf(delta), mp.mpf(gamma), mp.mpf(s)
+        scale = (3 * g) ** (-mp.mpf(1) / 3)
+        exp_arg = s ** 2 / (6 * g) * (d + s ** 4 / (18 * g))
+        z = scale * (d + s ** 4 / (12 * g))
+        return complex(2 * mp.pi * scale * mp.exp(exp_arg) * mp.airyai(z))
+    return integral

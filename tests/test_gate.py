@@ -64,6 +64,43 @@ class TestAddedFactor:
         vals = added_factor_grid(np.linspace(-10.0, 10.0, 101), params)
         assert np.all(np.isfinite(vals))
 
+    def test_scalar_matches_grid_across_regimes(self):
+        """x is placed so that z runs through every Airy regime and lands
+        1e-9 either side of the seams z = 0, +-4 and +-9."""
+        params = GateParams(gamma=0.1, s=0.7, y_m=3.0)
+        scale = (3.0 * params.gamma) ** (-1.0 / 3.0)
+        seams = [edge + d for edge in (-9.0, -4.0, 0.0, 4.0, 9.0)
+                 for d in (-1e-9, 0.0, 1e-9)]
+        z = np.concatenate([np.linspace(-30.0, 30.0, 121), seams])
+        x = z / scale - params.s ** 4 / (12.0 * params.gamma) + params.y_m
+        grid = added_factor_grid(x, params)
+        assert np.all(np.isfinite(grid)) and np.all(grid != 0.0)
+        assert all(added_factor(float(v), params) == grid[i]
+                   for i, v in enumerate(x))
+
+    def test_matches_closed_form(self, mp, reference_integral):
+        """Against the 30-digit closed form on z = -75..120 at step 0.5, to
+        1e-10 relative. On z < 0 the scale is the oscillation envelope, with
+        Ai replaced by its modulus sqrt(Ai^2 + Bi^2): next to a zero of Ai
+        the rounding of z alone moves the value by more than 1e-10 of itself.
+        Strong squeezing keeps both ends above the underflow threshold."""
+        gamma, s, y_m = 0.05, 1.5, 2.0
+        scale = (3.0 * gamma) ** (-1.0 / 3.0)
+        z = np.arange(-150, 241) / 2.0
+        x = z / scale - s ** 4 / (12.0 * gamma) + y_m
+        got = added_factor_grid(x, GateParams(gamma=gamma, s=s, y_m=y_m))
+        norm = math.sqrt(s) / (math.pi ** 0.75 * math.sqrt(2.0))
+        for xi, zi, g in zip(x, z, got):
+            delta = xi - y_m
+            want = norm * reference_integral(delta, gamma, s).real
+            size = abs(want)
+            if zi < 0.0:
+                lead = 2.0 * math.pi * scale * mp.exp(
+                    s * s / (6.0 * gamma) * (delta + s ** 4 / (18.0 * gamma)))
+                size = max(size, float(norm * lead * mp.sqrt(
+                    mp.airyai(zi) ** 2 + mp.airybi(zi) ** 2)))
+            assert abs(g - want) <= 1e-10 * size, zi
+
     def test_gamma_zero_routed_to_special_case(self):
         with pytest.raises(DomainError):
             added_factor(0.0, GateParams(gamma=0.0, s=1.0, y_m=0.0))
@@ -118,6 +155,8 @@ class TestApplyGate:
                             2.0 * vac.amplitudes)
         with pytest.raises(DomainError):
             apply_gate(doubled, GateParams(gamma=0.1, s=1.0, y_m=3.0))
+        with pytest.raises(DomainError):
+            outcome_probability_density(doubled, 0.1, 1.0, 3.0)
 
     def test_probability_density_consistency(self):
         params = GateParams(gamma=0.2, s=0.8, y_m=4.0)

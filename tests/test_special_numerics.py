@@ -14,29 +14,6 @@ SEAMS = np.array([sign * edge + d for edge in (4.0, 9.0) for sign in (-1.0, 1.0)
                   for d in (-1e-9, 0.0, 1e-9)])
 
 
-@pytest.fixture(scope="module")
-def mp():
-    """mpmath at 30 significant digits: a reference that shares no code with
-    cvcat's Airy function or its quadrature."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        yield mpmath
-
-
-def reference_integral(mp, delta, gamma, s):
-    """Integral of exp(i x(delta + gamma x^2) - (s x)^2 / 2) over the real line.
-
-    Closed form for gamma > 0: 2 pi (3 gamma)^(-1/3) e^E Ai(z), with
-    E = s^2/(6 gamma) (delta + s^4/(18 gamma)) and
-    z = (3 gamma)^(-1/3) (delta + s^4/(12 gamma)).
-    """
-    d, g, s = mp.mpf(delta), mp.mpf(gamma), mp.mpf(s)
-    scale = (3 * g) ** (-mp.mpf(1) / 3)
-    exp_arg = s ** 2 / (6 * g) * (d + s ** 4 / (18 * g))
-    z = scale * (d + s ** 4 / (12 * g))
-    return complex(2 * mp.pi * scale * mp.exp(exp_arg) * mp.airyai(z))
-
-
 class TestAiryAi:
     def test_value_at_origin(self):
         assert abs(airy_ai(0.0) - AI_ZERO) < 1e-10
@@ -56,6 +33,16 @@ class TestAiryAi:
         want = np.array([float(mp.airyai(mp.mpf(v))) for v in z])
         err = np.abs(got - want)
         assert np.all(err <= 1e-10 * np.abs(want) + 1e-14), z[np.argmax(err)]
+
+    def test_bridge_matches_reference(self, mp):
+        """The 14-term bridge against mpmath's 30-digit Ai on 4 < |z| < 9 at
+        step 1/64, which puts points on every anchor and half-way between."""
+        side = np.linspace(4.0, 9.0, 321)[1:-1]
+        z = np.concatenate([-side[::-1], side])
+        got = airy_ai(z)
+        want = np.array([float(mp.airyai(mp.mpf(v))) for v in z])
+        err = np.abs(got - want)
+        assert np.all(err <= 5e-12 * np.abs(want) + 1e-15), z[np.argmax(err)]
 
     def test_batch_matches_scalar_calls(self):
         """A point's value does not depend on the batch it is evaluated in,
@@ -152,15 +139,15 @@ class TestIntegrateOscillatoryGaussian:
             got = integrate_oscillatory_gaussian(delta, gamma, s)
             assert abs(got - want) <= 1e-8 * abs(want) + 1e-10
 
-    def test_matches_high_precision_reference(self, mp):
+    def test_matches_high_precision_reference(self, reference_integral):
         """|got - want| <= 1e-10 |want| + 1e-13 |I(0)| on both sides of the
         saddle-point switch, from nearly Gaussian (small gamma, s = 1) to
         strongly cubic (large gamma, s = 0.1)."""
         for gamma in (0.02, 0.1, 0.5, 1.0, 2.0):
             for s in (1.0, 0.5, 0.2, 0.1):
-                floor = 1e-13 * abs(reference_integral(mp, 0.0, gamma, s))
+                floor = 1e-13 * abs(reference_integral(0.0, gamma, s))
                 for delta in range(-30, 31):
-                    want = reference_integral(mp, delta, gamma, s)
+                    want = reference_integral(delta, gamma, s)
                     got = integrate_oscillatory_gaussian(float(delta), gamma, s)
                     assert abs(got - want) <= 1e-10 * abs(want) + floor, \
                         (delta, gamma, s)

@@ -147,6 +147,27 @@ class TestWaveFunction:
         with pytest.raises(DomainError):
             WaveFunction(-1.0, 1.0, 32, amp)
 
+    def test_copies_the_callers_array(self):
+        buf = np.full(32, 0.5 ** 0.5, dtype=complex)
+        view = buf[:]
+        wf = WaveFunction(0.0, 2.0, 32, buf, normalized=True)
+        n2 = wf.norm_squared()
+        assert buf.flags.writeable
+        buf[0] = 5.0
+        view[:] = 5.0
+        assert np.all(wf.amplitudes == 0.5 ** 0.5)
+        assert wf.norm_squared() == n2 == float(
+            np.trapezoid(np.abs(wf.amplitudes) ** 2, dx=wf.dx))
+
+    def test_cached_arrays_are_read_only(self):
+        wf = make_squeezed_vacuum(1.0, GridSpec(-10.0, 10.0, 64))
+        for arr in (wf.x, wf.density(), wf.amplitudes):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert wf.x is wf.x and wf.density() is wf.density()
+        assert np.array_equal(wf.x, np.linspace(-10.0, 10.0, 64))
+        assert np.array_equal(wf.density(), np.abs(wf.amplitudes) ** 2)
+
     def test_default_grid_covers_lobes(self):
         grid = default_grid(3.0, 512)
         assert grid.x_min == -11.0 and grid.x_max == 11.0
