@@ -52,8 +52,14 @@ def fidelity(a: WaveFunction, b: WaveFunction) -> float:
             b = resample(b, a.grid)
         else:
             a = resample(a, b.grid)
-    ov = np.trapezoid(np.conj(a.amplitudes) * b.amplitudes, dx=a.dx)
-    return float(abs(ov) ** 2)
+    return _squared_overlap(np.trapezoid(np.conj(a.amplitudes) * b.amplitudes,
+                                         dx=a.dx))
+
+
+def _squared_overlap(ov) -> float:
+    """|ov|^2 held to at most 1: between normalized states the trapezoid
+    overlap passes 1 only by rounding, up to ~1e-15 for a state with itself."""
+    return min(float(abs(ov) ** 2), 1.0)
 
 
 def phase_aligned_l2(a: WaveFunction, b: WaveFunction) -> float:
@@ -211,7 +217,7 @@ def _gate_block(spec, grid, block, rows, cache):
                     cache[cat] = make_ideal_cat(cat, grid)
                 overlap = np.trapezoid(np.conj(state) * cache[cat].amplitudes,
                                        dx=vacuum.dx)
-                f_cat = float(abs(overlap) ** 2)
+                f_cat = _squared_overlap(overlap)
             if "infidelity" in spec.outputs:
                 fields["infidelity"] = 1.0 - f_cat
             if {"probability", "efficiency"} & spec.outputs:

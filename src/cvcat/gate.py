@@ -63,38 +63,59 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift) -> np.ndarray:
     plain Ai enters as log |Ai|, its sign restored after the exponentiation.
 
     Float constants give an array shaped like x, (rows, 1) columns one row
-    per setting; every element sees the same operations either way."""
+    per setting; every element sees the same operations either way.
+
+    Floating-point warnings are off in here. Underflow is the factor's
+    tails, log(0) at an exact zero of Ai becomes 0 after the exponentiation,
+    and an overflow or invalid operation leaves the result non-finite, which
+    _checked_finite rejects. That happens for small gamma, where the
+    exponent cancels two terms of size ~s^6/(108 gamma^2) and, below
+    gamma ~ 1e-10 s^3, what is left overflows."""
     delta = x - y_m
-    lead = log_pref + rate * (delta + exp_shift)
-    z = scale * (delta + z_shift)
-    out = np.empty_like(z)
-    # scaled branch first: a z that overflowed to +inf fails there, with
-    # airy_ai_scaled's error
-    asy = z >= ASYMP_EDGE
-    if asy.any():
-        za = z[asy]
-        scaled = airy_ai_scaled(za)
-        with np.errstate(under="ignore"):
+    with np.errstate(all="ignore"):
+        lead = log_pref + rate * (delta + exp_shift)
+        z = scale * (delta + z_shift)
+        out = np.empty_like(z)
+        # scaled branch first: a z that overflowed to +inf fails there, with
+        # airy_ai_scaled's error
+        asy = z >= ASYMP_EDGE
+        if asy.any():
+            za = z[asy]
+            scaled = airy_ai_scaled(za)
             out[asy] = np.exp(lead[asy] - (2.0 / 3.0) * (za * np.sqrt(za))
                               + np.log(scaled))
-    low = ~asy
-    if low.any():
-        ai = airy_ai(z[low])
-        with np.errstate(under="ignore", divide="ignore"):
+        low = ~asy
+        if low.any():
+            ai = airy_ai(z[low])
             out[low] = np.copysign(np.exp(lead[low] + np.log(np.abs(ai))), ai)
     return out
+
+
+def _checked_finite(factor: np.ndarray, rows) -> np.ndarray:
+    """factor (one row per GateParams in rows), or a DomainError naming the
+    first setting whose factor is not finite."""
+    finite = np.isfinite(factor)
+    if not finite.all():
+        bad = rows[int(np.argmin(finite.reshape(len(rows), -1).all(axis=1)))]
+        raise DomainError(
+            f"added factor is not finite at gamma={bad.gamma!r}, s={bad.s!r}: "
+            "the closed form's exponent terms grow like s^6/gamma^2 and "
+            "overflow or cancel at so small a gamma")
+    return factor
 
 
 def added_factor_rows(x: np.ndarray, rows) -> np.ndarray:
     """Airy-form factor on a 1-D coordinate array, one row per GateParams."""
     columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
-    return _factor(np.asarray(x, dtype=float), *columns.transpose(1, 0, 2))
+    return _checked_finite(
+        _factor(np.asarray(x, dtype=float), *columns.transpose(1, 0, 2)), rows)
 
 
 def added_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
     """Airy-form multiplicative factor evaluated on an array of coordinates:
     the one-row case of ``added_factor_rows``."""
-    return _factor(np.asarray(x, dtype=float), *_factor_constants(params))
+    return _checked_finite(
+        _factor(np.asarray(x, dtype=float), *_factor_constants(params)), [params])
 
 
 def added_factor(x: float, params: GateParams) -> complex:

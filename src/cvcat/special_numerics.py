@@ -7,15 +7,23 @@ over coefficients built once at import:
                        and Ai'(0) folded into its coefficients (21 terms; the
                        first omitted one is below 5e-22 absolute, 5e-19 of
                        Ai(4), the smallest |Ai| there away from its zeros),
-* ``|z| >= 9``      -- Poincare asymptotic expansions (20 terms; the first
-                       omitted one is 1.4e-15 relative at |z| = 9 and falls
-                       like |z|^(-30) beyond), a polynomial in
+                       each coefficient formed as Horner reaches it,
+* ``|z| >= 9``      -- Poincare asymptotic expansions, a polynomial in
                        -1/zeta on the positive side and in -1/zeta^2 on the
-                       oscillatory side,
+                       oscillatory side. Their 20-term sums (the first
+                       omitted term is 1.4e-15 relative at |z| = 9 and falls
+                       like |z|^(-30) beyond) are Chebyshev-economized on
+                       zeta >= 18 to 10 terms, and to 7 (even) and 8 (odd)
+                       terms, within 1.1e-16 of the 20-term values; the
+                       oscillatory side takes cos and sin of its phase from
+                       one tangent of the half phase,
 * ``4 < |z| < 9``   -- Taylor expansions about anchor nodes 0.25 apart,
                        summed to 14 terms in the offset (at most 0.125)
                        from the nearest anchor, with the coefficients
                        gathered from a contiguous (terms x anchors) table.
+
+Every point takes its regime's one formula, so a value never depends on the
+array it is evaluated in.
 
 The bridge exists because neither expansion reaches full double accuracy on
 the seam: the Maclaurin cancellation grows like exp((2/3)|z|^(3/2)) while the
@@ -24,11 +32,12 @@ Matching both at |z| in [4, 6] bottoms out near 1e-9 absolute, which is not
 enough for the gate's closed-form/quadrature cross-checks near Airy zeros.
 The anchor values come from stepping the ODE ``Ai'' = z Ai`` inward from the
 asymptotic region, seeded with (Ai, Ai') at z = +-9. That seed is the only
-place Ai' is computed. Each 0.25 step sums 30 Taylor terms, so the anchors
-carry no truncation error forward; evaluation needs only 14, because the
-offset from an anchor is at most half a step. Against a 30-digit reference
-on the bridge, 14 terms give the same worst (3e-12) and median (3e-16)
-relative errors as 30; at 10 terms the worst rises to 4e-11.
+place Ai' is computed, from all 20 Poincare terms. Each 0.25 step sums 30
+Taylor terms, so the anchors carry no truncation error forward; evaluation
+needs only 14, because the offset from an anchor is at most half a step.
+Against a 30-digit reference on the bridge, 14 terms give the same worst
+(3e-12) and median (3e-16) relative errors as 30; at 10 terms the worst
+rises to 4e-11.
 
 The quadrature at the end of the module shares no code with the Airy
 evaluation, so the oracle built on it stays an independent check.
@@ -54,6 +63,7 @@ _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 
 _SERIES_EDGE = 4.0   # Maclaurin for |z| <= 4
 ASYMP_EDGE = 9.0     # asymptotic for |z| >= 9
+_ZETA_EDGE = 18      # (2/3) ASYMP_EDGE^(3/2), the smallest asymptotic zeta
 _NODE_STEP = 0.25    # anchor spacing on the bridge
 _TAYLOR_TERMS = 30   # per anchor-to-anchor step
 _BRIDGE_TERMS = 14   # per evaluation, |offset| <= _NODE_STEP / 2
@@ -89,6 +99,33 @@ def _asymptotic_u(n_terms: int) -> np.ndarray:
     return u
 
 
+def _economize(coeffs, scale: int, n_terms: int) -> np.ndarray:
+    """The first n_terms coefficients of sum_k coeffs[k] v^k after Chebyshev
+    economization on -2/scale <= v <= 0.
+
+    From the highest power down, each surplus power is cancelled by a
+    multiple of the shifted Chebyshev polynomial T_k(1 + scale v), which
+    changes the sum on the interval by at most that multiple. The
+    coefficients of T_k(1 + scale v) are exact integers, so each correction
+    is rounded far below the coefficient it corrects.
+    """
+    a = [float(c) for c in coeffs]
+    cheb = [[1], [1, scale]]   # T_k(1 + scale v), lowest power first
+    while len(cheb) < len(a):
+        prev, last = cheb[-2], cheb[-1]
+        nxt = [2 * c for c in last] + [0]
+        for j, c in enumerate(last):
+            nxt[j + 1] += 2 * scale * c
+        for j, c in enumerate(prev):
+            nxt[j] -= c
+        cheb.append(nxt)
+    for k in range(len(a) - 1, n_terms - 1, -1):
+        lead = a[k] / cheb[k][k]
+        for j in range(k):
+            a[j] -= lead * cheb[k][j]
+    return np.array(a[:n_terms])
+
+
 # Ai(z) = sum_k A_k w^k + z sum_k B_k w^k with w = z^3
 _SERIES_A = np.array([_AI0 / math.prod(3 * j * (3 * j - 1) for j in range(1, k + 1))
                       for k in range(_N_SERIES)])
@@ -100,8 +137,15 @@ _V = _U * (6.0 * np.arange(_N_ASY) + 1.0) / (1.0 - 6.0 * np.arange(_N_ASY))
 _V[0] = 1.0
 # The oscillatory side sums even and odd k separately; row j holds
 # (u_2j, u_2j+1), each sign (-1)^j carried by the variable -1/zeta^2.
-_U_NEG = _U.reshape(-1, 2)[:, :, None]
 _V_NEG = _V.reshape(-1, 2)[:, :, None]
+# zeta >= _ZETA_EDGE wherever |z| >= ASYMP_EDGE, so -1/zeta lies in
+# [-1/18, 0] and -1/zeta^2 in [-1/324, 0]; economized there, the value sums
+# move from the 20-term ones by at most 1.1e-16.
+_U_POS = _economize(_U, 2 * _ZETA_EDGE, 10)
+# The oscillatory rows hold (even, odd) economized to 7 and 8 terms, the
+# even column topped with a zero, which leaves its sum unchanged.
+_U_NEG = np.stack([np.append(_economize(_U[0::2], 2 * _ZETA_EDGE ** 2, 7), 0.0),
+                   _economize(_U[1::2], 2 * _ZETA_EDGE ** 2, 8)], axis=1)[:, :, None]
 
 
 def _series(z):
@@ -112,8 +156,22 @@ def _series(z):
     sums smaller, and with them the rounding: the worst relative error on
     [2, 4] against a 30-digit reference is 2.5e-12, against 8.9e-12 when the
     two sums are formed apart.
+
+    On arrays each coefficient is formed as its term is reached, with no
+    (terms x points) matrix; a one-element array takes the matrix form,
+    which makes fewer ufunc calls. Both forms give the same bits.
     """
-    return _horner(_SERIES_A[:, None] + _SERIES_B[:, None] * z, z * z * z)
+    w = z * z * z
+    if z.size <= 1:
+        return _horner(_SERIES_A[:, None] + _SERIES_B[:, None] * z, w)
+    acc = _SERIES_A[-1] + _SERIES_B[-1] * z
+    term = np.empty_like(acc)
+    for a, b in zip(_SERIES_A[-2::-1].tolist(), _SERIES_B[-2::-1].tolist()):
+        np.multiply(z, b, out=term)
+        term += a
+        acc *= w
+        acc += term
+    return acc
 
 
 def _zeta(w):
@@ -122,23 +180,34 @@ def _zeta(w):
 
 
 def _asymptotic_scaled_pos(z, zeta):
-    """Ai(z) exp(zeta) for z >= ASYMP_EDGE.
+    """Ai(z) exp(zeta) for z >= ASYMP_EDGE, summed over the economized
+    coefficients.
 
-    Every term is smaller than the one before it: u_k / (u_(k-1) zeta) < 1
-    for all k < _N_ASY once zeta >= zeta(9) = 18, so no divergence check is
-    needed.
+    Every term of the 20-term sum is smaller than the one before it:
+    u_k / (u_(k-1) zeta) < 1 for all k < _N_ASY once zeta >= zeta(9) = 18,
+    so no divergence check is needed.
     """
-    return _horner(_U, -1.0 / zeta) / (2.0 * math.sqrt(math.pi) * np.sqrt(np.sqrt(z)))
+    return _horner(_U_POS, -1.0 / zeta) / (2.0 * math.sqrt(math.pi) * np.sqrt(np.sqrt(z)))
 
 
 def _asymptotic_neg(z):
-    """Ai for z <= -ASYMP_EDGE via the oscillatory expansion."""
+    """Ai for z <= -ASYMP_EDGE via the oscillatory expansion
+    cos(ph) even + sin(ph) odd / zeta, ph = zeta - pi/4.
+
+    Both trigonometric factors come from one tangent t = tan(ph/2), as
+    cos(ph) = (1 - t^2)/(1 + t^2) and sin(ph) = 2t/(1 + t^2); the numerator
+    (1 - t^2) even + 2t odd/zeta is summed as even + t (odd/(zeta/2) - t even).
+    Halving is exact. No double lies nearer than about 2^-61 to an odd
+    multiple of pi/2, so |t| stays below about 1e19 and t^2 cannot overflow.
+    """
     w = -z
-    zeta = _zeta(w)
-    ph = zeta - 0.25 * math.pi
+    root = np.sqrt(w)   # kept for w^(1/4); zeta as _zeta forms it
+    zeta = (2.0 / 3.0) * w * root
+    half = 0.5 * zeta
+    t = np.tan(half - 0.125 * math.pi)
     even, odd = _horner(_U_NEG, -1.0 / (zeta * zeta))
-    return (np.cos(ph) * even + np.sin(ph) * odd / zeta) \
-        / (math.sqrt(math.pi) * np.sqrt(np.sqrt(w)))
+    return (even + t * (odd / half - t * even)) \
+        / ((1.0 + t * t) * (math.sqrt(math.pi) * np.sqrt(root)))
 
 
 def _edge_pair(z: float):

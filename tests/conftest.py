@@ -2,6 +2,16 @@ import sys
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:   # the property tests skip themselves
+    pass
+else:
+    # Every run of the suite draws the same examples, and no example
+    # database carries failures from one run into the next.
+    settings.register_profile("cvcat", derandomize=True, database=None)
+    settings.load_profile("cvcat")
+
 ACCEPTANCE_LINES = []
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from cvcat.gate import added_factor, added_factor_grid, apply_gate, \
 from cvcat.special_numerics import integrate_oscillatory_gaussian
 from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
 from cvcat.analysis import phase_aligned_l2
+
+
+# (gamma, y_m) at s = 1 where the factor overflows; the last is y_m = 5e-161
+# under the y_m/30 rule
+OVERFLOWING = [(1e-12, 3.0), (1e-100, 3.0), (5e-161 / 30.0, 5e-161)]
 
 
 def vacuum(grid=None):
@@ -100,6 +106,18 @@ class TestAddedFactor:
                 size = max(size, float(norm * lead * mp.sqrt(
                     mp.airyai(zi) ** 2 + mp.airybi(zi) ** 2)))
             assert abs(g - want) <= 1e-10 * size, zi
+
+    @pytest.mark.parametrize("gamma, y_m", OVERFLOWING)
+    def test_overflowing_factor_is_rejected(self, gamma, y_m):
+        """The closed form's exponent overflows at these gammas; the factor
+        must fail with an error that names gamma and s, not come back as
+        inf or NaN with only a RuntimeWarning (which fails the suite)."""
+        params = GateParams(gamma=gamma, s=1.0, y_m=y_m)
+        named = re.escape(f"gamma={gamma!r}, s=1.0")
+        with pytest.raises(DomainError, match=named):
+            added_factor_grid(np.linspace(-10.0, 10.0, 64), params)
+        with pytest.raises(DomainError, match=named):
+            apply_gate(vacuum(), params)
 
     def test_gamma_zero_routed_to_special_case(self):
         with pytest.raises(DomainError):

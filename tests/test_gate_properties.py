@@ -1,24 +1,91 @@
 """Properties of the gate over its valid domain, drawn by hypothesis:
-gamma in [1e-3, 1], s in [0.05, 1], |y| <= 40."""
+gamma in [1e-3, 1], s in [0.05, 1], |y| <= 40; and of the Airy function
+and fidelity it is built on."""
 
 import math
 
 import numpy as np
 import pytest
 
+from cvcat.analysis import fidelity
 from cvcat.errors import ZeroProbabilityOutcomeError
 from cvcat.gate import PROBABILITY_FLOOR, added_factor_grid, apply_gate, \
     outcome_probability_density
+from cvcat.special_numerics import airy_ai, airy_ai_scaled
 from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 VACUUM = make_squeezed_vacuum(1.0, GridSpec(-10.0, 10.0, 512))
+COARSE_VACUUM = make_squeezed_vacuum(1.0, GridSpec(-10.0, 10.0, 300))
 gammas = st.floats(1e-3, 1.0)
 squeezes = st.floats(0.05, 1.0)
 outcomes = st.floats(-40.0, 40.0)
+gate_params = st.builds(GateParams, gamma=gammas, s=squeezes, y_m=outcomes)
+
+
+def tangent_pole(k: int) -> float:
+    """The double z, within 200 ulps of where ph/2 = pi/2 + k pi on the
+    oscillatory side (ph = zeta - pi/4, so zeta = 5 pi/4 + 2 k pi), at which
+    tan(ph/2) is largest; k >= 3 keeps z <= -9. The tangent there is far
+    beyond any ordinary phase's."""
+    z0 = -(1.5 * (1.25 * math.pi + 2.0 * k * math.pi)) ** (2.0 / 3.0)
+    w = -z0 + np.arange(-200, 201) * np.spacing(-z0)
+    tangent = np.abs(np.tan(0.5 * ((2.0 / 3.0) * w * np.sqrt(w)) - 0.125 * math.pi))
+    assert tangent.max() > 1e12
+    return -float(w[np.argmax(tangent)])
+
+
+SEAMS = [sign * edge + d for edge in (4.0, 9.0) for sign in (-1.0, 1.0)
+         for d in (-1e-9, 0.0, 1e-9)]
+airy_points = st.one_of(
+    st.floats(-4.0, 4.0), st.floats(4.0, 9.0), st.floats(-9.0, -4.0),
+    st.floats(9.0, 500.0), st.floats(-500.0, -9.0), st.sampled_from(SEAMS),
+    st.integers(3, 400).map(tangent_pole))
+
+
+def unit_output(params, vacuum=VACUUM):
+    """apply_gate's state, with outcomes under the probability floor
+    rejected."""
+    assume(outcome_probability_density(vacuum, params.gamma, params.s,
+                                       params.y_m) >= PROBABILITY_FLOOR)
+    return apply_gate(vacuum, params).state
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=st.lists(airy_points, min_size=2, max_size=40))
+def test_airy_arrays_equal_their_scalar_calls(z):
+    """One formula per regime: an array's values are its points' scalar
+    values to the bit, and finite, at the seams and the tangent poles too."""
+    z = np.array(z)
+    got = airy_ai(z)
+    assert np.isfinite(got).all()
+    assert all(got[i] == airy_ai(float(v)) for i, v in enumerate(z))
+    z = z[z >= 0.0]
+    got = airy_ai_scaled(z)
+    assert np.isfinite(got).all()
+    assert all(got[i] == airy_ai_scaled(float(v)) for i, v in enumerate(z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=gate_params)
+def test_gate_output_is_normalized(params):
+    assert abs(unit_output(params).norm_squared() - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(pa=gate_params, pb=st.one_of(st.none(), gate_params),
+       coarse=st.booleans())
+def test_fidelity_is_symmetric_and_bounded(pa, pb, coarse):
+    """pb = None takes the first state itself, whose trapezoid overlap can
+    pass 1 by rounding; the coarse grid sends fidelity through resampling."""
+    a = unit_output(pa)
+    b = a if pb is None else unit_output(pb, COARSE_VACUUM if coarse else VACUUM)
+    f = fidelity(a, b)
+    assert f == fidelity(b, a)
+    assert 0.0 <= f <= 1.0
 
 
 @settings(max_examples=60, deadline=None)

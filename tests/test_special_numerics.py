@@ -98,6 +98,59 @@ class TestAiryAiScaled:
             airy_ai_scaled(-0.5)
 
 
+class TestAsymptoticSums:
+    """The |z| >= 9 sums run over Chebyshev economizations of the 20-term
+    Poincare coefficients: 10 terms in -1/zeta on [-1/18, 0], and 7 (even)
+    and 8 (odd) terms in -1/zeta^2 on [-1/324, 0]."""
+
+    @staticmethod
+    def economized(coeffs, width, n_terms):
+        """numpy.polynomial's economization: the Chebyshev series on
+        [-width, 0], truncated, back to powers of the variable."""
+        poly = np.polynomial
+        series = poly.Polynomial(coeffs).convert(domain=[-width, 0.0],
+                                                 kind=poly.Chebyshev)
+        return series.truncate(n_terms).convert(
+            kind=poly.Polynomial, domain=[-1.0, 1.0], window=[-1.0, 1.0]).coef
+
+    def tables(self):
+        u = special_numerics._U
+        neg = special_numerics._U_NEG[:, :, 0]
+        return [(special_numerics._U_POS, u, 1.0 / 18.0, 10),
+                (neg[:7, 0], u[0::2], 1.0 / 324.0, 7),
+                (neg[:, 1], u[1::2], 1.0 / 324.0, 8)]
+
+    def test_tables_are_the_economizations(self):
+        assert special_numerics._U.size == 20
+        for table, coeffs, width, n_terms in self.tables():
+            np.testing.assert_allclose(
+                table, self.economized(coeffs, width, n_terms), rtol=1e-13, atol=0.0)
+        # the padding on top of the even column
+        assert special_numerics._U_NEG[7, 0, 0] == 0.0
+
+    def test_sums_stay_with_twenty_terms(self):
+        """On a dense grid of the whole variable range, zeta >= 18."""
+        horner = special_numerics._horner
+        for table, coeffs, width, _ in self.tables():
+            v = np.linspace(-width, 0.0, 100001)
+            assert np.max(np.abs(horner(table, v) - horner(coeffs, v))) <= 2e-16
+
+    def test_matches_high_precision_reference(self, mp):
+        """Against mpmath's 30-digit Ai: relative error of the scaled Ai on
+        z = 9..500, and error over the envelope sqrt(Ai^2 + Bi^2) on
+        z = -120..-9, where the rounding of the phase zeta itself dominates."""
+        z = np.linspace(9.0, 500.0, 257)
+        want = np.array([float(mp.airyai(v) * mp.exp(2 * mp.mpf(v) ** 1.5 / 3))
+                         for v in z])
+        assert np.max(np.abs(airy_ai_scaled(z) - want) / want) <= 2e-15
+        z = -np.linspace(9.0, 120.0, 257)
+        want = [mp.airyai(v) for v in z]
+        envelope = np.array([float(mp.sqrt(a ** 2 + mp.airybi(v) ** 2))
+                             for a, v in zip(want, z)])
+        err = np.abs(airy_ai(z) - np.array([float(a) for a in want]))
+        assert np.max(err / envelope) <= 3e-13
+
+
 class TestIntegrateOscillatoryGaussian:
     def test_gaussian_fourier_identity(self):
         for delta in (0.0, 1.0, -2.5):
