@@ -65,12 +65,13 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift) -> np.ndarray:
     Float constants give an array shaped like x, (rows, 1) columns one row
     per setting; every element sees the same operations either way.
 
-    Floating-point warnings are off in here. Underflow is the factor's
-    tails, log(0) at an exact zero of Ai becomes 0 after the exponentiation,
-    and an overflow or invalid operation leaves the result non-finite, which
-    _checked_finite rejects. That happens for small gamma, where the
-    exponent cancels two terms of size ~s^6/(108 gamma^2) and, below
-    gamma ~ 1e-10 s^3, what is left overflows."""
+    Floating-point warnings are off in here, the Airy calls' included, under
+    one errstate context. Underflow is the factor's tails, log(0) at an
+    exact zero of Ai becomes 0 after the exponentiation, and an overflow or
+    invalid operation, here or inside the Airy code, leaves the result
+    non-finite, which _checked_finite rejects. One way to get there is a
+    small gamma: the exponent cancels two terms of size ~s^6/(108 gamma^2)
+    and, below gamma ~ 1e-10 s^3, what is left overflows."""
     delta = x - y_m
     with np.errstate(all="ignore"):
         lead = log_pref + rate * (delta + exp_shift)
@@ -98,9 +99,8 @@ def _checked_finite(factor: np.ndarray, rows) -> np.ndarray:
     if not finite.all():
         bad = rows[int(np.argmin(finite.reshape(len(rows), -1).all(axis=1)))]
         raise DomainError(
-            f"added factor is not finite at gamma={bad.gamma!r}, s={bad.s!r}: "
-            "the closed form's exponent terms grow like s^6/gamma^2 and "
-            "overflow or cancel at so small a gamma")
+            f"added factor is not finite at gamma={bad.gamma!r}, s={bad.s!r}, "
+            f"y_m={bad.y_m!r}")
     return factor
 
 

@@ -12,9 +12,11 @@ from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
 from cvcat.analysis import phase_aligned_l2
 
 
-# (gamma, y_m) at s = 1 where the factor overflows; the last is y_m = 5e-161
-# under the y_m/30 rule
-OVERFLOWING = [(1e-12, 3.0), (1e-100, 3.0), (5e-161 / 30.0, 5e-161)]
+# (gamma, y_m) at s = 1 where the factor overflows: the closed form's
+# exponent at the three small gammas (the third is y_m = 5e-161 under the
+# y_m/30 rule), and the Airy phase zeta at |z| ~ 1e206
+OVERFLOWING = [(1e-12, 3.0), (1e-100, 3.0), (5e-161 / 30.0, 5e-161),
+               (0.1, 1e206)]
 
 
 def vacuum(grid=None):
@@ -109,11 +111,11 @@ class TestAddedFactor:
 
     @pytest.mark.parametrize("gamma, y_m", OVERFLOWING)
     def test_overflowing_factor_is_rejected(self, gamma, y_m):
-        """The closed form's exponent overflows at these gammas; the factor
-        must fail with an error that names gamma and s, not come back as
-        inf or NaN with only a RuntimeWarning (which fails the suite)."""
+        """The factor overflows at these settings; it must fail with an
+        error that names gamma, s and y_m, not come back as inf or NaN with
+        only a RuntimeWarning (which fails the suite)."""
         params = GateParams(gamma=gamma, s=1.0, y_m=y_m)
-        named = re.escape(f"gamma={gamma!r}, s=1.0")
+        named = re.escape(f"not finite at gamma={gamma!r}, s=1.0, y_m={y_m!r}")
         with pytest.raises(DomainError, match=named):
             added_factor_grid(np.linspace(-10.0, 10.0, 64), params)
         with pytest.raises(DomainError, match=named):

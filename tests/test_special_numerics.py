@@ -116,9 +116,11 @@ class TestAsymptoticSums:
     def tables(self):
         u = special_numerics._U
         neg = special_numerics._U_NEG[:, :, 0]
-        return [(special_numerics._U_POS, u, 1.0 / 18.0, 10),
-                (neg[:7, 0], u[0::2], 1.0 / 324.0, 7),
-                (neg[:, 1], u[1::2], 1.0 / 324.0, 8)]
+        edge = special_numerics._ZETA_EDGE
+        assert edge <= 2.0 * special_numerics.ASYMP_EDGE ** 1.5 / 3.0
+        return [(special_numerics._U_POS, u, 1.0 / edge, 10),
+                (neg[:7, 0], u[0::2], 1.0 / edge ** 2, 7),
+                (neg[:, 1], u[1::2], 1.0 / edge ** 2, 8)]
 
     def test_tables_are_the_economizations(self):
         assert special_numerics._U.size == 20
@@ -129,7 +131,7 @@ class TestAsymptoticSums:
         assert special_numerics._U_NEG[7, 0, 0] == 0.0
 
     def test_sums_stay_with_twenty_terms(self):
-        """On a dense grid of the whole variable range, zeta >= 18."""
+        """On a dense grid of the whole variable range, zeta >= _ZETA_EDGE."""
         horner = special_numerics._horner
         for table, coeffs, width, _ in self.tables():
             v = np.linspace(-width, 0.0, 100001)

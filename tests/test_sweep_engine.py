@@ -121,8 +121,8 @@ class TestRowBatchedEngine:
 
     def test_overflowing_factor_fails_its_row_by_name(self):
         """y_m = 5e-161 under y_m/30 shares its grid with 0.5 and 3; its
-        factor overflows, which ends its row with an error naming gamma and
-        s and no RuntimeWarning, and leaves the other rows untouched. (At a
+        factor overflows, which ends its row with an error naming gamma, s
+        and y_m and no RuntimeWarning, and leaves the other rows untouched. (At a
         fixed gamma that small the cat's grid is so wide that the vacuum
         fails first.)"""
         spec = SweepSpec(variable="y_m", values=(5e-161, 0.5, 3.0),
@@ -133,7 +133,7 @@ class TestRowBatchedEngine:
         got = run_sweep(spec)
         want = [per_row_reference(spec, v) for v in spec.values]
         assert list(map(repr, got)) == list(map(repr, want))
-        assert got[0].error.startswith(
+        assert got[0].error == (
             "DomainError: added factor is not finite at "
-            f"gamma={5e-161 / 30.0!r}, s=1.0")
+            f"gamma={5e-161 / 30.0!r}, s=1.0, y_m=5e-161")
         assert [r.error for r in got[1:]] == [""] * (len(got) - 1)
