@@ -8,6 +8,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,92 +50,35 @@ def _axis_points(text: str) -> int:
     return value
 
 
-def _add_common(sub, grid=True, physics=True):
-    if physics:
-        sub.add_argument("--gamma", type=float, help="cubic deformation coefficient")
-        sub.add_argument("--ym", type=float, help="ancilla momentum outcome")
-        sub.add_argument("--db", type=float, help="initial ancilla squeezing in dB")
-        sub.add_argument("--format", choices=("csv", "json"), help="output format")
-    sub.add_argument("--out", help="output file path (default: stdout)")
-    sub.add_argument("--config", help="JSON config file mirroring the flags")
-    sub.add_argument("--dump-config", dest="dump_config",
-                     help="write the effective config as JSON and continue")
-    if grid:
-        sub.add_argument("--grid-half-width", dest="grid_half_width", type=float,
-                         help="coordinate grid half-width override")
-        sub.add_argument("--grid-points", dest="grid_points", type=int,
-                         help="coordinate grid point count")
-
-
-_DEFAULTS = {
-    "state": {"kind": "cubic", "gamma": 0.1, "ym": 3.0, "db": 5.0,
-              "format": "json", "grid_half_width": None, "grid_points": 2048,
-              "out": None},
-    "gate": {"gamma": 0.1, "ym": 3.0, "db": 5.0, "format": "json",
-             "grid_half_width": None, "grid_points": 2048, "out": None},
-    "wigner": {"source": "output", "gamma": 0.1, "ym": 3.0, "db": 5.0,
-               "format": "csv", "grid_half_width": None, "grid_points": 2048,
-               "bounds": None, "nx": 256, "np": 256, "out": None},
-    "sweep-infidelity": {"gamma": None, "ym": 3.0, "db_range": "0:20:60",
-                         "gamma_rule": "ym/30", "format": "csv", "out": None,
-                         "grid_points": 2048, "db": None,
-                         "outputs": "infidelity,probability,efficiency"},
-    "sweep-probability": {"gamma": None, "ym": 3.0, "db_range": "0:20:60",
-                          "gamma_rule": "ym/30", "format": "csv", "out": None,
-                          "grid_points": 2048, "db": None,
-                          "outputs": "probability"},
-    "support-region": {"gamma": 0.1, "db": 5.0, "sigma_level": 2.0,
-                       "n_boundary": 256, "format": "csv", "out": None,
-                       "ym": None},
-    "verify": {"fast": False, "out": None},
+# Every config key is a flag: "--" plus the key with "_" written as "-".
+_FLAGS = {
+    "kind": {"choices": ("vacuum", "squeezed", "cubic", "cat")},
+    "source": {"choices": ("output", "cubic", "cat", "vacuum")},
+    "gamma": {"type": float, "help": "cubic deformation coefficient"},
+    "ym": {"type": float, "help": "ancilla momentum outcome"},
+    "db": {"type": float, "help": "initial ancilla squeezing in dB"},
+    "format": {"choices": ("csv", "json"), "help": "output format"},
+    "out": {"help": "output file path (default: stdout)"},
+    "grid_half_width": {"type": float,
+                        "help": "coordinate grid half-width override"},
+    "grid_points": {"type": int, "help": "coordinate grid point count"},
+    "bounds": {"help": "xmin:xmax:pmin:pmax (default: automatic)"},
+    "nx": {"type": _axis_points},
+    "np": {"type": _axis_points},
+    "db_range": {"help": "lo:hi[:n] in dB"},
+    "gamma_rule": {"choices": ("fixed", "ym/30")},
+    "outputs": {"help": "comma list of row outputs"},
+    "sigma_level": {"type": float},
+    "n_boundary": {"type": int},
+    "fast": {"action": "store_true", "default": None,
+             "help": "reduced parameter grid"},
 }
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="cvcat",
-                     description="Conditional cat-state gate simulator")
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("state", parents=[], help="dump a constructed state")
-    p.add_argument("--kind", choices=("vacuum", "squeezed", "cubic", "cat"))
-    _add_common(p)
-
-    p = subs.add_parser("gate", help="conditional gate output state")
-    _add_common(p)
-
-    p = subs.add_parser("wigner", help="Wigner function as a CSV matrix")
-    p.add_argument("--source", choices=("output", "cubic", "cat", "vacuum"))
-    p.add_argument("--bounds", help="xmin:xmax:pmin:pmax (default: automatic)")
-    p.add_argument("--nx", type=_axis_points)
-    p.add_argument("--np", type=_axis_points)
-    _add_common(p)
-
-    for name in ("sweep-infidelity", "sweep-probability"):
-        p = subs.add_parser(name, help=f"{name.split('-')[1]} vs squeezing")
-        p.add_argument("--db-range", dest="db_range", help="lo:hi[:n] in dB")
-        p.add_argument("--gamma-rule", dest="gamma_rule",
-                       choices=("fixed", "ym/30"))
-        p.add_argument("--outputs", help="comma list of row outputs")
-        _add_common(p, grid=False)
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-
-    p = subs.add_parser("support-region", help="sheared uncertainty ellipse")
-    p.add_argument("--sigma-level", dest="sigma_level", type=float)
-    p.add_argument("--n-boundary", dest="n_boundary", type=int)
-    _add_common(p, grid=False)
-
-    p = subs.add_parser("verify", help="closed form vs quadrature oracle")
-    p.add_argument("--fast", action="store_true", default=None,
-                   help="reduced parameter grid")
-    _add_common(p, grid=False, physics=False)
-    return parser
-
-
-def _effective_config(args) -> dict:
+def _effective_config(args, defaults) -> dict:
     """defaults <- config file <- explicit flags (flags win)."""
-    cfg = dict(_DEFAULTS[args.command])
-    if getattr(args, "config", None):
+    cfg = dict(defaults)
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
         unknown = set(loaded) - set(cfg)
@@ -142,7 +86,7 @@ def _effective_config(args) -> dict:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
     for key in cfg:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -157,28 +101,35 @@ def _emit(text: str, out_path):
 
 
 def _grid_for(cfg, p_plus: float) -> GridSpec:
-    if cfg.get("grid_half_width"):
+    if cfg["grid_half_width"]:
         return GridSpec(-cfg["grid_half_width"], cfg["grid_half_width"],
                         cfg["grid_points"])
     return default_grid(p_plus, cfg["grid_points"])
 
 
 def _build_state(cfg):
-    s = db_to_s(cfg["db"])
-    params = GateParams(gamma=cfg["gamma"], s=s, y_m=cfg["ym"])
-    cat = cat_params_from_gate(params)
-    kind = cfg.get("kind", "cubic")
+    """A constructed state; only the cat reads gamma and y_m as gate settings."""
+    kind = cfg["kind"]
     if kind == "vacuum":
         return make_squeezed_vacuum(1.0, _grid_for(cfg, 0.0))
-    if kind == "squeezed":
-        grid = _grid_for(cfg, 0.0) if cfg.get("grid_half_width") \
+    if kind in ("squeezed", "cubic"):
+        s = db_to_s(cfg["db"])
+        grid = _grid_for(cfg, 0.0) if cfg["grid_half_width"] \
             else GridSpec(-10.0 / s, 10.0 / s, cfg["grid_points"])
-        return make_squeezed_vacuum(s, grid)
-    if kind == "cubic":
-        grid = _grid_for(cfg, 0.0) if cfg.get("grid_half_width") \
-            else GridSpec(-10.0 / s, 10.0 / s, cfg["grid_points"])
+        if kind == "squeezed":
+            return make_squeezed_vacuum(s, grid)
         return make_cubic_phase_state(cfg["gamma"], s, grid)
+    cat = cat_params_from_gate(
+        GateParams(gamma=cfg["gamma"], s=db_to_s(cfg["db"]), y_m=cfg["ym"]))
     return make_ideal_cat(cat, _grid_for(cfg, cat.p_plus))
+
+
+def _gate_output(cfg):
+    """The gate settings and the gate's output for an input vacuum."""
+    params = GateParams(gamma=cfg["gamma"], s=db_to_s(cfg["db"]), y_m=cfg["ym"])
+    cat = cat_params_from_gate(params)
+    vacuum = make_squeezed_vacuum(1.0, _grid_for(cfg, cat.p_plus))
+    return params, apply_gate(vacuum, params)
 
 
 def _state_csv(wf) -> str:
@@ -196,11 +147,7 @@ def _cmd_state(cfg) -> int:
 
 
 def _cmd_gate(cfg) -> int:
-    s = db_to_s(cfg["db"])
-    params = GateParams(gamma=cfg["gamma"], s=s, y_m=cfg["ym"])
-    cat = cat_params_from_gate(params)
-    vacuum = make_squeezed_vacuum(1.0, _grid_for(cfg, cat.p_plus))
-    out = apply_gate(vacuum, params)
+    params, out = _gate_output(cfg)
     if cfg["format"] == "json":
         rec = json.loads(wavefunction_to_json(out.state))
         payload = {"probability_density": out.probability_density,
@@ -214,16 +161,11 @@ def _cmd_gate(cfg) -> int:
 
 
 def _cmd_wigner(cfg) -> int:
-    s = db_to_s(cfg["db"])
-    source = cfg.get("source") or "output"
-    if source == "output":
-        params = GateParams(gamma=cfg["gamma"], s=s, y_m=cfg["ym"])
-        cat = cat_params_from_gate(params)
-        vacuum = make_squeezed_vacuum(1.0, _grid_for(cfg, cat.p_plus))
-        state = apply_gate(vacuum, params).state
+    if cfg["source"] == "output":
+        state = _gate_output(cfg)[1].state
     else:
-        state = _build_state({**cfg, "kind": source if source != "output" else "cubic"})
-    if cfg.get("bounds"):
+        state = _build_state({**cfg, "kind": cfg["source"]})
+    if cfg["bounds"]:
         parts = [float(v) for v in str(cfg["bounds"]).split(":")]
         if len(parts) != 4:
             raise DomainError("--bounds must be xmin:xmax:pmin:pmax")
@@ -351,32 +293,66 @@ def _cmd_verify(cfg) -> int:
     return EXIT_OK if worst <= VERIFY_TOLERANCE else EXIT_DOMAIN
 
 
+# command -> (handler, help, defaults); a command takes exactly the flags
+# its defaults name, plus --config and --dump-config
+_GRID = {"grid_half_width": None, "grid_points": 2048}
+_SWEEP = {"gamma": None, "ym": 3.0, "db_range": "0:20:60",
+          "gamma_rule": "ym/30", "format": "csv", "out": None,
+          "grid_points": 2048}
 _COMMANDS = {
-    "state": _cmd_state,
-    "gate": _cmd_gate,
-    "wigner": _cmd_wigner,
-    "sweep-infidelity": _cmd_sweep,
-    "sweep-probability": _cmd_sweep,
-    "support-region": _cmd_support_region,
-    "verify": _cmd_verify,
+    "state": (_cmd_state, "dump a constructed state",
+              {"kind": "cubic", "gamma": 0.1, "ym": 3.0, "db": 5.0,
+               "format": "json", **_GRID, "out": None}),
+    "gate": (_cmd_gate, "conditional gate output state",
+             {"gamma": 0.1, "ym": 3.0, "db": 5.0, "format": "json", **_GRID,
+              "out": None}),
+    "wigner": (_cmd_wigner, "Wigner function as a CSV matrix",
+               {"source": "output", "gamma": 0.1, "ym": 3.0, "db": 5.0,
+                "format": "csv", **_GRID, "bounds": None, "nx": 256,
+                "np": 256, "out": None}),
+    "sweep-infidelity": (_cmd_sweep, "infidelity vs squeezing",
+                         {**_SWEEP,
+                          "outputs": "infidelity,probability,efficiency"}),
+    "sweep-probability": (_cmd_sweep, "probability vs squeezing",
+                          {**_SWEEP, "outputs": "probability"}),
+    "support-region": (_cmd_support_region, "sheared uncertainty ellipse",
+                       {"gamma": 0.1, "db": 5.0, "sigma_level": 2.0,
+                        "n_boundary": 256, "format": "csv", "out": None}),
+    "verify": (_cmd_verify, "closed form vs quadrature oracle",
+               {"fast": False, "out": None}),
 }
 
 
+@functools.cache
+def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared afterwards."""
+    parser = _Parser(prog="cvcat", allow_abbrev=False,
+                     description="Conditional cat-state gate simulator")
+    parser.add_argument("--version", action="version", version=__version__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, defaults) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for key in defaults:
+            sub.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+        sub.add_argument("--config", help="JSON config file mirroring the flags")
+        sub.add_argument("--dump-config",
+                         help="write the effective config as JSON and continue")
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    handler, _, defaults = _COMMANDS[args.command]
     try:
-        cfg = _effective_config(args)
-        if cfg.get("dump_config") or getattr(args, "dump_config", None):
-            dump_path = getattr(args, "dump_config", None) or cfg.get("dump_config")
-            dumpable = {k: v for k, v in cfg.items() if k != "dump_config"}
-            with open(dump_path, "w", encoding="utf-8") as fh:
-                json.dump(dumpable, fh, indent=2, sort_keys=True)
+        cfg = _effective_config(args, defaults)
+        if args.dump_config:
+            with open(args.dump_config, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        return _COMMANDS[args.command](cfg)
+        return handler(cfg)
     except CvcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

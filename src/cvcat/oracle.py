@@ -39,8 +39,7 @@ def oracle_added_factor(x: float, params: GateParams) -> complex:
     return math.sqrt(params.s) / (math.pi ** 0.75 * math.sqrt(2.0)) * integral
 
 
-def ancilla_grid_for(params: GateParams, n_target: int,
-                     half_width: float | None = None) -> GridSpec:
+def ancilla_grid_for(params: GateParams, n_target: int) -> GridSpec:
     """Ancilla grid satisfying the edge phase-step rule within the entry cap.
 
     The cubic phase oscillates fastest at the grid edge, so the step must
@@ -50,7 +49,7 @@ def ancilla_grid_for(params: GateParams, n_target: int,
     as the edge density stays below 1e-10.
     """
     s = params.s
-    w = 12.0 / s if half_width is None else half_width
+    w = 12.0 / s
     budget = _MAX_ENTRIES // n_target
 
     def n_for(width: float) -> int:

@@ -188,29 +188,24 @@ def make_cubic_phase_state(gamma: float, s: float,
                    label=f"cubic_phase(gamma={gamma}, s={s})")
 
 
-def make_ideal_cat(cat: CatParams, grid: GridSpec | None = None,
-                   convention: str = "momentum") -> WaveFunction:
+def make_ideal_cat(cat: CatParams, grid: GridSpec | None = None) -> WaveFunction:
     """Normalized superposition of |alpha> and |-alpha| with alpha = i p_plus.
 
-    ``convention="momentum"`` reads alpha = i p_plus as a vacuum displaced by
-    p_plus along momentum: psi_alpha(x) = pi^(-1/4) exp(-x^2/2 + i p_plus x).
-    ``convention="sqrt2"`` uses the sqrt(2)-quadrature coherent state, whose
-    momentum displacement is sqrt(2) p_plus instead. The momentum reading is
-    the one validated against the gate output.
+    alpha = i p_plus is read as a vacuum displaced by p_plus along momentum:
+    psi_alpha(x) = pi^(-1/4) exp(-x^2/2 + i p_plus x), the reading validated
+    against the gate output. The grid must sample the carrier exp(i p_plus x)
+    at least four times per period (p_plus dx <= pi/2).
     """
-    if convention == "momentum":
-        p_shift = cat.p_plus
-    elif convention == "sqrt2":
-        p_shift = math.sqrt(2.0) * cat.p_plus
-    else:
-        raise DomainError(f"unknown coherent-state convention {convention!r}")
     if grid is None:
         grid = default_grid(cat.p_plus)
     _check_grid_covers(grid, 1.0)
-    # <component_+|component_-> for a momentum displacement of +-p_shift;
-    # equals exp(-2|alpha|^2) in whichever convention defined alpha
-    overlap = math.exp(-cat.p_plus ** 2 if convention == "momentum"
-                       else -2.0 * cat.p_plus ** 2)
+    if cat.p_plus * grid.dx > math.pi / 2:
+        raise DomainError(
+            f"grid too coarse for the cat: p_plus={cat.p_plus:.6g} with "
+            f"dx={grid.dx:.6g} (n_points={grid.n_points}) gives "
+            "p_plus*dx > pi/2")
+    # <component_+|component_-> for momentum displacements of +-p_plus
+    overlap = math.exp(-cat.p_plus ** 2)
     denom = 2.0 * (1.0 + math.cos(2.0 * cat.theta) * overlap)
     if denom < 1e-15:
         raise DegenerateSuperpositionError(
@@ -218,8 +213,8 @@ def make_ideal_cat(cat: CatParams, grid: GridSpec | None = None,
     x = grid.x
     with np.errstate(under="ignore"):
         envelope = math.pi ** (-0.25) * np.exp(-0.5 * x ** 2)
-    plus = envelope * np.exp(1j * p_shift * x)
-    minus = envelope * np.exp(-1j * p_shift * x)
+    plus = envelope * np.exp(1j * cat.p_plus * x)
+    minus = envelope * np.exp(-1j * cat.p_plus * x)
     amp = (np.exp(1j * cat.theta) * plus + np.exp(-1j * cat.theta) * minus) / math.sqrt(denom)
     return WaveFunction(grid.x_min, grid.x_max, grid.n_points, amp,
                         label=f"ideal_cat(p_plus={cat.p_plus}, theta={cat.theta})",

@@ -195,6 +195,22 @@ class TestSweep:
         rows = run_sweep(spec)
         assert all(r.error == "" for r in rows)
 
+    def test_small_fixed_gamma_rows_name_the_coarse_grid(self):
+        # p_plus = sqrt(y_m / 3 gamma) outgrows the 2,048-point default grid:
+        # p_plus*dx is 1.22 at gamma = 1e-3, 10.5 at 1e-4 and 37 at 1e-5
+        def row(gamma):
+            return run_sweep(self.spec(
+                values=(1.0,), fixed=GateParams(gamma=gamma, s=1.0, y_m=3.0)))[0]
+
+        ok = row(1e-3)
+        assert ok.error == "" and 0.0 <= ok.infidelity <= 1.0
+        for gamma in (1e-4, 1e-5):
+            failed = row(gamma)
+            assert math.isnan(failed.infidelity)
+            assert failed.error.startswith(
+                "DomainError: grid too coarse for the cat: p_plus=")
+            assert "dx=" in failed.error and "n_points=2048" in failed.error
+
     def test_csv_format(self):
         text = rows_to_csv([SweepRow(variable_value=1.5, infidelity=0.25,
                                      error="DomainError: a, b")])

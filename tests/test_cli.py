@@ -51,6 +51,22 @@ class TestStateCommand:
         assert lines[0] == "x,re,im"
         assert len(lines[1].split(",")) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["state", "--kind", "vacuum", "--gamma", "0"],
+        ["state", "--kind", "vacuum", "--ym", "-1"],
+        ["state", "--kind", "squeezed", "--gamma", "0"],
+        ["state", "--kind", "squeezed", "--ym", "-1"],
+        ["state", "--kind", "cubic", "--ym", "-1"],
+        ["wigner", "--source", "vacuum", "--gamma", "0", "--nx", "96",
+         "--np", "80"],
+        ["wigner", "--source", "cubic", "--ym", "-1", "--nx", "96",
+         "--np", "80"]])
+    def test_non_cat_states_ignore_gate_settings(self, argv, tmp_path, capsys):
+        out = tmp_path / "state.out"
+        assert main(argv + ["--grid-points", "256", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.stat().st_size > 0
+
     def test_csv_bytes_match_per_sample_format(self, tmp_path, capsys):
         out = tmp_path / "cubic.csv"
         assert main(["state", "--kind", "cubic", "--format", "csv",
@@ -187,6 +203,29 @@ class TestSweepCommands:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-infidelity", "--db", "99"], ["sweep-probability", "--db", "99"],
+    ["support-region", "--ym", "3"]])
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    assert main(argv) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# one small run per command; each dumped config must replay it byte for byte
+REPLAY_ARGV = {
+    "state": ["state", "--kind", "cat", "--grid-points", "256"],
+    "gate": ["gate", "--gamma", "0.2", "--ym", "6", "--db", "9"],
+    "wigner": ["wigner", "--source", "vacuum", "--nx", "96", "--np", "80",
+               "--grid-points", "256"],
+    "sweep-infidelity": ["sweep-infidelity", "--db-range", "0:20:3",
+                         "--format", "json"],
+    "sweep-probability": ["sweep-probability", "--gamma-rule", "fixed",
+                          "--gamma", "0.2", "--db-range", "0:10:3"],
+    "support-region": ["support-region", "--n-boundary", "40"],
+    "verify": ["verify", "--fast"],
+}
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -200,21 +239,20 @@ class TestConfigHandling:
         assert rec["gamma"] == 0.5 and rec["y_m"] == 15.0
         assert abs(rec["s"] - 10.0 ** (-14.0 / 20.0)) < 1e-12
 
-    def test_dump_config_round_trip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", REPLAY_ARGV)
+    def test_dump_config_round_trip(self, command, tmp_path, capsys):
         eff = tmp_path / "eff.json"
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        assert main(["gate", "--gamma", "0.2", "--ym", "6", "--db", "9",
-                     "--out", str(out1), "--dump-config", str(eff)]) == 0
+        out1 = tmp_path / "a.out"
+        out2 = tmp_path / "b.out"
+        assert main(REPLAY_ARGV[command] + ["--out", str(out1),
+                                            "--dump-config", str(eff)]) == 0
         dumped = json.loads(eff.read_text())
         dumped["out"] = str(out2)
         cfg = tmp_path / "replay.json"
         cfg.write_text(json.dumps(dumped))
-        assert main(["gate", "--config", str(cfg)]) == 0
+        assert main([command, "--config", str(cfg)]) == 0
         capsys.readouterr()
-        a = json.loads(out1.read_text())
-        b = json.loads(out2.read_text())
-        assert a == b
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

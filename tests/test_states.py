@@ -87,10 +87,6 @@ class TestIdealCat:
         with pytest.raises(DegenerateSuperpositionError):
             make_ideal_cat(CatParams(0.0, math.pi / 2.0))
 
-    def test_unknown_convention(self):
-        with pytest.raises(DomainError):
-            make_ideal_cat(CatParams(1.0, 0.0), convention="bogus")
-
 
 class TestCatParamsFromGate:
     def test_ym_zero(self):
