@@ -15,8 +15,7 @@ from .errors import CvcatError, DegenerateSuperpositionError, DomainError, \
     ZeroProbabilityOutcomeError
 from .gate import ConditionalOutput, added_factor, added_factor_grid, \
     apply_gate, outcome_probability_density
-from .oracle import TwoModeGrid, ancilla_grid_for, build_two_mode_grid, \
-    oracle_added_factor, oracle_two_mode
+from .oracle import ancilla_grid_for, oracle_added_factor, oracle_two_mode
 from .phase_space import SupportRegion, WignerGrid, build_support_region, \
     intersect_horizontal, semiclassical_shear, suggest_wigner_bounds, \
     wigner_log_negativity, wigner_transform
@@ -38,8 +37,7 @@ __all__ = [
     "cat_params_from_gate", "wavefunction_to_json", "wavefunction_from_json",
     "ConditionalOutput", "added_factor", "added_factor_grid", "apply_gate",
     "outcome_probability_density",
-    "TwoModeGrid", "ancilla_grid_for", "build_two_mode_grid",
-    "oracle_added_factor", "oracle_two_mode",
+    "ancilla_grid_for", "oracle_added_factor", "oracle_two_mode",
     "WignerGrid", "SupportRegion", "wigner_transform", "wigner_log_negativity",
     "semiclassical_shear", "build_support_region", "intersect_horizontal",
     "suggest_wigner_bounds",

@@ -79,7 +79,10 @@ def db_to_s(db: float) -> float:
         raise DomainError("squeezing in dB must be finite")
     if db < 0:
         raise DomainError("squeezing in dB must be >= 0")
-    return 10.0 ** (-db / 20.0)
+    s = 10.0 ** (-db / 20.0)
+    if s == 0.0:
+        raise DomainError(f"squeezing of {db!r} dB underflows s to 0")
+    return s
 
 
 def efficiency_score(f_cat: float, probability_density: float) -> float:

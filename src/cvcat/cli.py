@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .analysis import SweepSpec, db_to_s, rows_to_csv, run_sweep
 from .errors import CvcatError, DomainError
-from .gate import added_factor, apply_gate
+# added_factor stays bound: perfbench/tracing.py patches cvcat.cli.added_factor
+from .gate import added_factor, added_factor_grid, apply_gate
 from .oracle import oracle_added_factor
 from .phase_space import _csv_matrix, build_support_region, \
     suggest_wigner_bounds, wigner_transform
@@ -75,16 +76,54 @@ _FLAGS = {
 }
 
 
+def _config_value(key: str, value, default):
+    """A config value as its flag would produce it, or a DomainError naming
+    the key. null stands for an absent flag where the default is null."""
+    flag = _FLAGS[key]
+    kind = flag.get("type", str)
+    if value is None and default is None:
+        return None
+    if flag.get("action") == "store_true":
+        ok, want = type(value) is bool, "true or false"
+    elif "choices" in flag:
+        ok, want = value in flag["choices"], f"one of {list(flag['choices'])}"
+    elif kind is float:
+        ok, want = type(value) in (int, float), "a number"
+    elif kind is str:
+        ok, want = type(value) is str, "a string"
+    else:   # int and _axis_points; the range is checked where it is used
+        ok, want = type(value) is int, "an integer"
+    if not ok:
+        raise DomainError(f"config key {key!r} must be {want}, "
+                          f"got {json.dumps(value)}")
+    return float(value) if kind is float else value
+
+
+def _load_config(path: str) -> dict:
+    """The JSON object in a --config file, or a DomainError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read config {path}: {exc.strerror}") from None
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise DomainError(f"config {path} is not JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise DomainError(f"config {path} must hold a JSON object, got "
+                          f"{type(loaded).__name__}")
+    return loaded
+
+
 def _effective_config(args, defaults) -> dict:
     """defaults <- config file <- explicit flags (flags win)."""
     cfg = dict(defaults)
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = _load_config(args.config)
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
+        cfg.update((key, _config_value(key, value, defaults[key]))
+                   for key, value in loaded.items())
     for key in cfg:
         val = getattr(args, key)
         if val is not None:
@@ -266,23 +305,23 @@ def run_verification(fast: bool = False):
     """
     gammas, dbs, y_ms, deltas = verify_grid(fast)
     worst = 0.0
-    # the factor depends on y_m only through x - y_m, so the oracle integral
-    # is shared across outcomes
     for gamma in gammas:
         for db in dbs:
             s = db_to_s(db)
-            cache = {}
-            for delta in deltas:
-                o = oracle_added_factor(
-                    delta, GateParams(gamma=gamma, s=s, y_m=0.0))
-                cache[delta] = o
+            # the factor depends on y_m only through x - y_m, so the oracle
+            # values are shared across outcomes
+            params = GateParams(gamma=gamma, s=s, y_m=0.0)
+            oracle = np.array([oracle_added_factor(float(delta), params)
+                               for delta in deltas])
+            # np.hypot rounds as abs() of a Python complex does; np.abs can
+            # differ from it in the last bit
+            scale = np.maximum(np.hypot(oracle.real, oracle.imag),
+                               VERIFY_ABS_FLOOR / VERIFY_TOLERANCE)
             for y_m in y_ms:
-                params = GateParams(gamma=gamma, s=s, y_m=y_m)
-                for delta in deltas:
-                    a = added_factor(y_m + delta, params)
-                    o = cache[delta]
-                    dev = abs(a - o) / max(abs(o), VERIFY_ABS_FLOOR / VERIFY_TOLERANCE)
-                    worst = max(worst, dev)
+                closed = added_factor_grid(
+                    y_m + deltas, GateParams(gamma=gamma, s=s, y_m=y_m))
+                dev = np.hypot(closed - oracle.real, oracle.imag) / scale
+                worst = max(worst, float(dev.max()))
     return worst
 
 

@@ -9,7 +9,6 @@ measured ancilla momentum). Test fixture quality, not a production path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +18,7 @@ from .special_numerics import integrate_oscillatory_gaussian
 from .states import GateParams, GridSpec, WaveFunction
 
 __all__ = [
-    "TwoModeGrid",
     "ancilla_grid_for",
-    "build_two_mode_grid",
     "oracle_added_factor",
     "oracle_two_mode",
 ]
@@ -67,44 +64,6 @@ def ancilla_grid_for(params: GateParams, n_target: int) -> GridSpec:
     assert (abs(params.y_m) + 3.0 * params.gamma * w ** 2) * (2 * w / (n2 - 1)) \
         <= _PHASE_STEP_LIMIT * (1 + 1e-12)
     return GridSpec(-w, w, max(n2, 16))
-
-
-@dataclass(frozen=True)
-class TwoModeGrid:
-    """Entangled target x ancilla amplitude matrix (n_1 x n_2)."""
-
-    grid_1: GridSpec
-    grid_2: GridSpec
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.amplitudes.shape != (self.grid_1.n_points, self.grid_2.n_points):
-            raise DomainError("amplitude matrix shape must be (n_1, n_2)")
-        if self.grid_1.n_points * self.grid_2.n_points > _MAX_ENTRIES:
-            raise DomainError("two-mode grid exceeds the 2^26 entry cap")
-
-    def norm_squared(self) -> float:
-        dens = np.abs(self.amplitudes) ** 2
-        return float(np.trapezoid(np.trapezoid(dens, dx=self.grid_2.dx, axis=1),
-                                  dx=self.grid_1.dx))
-
-
-def build_two_mode_grid(input: WaveFunction, params: GateParams,
-                        grid_2: GridSpec | None = None) -> TwoModeGrid:
-    """psi(x1) * psi_sq(x2) * exp(i gamma x2^3) * exp(i x1 x2) as a matrix."""
-    if grid_2 is None:
-        grid_2 = ancilla_grid_for(params, input.n_points)
-    if input.n_points * grid_2.n_points > _MAX_ENTRIES:
-        raise DomainError("two-mode grid exceeds the 2^26 entry cap")
-    x1 = input.x
-    x2 = grid_2.x
-    s = params.s
-    with np.errstate(under="ignore"):
-        sq = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x2) ** 2)
-        row_phase = np.exp(1j * params.gamma * x2 ** 3) * sq
-        amp = input.amplitudes[:, None] * row_phase[None, :] \
-            * np.exp(1j * np.outer(x1, x2))
-    return TwoModeGrid(grid_1=input.grid, grid_2=grid_2, amplitudes=amp)
 
 
 def oracle_two_mode(input: WaveFunction, params: GateParams,

@@ -183,6 +183,8 @@ class SupportRegion:
         b = np.ascontiguousarray(self.boundary, dtype=float)
         if b.ndim != 2 or b.shape[1] != 2 or b.shape[0] < 4:
             raise DomainError("boundary must be an (n, 2) polyline")
+        if not np.isfinite(b).all():
+            raise DomainError("boundary must be finite")
         if not np.allclose(b[0], b[-1], rtol=0, atol=1e-12):
             raise DomainError("boundary must be closed (first point = last)")
         b.setflags(write=False)
@@ -210,9 +212,10 @@ def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,
     if n_boundary < 32:
         raise DomainError("n_boundary must be >= 32")
     t = np.linspace(0.0, 2.0 * math.pi, n_boundary + 1)
-    x = sigma_level / (math.sqrt(2.0) * s) * np.cos(t)
-    p = sigma_level * s / math.sqrt(2.0) * np.sin(t)
-    p = p + 3.0 * gamma * x ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = sigma_level / (math.sqrt(2.0) * s) * np.cos(t)
+        p = sigma_level * s / math.sqrt(2.0) * np.sin(t)
+        p = p + 3.0 * gamma * x ** 2
     x[-1], p[-1] = x[0], p[0]
     return SupportRegion(boundary=np.column_stack([x, p]), sigma_level=sigma_level)
 

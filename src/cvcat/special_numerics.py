@@ -75,20 +75,12 @@ _N_ASY = 20
 
 def _horner(coeffs, x):
     """Sum over k of coeffs[k] * x**k; coeffs[k] is a scalar or a row that
-    broadcasts against x.
-
-    In place on arrays, which saves a temporary per operation; a one-element
-    array (each scalar call) takes the plain form, because numpy's in-place
-    operators cost about twice as much as the plain ones at that size. Both
-    forms give the same bits."""
+    broadcasts against x. In place on arrays, which saves a temporary per
+    operation."""
     acc = coeffs[-1] * x + coeffs[-2]
-    if np.size(acc) > 1:
-        for c in coeffs[-3::-1]:
-            acc *= x
-            acc += c
-    else:
-        for c in coeffs[-3::-1]:
-            acc = acc * x + c
+    for c in coeffs[-3::-1]:
+        acc *= x
+        acc += c
     return acc
 
 
@@ -157,18 +149,10 @@ def _series(z):
     sums cancel to 1e-5 of their size; pairing their terms keeps the partial
     sums smaller, and with them the rounding: the worst relative error on
     [2, 4] against a 30-digit reference is 2.5e-12, against 8.9e-12 when the
-    two sums are formed apart.
-
-    On arrays each coefficient is formed as its term is reached, with no
-    (terms x points) matrix. A one-element array (each scalar call) takes
-    the matrix form, which makes half as many ufunc calls, none in place:
-    18 us a call against 73 us streamed. Streaming those too made the
-    perfbench verify job, with its 1,476 scalar calls, 15 % slower. Both
-    forms give the same bits.
+    two sums are formed apart. Each coefficient is formed as its term is
+    reached, with no (terms x points) matrix.
     """
     w = z * z * z
-    if z.size <= 1:
-        return _horner(_SERIES_A[:, None] + _SERIES_B[:, None] * z, w)
     acc = _SERIES_A[-1] + _SERIES_B[-1] * z
     term = np.empty_like(acc)
     for a, b in zip(_SERIES_A[-2::-1].tolist(), _SERIES_B[-2::-1].tolist()):

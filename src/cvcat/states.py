@@ -155,8 +155,9 @@ class CatParams:
 
 def _check_grid_covers(grid: GridSpec, s: float):
     """The Gaussian envelope must have decayed to <= 1e-12 at both edges."""
-    env = max(math.exp(-0.5 * (s * grid.x_min) ** 2),
-              math.exp(-0.5 * (s * grid.x_max) ** 2))
+    # a product overflows to inf where a float ** 2 raises OverflowError
+    lo, hi = s * grid.x_min, s * grid.x_max
+    env = max(math.exp(-0.5 * (lo * lo)), math.exp(-0.5 * (hi * hi)))
     if grid.x_min > 0 or grid.x_max < 0:
         env = 1.0
     if env > _EDGE_ENVELOPE:
@@ -172,7 +173,7 @@ def make_squeezed_vacuum(s: float, grid: GridSpec | None = None) -> WaveFunction
         grid = GridSpec(-10.0 / s, 10.0 / s)
     _check_grid_covers(grid, s)
     x = grid.x
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore"):   # an inf square gives 0
         amp = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x) ** 2)
     return WaveFunction(grid.x_min, grid.x_max, grid.n_points,
                         amp.astype(complex), label=f"squeezed_vacuum(s={s})",
@@ -183,7 +184,11 @@ def make_cubic_phase_state(gamma: float, s: float,
                            grid: GridSpec | None = None) -> WaveFunction:
     """Squeezed vacuum with the pure cubic phase exp(i gamma x^3) imprinted."""
     base = make_squeezed_vacuum(s, grid)
-    amp = base.amplitudes * np.exp(1j * gamma * base.x ** 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = base.amplitudes * np.exp(1j * gamma * base.x ** 3)
+    if not np.isfinite(amp).all():
+        raise DomainError(f"cubic phase is not finite at gamma={gamma!r} on "
+                          f"[{base.x_min!r}, {base.x_max!r}]")
     return replace(base, amplitudes=amp,
                    label=f"cubic_phase(gamma={gamma}, s={s})")
 
@@ -237,8 +242,12 @@ def cat_params_from_gate(params: GateParams) -> CatParams:
     if not params.gamma > 0:
         raise DomainError("gamma must be positive to derive cat parameters")
     p_plus = math.sqrt(params.y_m / (3.0 * params.gamma))
-    theta = math.pi / 4.0 - (2.0 / (3.0 * math.sqrt(3.0 * params.gamma))) * params.y_m ** 1.5
-    theta = math.remainder(theta, 2.0 * math.pi)
+    try:
+        theta = math.pi / 4.0 - (2.0 / (3.0 * math.sqrt(3.0 * params.gamma))) * params.y_m ** 1.5
+        theta = math.remainder(theta, 2.0 * math.pi)
+    except (OverflowError, ValueError):   # y_m^1.5 or the phase is infinite
+        raise DomainError(f"cat phase overflows at gamma={params.gamma!r}, "
+                          f"y_m={params.y_m!r}") from None
     if theta <= -math.pi:
         theta = math.pi
     return CatParams(p_plus=p_plus, theta=theta)

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import cvcat.gate
 from cvcat.analysis import SweepRow, db_to_s, rows_to_csv
-from cvcat.cli import main
-from cvcat.states import GridSpec, make_cubic_phase_state, \
+from cvcat.cli import VERIFY_ABS_FLOOR, VERIFY_TOLERANCE, main, \
+    run_verification, verify_grid
+from cvcat.gate import added_factor
+from cvcat.oracle import oracle_added_factor
+from cvcat.states import GateParams, GridSpec, make_cubic_phase_state, \
     wavefunction_from_json
 
 
@@ -260,6 +264,47 @@ class TestConfigHandling:
         assert main(["gate", "--config", str(cfg)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name, content", [
+        ("missing.json", None), ("a-directory", "mkdir"),
+        ("bad.json", b"{not json"), ("binary.json", b"\xff\xfe{}"),
+        ("list.json", b"[1, 2]")])
+    def test_config_file_problems_name_the_file(self, name, content, tmp_path,
+                                                capsys):
+        path = tmp_path / name
+        if content == "mkdir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        assert main(["gate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    @pytest.mark.parametrize("command, config", [
+        ("state", {"kind": "bogus"}), ("state", {"format": "xml"}),
+        ("gate", {"db": True}), ("gate", {"ym": None}),
+        ("state", {"grid_points": 64.5}), ("wigner", {"nx": 96.0}),
+        ("verify", {"fast": 1}), ("sweep-probability", {"db_range": 20})])
+    def test_config_values_are_checked_like_flags(self, command, config,
+                                                  tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        [key] = config
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_numbers_read_as_their_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 1, "ym": 30, "grid_points": 256}))
+        by_config, by_flags = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["gate", "--config", str(cfg), "--out", str(by_config)]) == 0
+        assert main(["gate", "--gamma", "1", "--ym", "30", "--grid-points",
+                     "256", "--out", str(by_flags)]) == 0
+        capsys.readouterr()
+        assert by_config.read_bytes() == by_flags.read_bytes()
+
 
 class TestVerifyCommand:
     def test_fast_verification_passes(self, capsys):
@@ -274,6 +319,40 @@ class TestVerifyCommand:
         assert main(["verify", "--fast", "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text() == stdout
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_blocks_match_the_per_point_route(self, fast):
+        """The parent route: one scalar closed-form call per point, each
+        against the oracle value at the same offset."""
+        gammas, dbs, y_ms, deltas = verify_grid(fast)
+        worst = 0.0
+        for gamma in gammas:
+            for db in dbs:
+                s = db_to_s(db)
+                for y_m in y_ms:
+                    params = GateParams(gamma=gamma, s=s, y_m=y_m)
+                    for delta in deltas:
+                        a = added_factor(y_m + delta, params)
+                        o = oracle_added_factor(
+                            delta, GateParams(gamma=gamma, s=s, y_m=0.0))
+                        worst = max(worst, abs(a - o) / max(
+                            abs(o), VERIFY_ABS_FLOOR / VERIFY_TOLERANCE))
+        assert run_verification(fast) == pytest.approx(worst, rel=1e-12, abs=0)
+
+    def test_fast_run_makes_at_most_two_airy_calls_per_block(self, monkeypatch,
+                                                             capsys):
+        calls = []
+        for name in ("airy_ai", "airy_ai_scaled"):
+            def counted(z, fn=getattr(cvcat.gate, name)):
+                calls.append(np.size(z))
+                return fn(z)
+            monkeypatch.setattr(cvcat.gate, name, counted)
+        assert main(["verify", "--fast"]) == 0
+        capsys.readouterr()
+        gammas, dbs, y_ms, deltas = verify_grid(fast=True)
+        blocks = len(gammas) * len(dbs) * len(y_ms)
+        assert len(calls) <= 2 * blocks
+        assert sum(calls) == blocks * len(deltas)
 
     @pytest.mark.parametrize("flag", [["--gamma", "5"], ["--ym", "3"],
                                       ["--db", "99"], ["--format", "json"]])

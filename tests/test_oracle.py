@@ -6,9 +6,22 @@ import pytest
 from cvcat.analysis import phase_aligned_l2
 from cvcat.errors import DomainError
 from cvcat.gate import added_factor, apply_gate
-from cvcat.oracle import ancilla_grid_for, build_two_mode_grid, \
-    oracle_added_factor, oracle_two_mode
+from cvcat.oracle import ancilla_grid_for, oracle_added_factor, \
+    oracle_two_mode
 from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
+
+
+def build_two_mode_grid(input, params):
+    """Reference for oracle_two_mode, which factorises its sum: the ancilla
+    grid and the entangled target x ancilla amplitude matrix
+    psi(x1) psi_sq(x2) exp(i gamma x2^3) exp(i x1 x2)."""
+    grid_2 = ancilla_grid_for(params, input.n_points)
+    x2 = grid_2.x
+    s = params.s
+    sq = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x2) ** 2)
+    row_phase = np.exp(1j * params.gamma * x2 ** 3) * sq
+    return grid_2, input.amplitudes[:, None] * row_phase[None, :] \
+        * np.exp(1j * np.outer(input.x, x2))
 
 
 class TestOracleAddedFactor:
@@ -35,23 +48,21 @@ class TestTwoModeGrid:
     def test_entangling_phases_unimodular(self):
         vac = make_squeezed_vacuum(1.0, GridSpec(-8.0, 8.0, 128))
         params = GateParams(gamma=0.1, s=1.0, y_m=3.0)
-        tm = build_two_mode_grid(vac, params)
-        x2 = tm.grid_2.x
+        grid_2, amplitudes = build_two_mode_grid(vac, params)
+        x2 = grid_2.x
         s = params.s
         sq = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x2) ** 2)
         want = np.abs(vac.amplitudes)[:, None] * sq[None, :]
-        assert np.allclose(np.abs(tm.amplitudes), want, rtol=0, atol=1e-12)
+        assert np.allclose(np.abs(amplitudes), want, rtol=0, atol=1e-12)
 
     def test_unit_norm_after_entangling(self):
         vac = make_squeezed_vacuum(1.0, GridSpec(-8.0, 8.0, 256))
-        tm = build_two_mode_grid(vac, GateParams(gamma=0.1, s=0.5, y_m=3.0))
-        assert abs(tm.norm_squared() - 1.0) < 1e-6
-
-    def test_entry_cap(self):
-        vac = make_squeezed_vacuum(1.0, GridSpec(-8.0, 8.0, 4096))
-        with pytest.raises(DomainError):
-            build_two_mode_grid(vac, GateParams(gamma=0.1, s=1.0, y_m=3.0),
-                                grid_2=GridSpec(-12.0, 12.0, 2 ** 15))
+        grid_2, amplitudes = build_two_mode_grid(
+            vac, GateParams(gamma=0.1, s=0.5, y_m=3.0))
+        density = np.abs(amplitudes) ** 2
+        norm2 = np.trapezoid(np.trapezoid(density, dx=grid_2.dx, axis=1),
+                             dx=vac.dx)
+        assert abs(norm2 - 1.0) < 1e-6
 
 
 class TestOracleTwoMode:
@@ -71,15 +82,21 @@ class TestOracleTwoMode:
         vac = make_squeezed_vacuum(1.0, GridSpec(-11.0, 11.0, 129))
         for params in (GateParams(gamma=0.1, s=0.5623413251903491, y_m=3.0),
                        GateParams(gamma=0.5, s=0.5, y_m=-4.0)):
-            tm = build_two_mode_grid(vac, params)
+            grid_2, amplitudes = build_two_mode_grid(vac, params)
             projected = np.trapezoid(
-                tm.amplitudes * np.exp(-1j * params.y_m * tm.grid_2.x),
-                dx=tm.grid_2.dx, axis=1) / math.sqrt(2.0 * math.pi)
+                amplitudes * np.exp(-1j * params.y_m * grid_2.x),
+                dx=grid_2.dx, axis=1) / math.sqrt(2.0 * math.pi)
             prob = float(np.trapezoid(np.abs(projected) ** 2, dx=vac.dx))
             oracle = oracle_two_mode(vac, params)
             assert abs(oracle.probability_density - prob) <= 1e-12 * prob
             assert np.max(np.abs(oracle.state.amplitudes
                                  - projected / math.sqrt(prob))) <= 1e-11
+
+    def test_entry_cap(self):
+        vac = make_squeezed_vacuum(1.0, GridSpec(-8.0, 8.0, 4096))
+        with pytest.raises(DomainError, match="2\\^26 entry cap"):
+            oracle_two_mode(vac, GateParams(gamma=0.1, s=1.0, y_m=3.0),
+                            grid_2=GridSpec(-12.0, 12.0, 2 ** 15))
 
     def test_grid_halving_convergence(self):
         params = GateParams(gamma=0.1, s=10.0 ** (-5.0 / 20.0), y_m=3.0)
