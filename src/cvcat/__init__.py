@@ -9,16 +9,15 @@ fidelity/probability trade-off.
 """
 
 from .analysis import SweepRow, SweepSpec, db_to_s, efficiency_score, \
-    fidelity, log_inverse_s_values, phase_aligned_l2, resample, rows_to_csv, \
-    run_sweep
+    fidelity, phase_aligned_l2, resample, rows_to_csv, run_sweep
 from .errors import CvcatError, DegenerateSuperpositionError, DomainError, \
     ZeroProbabilityOutcomeError
 from .gate import ConditionalOutput, added_factor, added_factor_grid, \
     apply_gate, outcome_probability_density
 from .oracle import ancilla_grid_for, oracle_added_factor, oracle_two_mode
 from .phase_space import SupportRegion, WignerGrid, build_support_region, \
-    intersect_horizontal, semiclassical_shear, suggest_wigner_bounds, \
-    wigner_log_negativity, wigner_transform
+    semiclassical_shear, suggest_wigner_bounds, wigner_log_negativity, \
+    wigner_transform
 from .special_numerics import airy_ai, airy_ai_scaled, \
     integrate_oscillatory_gaussian
 from .states import CatParams, GateParams, GridSpec, WaveFunction, \
@@ -39,8 +38,7 @@ __all__ = [
     "outcome_probability_density",
     "ancilla_grid_for", "oracle_added_factor", "oracle_two_mode",
     "WignerGrid", "SupportRegion", "wigner_transform", "wigner_log_negativity",
-    "semiclassical_shear", "build_support_region", "intersect_horizontal",
-    "suggest_wigner_bounds",
+    "semiclassical_shear", "build_support_region", "suggest_wigner_bounds",
     "fidelity", "phase_aligned_l2", "resample", "db_to_s", "efficiency_score",
-    "SweepSpec", "SweepRow", "run_sweep", "rows_to_csv", "log_inverse_s_values",
+    "SweepSpec", "SweepRow", "run_sweep", "rows_to_csv",
 ]

@@ -25,7 +25,6 @@ __all__ = [
     "SweepRow",
     "run_sweep",
     "rows_to_csv",
-    "log_inverse_s_values",
 ]
 
 
@@ -36,9 +35,7 @@ def resample(wf: WaveFunction, grid: GridSpec) -> WaveFunction:
     linear interpolation would bias overlap integrals at the 1e-4 level.
     """
     kernel = np.sinc((grid.x[:, None] - wf.x[None, :]) / wf.dx)
-    amp = kernel @ wf.amplitudes
-    return WaveFunction(grid.x_min, grid.x_max, grid.n_points, amp,
-                        label=wf.label)
+    return WaveFunction(grid, kernel @ wf.amplitudes, label=wf.label)
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:
@@ -47,7 +44,7 @@ def fidelity(a: WaveFunction, b: WaveFunction) -> float:
     for wf in (a, b):
         if abs(wf.norm_squared() - 1.0) > 1e-6:
             raise DomainError("fidelity requires normalized states")
-    if (a.x_min, a.x_max, a.n_points) != (b.x_min, b.x_max, b.n_points):
+    if a.grid != b.grid:
         if a.dx <= b.dx:
             b = resample(b, a.grid)
         else:
@@ -64,7 +61,7 @@ def _squared_overlap(ov) -> float:
 
 def phase_aligned_l2(a: WaveFunction, b: WaveFunction) -> float:
     """L2 distance between a and b after aligning b's global phase."""
-    if (a.x_min, a.x_max, a.n_points) != (b.x_min, b.x_max, b.n_points):
+    if a.grid != b.grid:
         raise DomainError("phase_aligned_l2 requires a common grid")
     ov = complex(np.trapezoid(np.conj(a.amplitudes) * b.amplitudes, dx=a.dx))
     # ov = <a|b> carries b's phase relative to a; undo it
@@ -96,11 +93,6 @@ def efficiency_score(f_cat: float, probability_density: float) -> float:
     if probability_density < 0:
         raise DomainError("probability_density must be >= 0")
     return f_cat * probability_density
-
-
-def log_inverse_s_values(n: int = 60, lo: float = 1.0, hi: float = 10.0):
-    """Logarithmically spaced stretching factors 1/s (resolves knee and plateau)."""
-    return tuple(float(v) for v in np.geomspace(lo, hi, n))
 
 
 @dataclass(frozen=True)
@@ -228,7 +220,7 @@ def _gate_block(spec, grid, block, rows, cache):
             if "efficiency" in spec.outputs:
                 fields["efficiency"] = efficiency_score(f_cat, p)
             if "wln" in spec.outputs:
-                state = apply_gate(vacuum, params).state
+                state = WaveFunction(grid, state, normalized=True)
                 bounds = suggest_wigner_bounds(state)
                 n_p = max(256, int((bounds[3] - bounds[2]) / 0.08))
                 w = wigner_transform(state, bounds, 256, n_p)

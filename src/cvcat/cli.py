@@ -133,8 +133,11 @@ def _effective_config(args, defaults) -> dict:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -205,10 +208,13 @@ def _cmd_wigner(cfg) -> int:
     else:
         state = _build_state({**cfg, "kind": cfg["source"]})
     if cfg["bounds"]:
-        parts = [float(v) for v in str(cfg["bounds"]).split(":")]
-        if len(parts) != 4:
-            raise DomainError("--bounds must be xmin:xmax:pmin:pmax")
-        bounds = tuple(parts)
+        try:
+            bounds = tuple(float(v) for v in str(cfg["bounds"]).split(":"))
+        except ValueError:
+            bounds = ()
+        if len(bounds) != 4:
+            raise DomainError("--bounds must be xmin:xmax:pmin:pmax, got "
+                              f"{cfg['bounds']!r}")
     else:
         bounds = suggest_wigner_bounds(state)
     w = wigner_transform(state, bounds, cfg["nx"], cfg["np"])
@@ -225,10 +231,14 @@ def _cmd_wigner(cfg) -> int:
 
 def _parse_db_range(text: str):
     parts = str(text).split(":")
-    if len(parts) not in (2, 3):
-        raise DomainError("--db-range must be lo:hi or lo:hi:n")
-    lo, hi = float(parts[0]), float(parts[1])
-    n = int(parts[2]) if len(parts) == 3 else 60
+    try:
+        if len(parts) not in (2, 3):
+            raise ValueError
+        lo, hi = float(parts[0]), float(parts[1])
+        n = int(parts[2]) if len(parts) == 3 else 60
+    except ValueError:
+        raise DomainError("--db-range must be lo:hi or lo:hi:n, got "
+                          f"{text!r}") from None
     if not (hi > lo and n >= 2):
         raise DomainError("--db-range needs hi > lo and n >= 2")
     return lo, hi, n
@@ -236,8 +246,9 @@ def _parse_db_range(text: str):
 
 def _cmd_sweep(cfg) -> int:
     lo, hi, n = _parse_db_range(cfg["db_range"])
-    inverse_s = tuple(float(v) for v in
-                      np.round(10.0 ** (np.linspace(lo, hi, n) / 20.0), 15))
+    with np.errstate(over="ignore", invalid="ignore"):   # SweepSpec rejects inf
+        inverse_s = tuple(float(v) for v in
+                          np.round(10.0 ** (np.linspace(lo, hi, n) / 20.0), 15))
     rule = "proportional_y_m_over_30" if cfg["gamma_rule"] == "ym/30" else "fixed"
     gamma = cfg["gamma"]
     if rule == "fixed" and gamma is None:
@@ -388,9 +399,8 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args, defaults)
         if args.dump_config:
-            with open(args.dump_config, "w", encoding="utf-8") as fh:
-                json.dump(cfg, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _emit(json.dumps(cfg, indent=2, sort_keys=True) + "\n",
+                  args.dump_config)
         return handler(cfg)
     except CvcatError as exc:
         print(f"error: {exc}", file=sys.stderr)

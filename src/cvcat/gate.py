@@ -142,7 +142,8 @@ def norm_squared(amplitudes: np.ndarray, dx: float):
     """Trapezoid integral of |amplitudes|^2 along the last axis. On the
     unnormalized output this is P(y_m), and every route to P uses it, so
     apply_gate, outcome_probability_density and run_sweep agree to the bit."""
-    return np.trapezoid(np.abs(amplitudes) ** 2, dx=dx, axis=-1)
+    with np.errstate(over="ignore"):   # an infinite P fails the norm check
+        return np.trapezoid(np.abs(amplitudes) ** 2, dx=dx, axis=-1)
 
 
 def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:
@@ -155,8 +156,7 @@ def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:
         raise ZeroProbabilityOutcomeError(
             f"outcome y_m={params.y_m} has probability density {prob}; "
             "the conditional state is undefined")
-    state = WaveFunction(input.x_min, input.x_max, input.n_points,
-                         unnorm / math.sqrt(prob),
+    state = WaveFunction(input.grid, unnorm / math.sqrt(prob),
                          label=f"gate_output(gamma={params.gamma}, s={params.s}, "
                                f"y_m={params.y_m})",
                          normalized=True)

@@ -112,8 +112,7 @@ def oracle_two_mode(input: WaveFunction, params: GateParams,
     if prob < 1e-300:
         raise ZeroProbabilityOutcomeError(
             f"outcome y_m={params.y_m} has probability density {prob}")
-    state = WaveFunction(input.x_min, input.x_max, input.n_points,
-                         out / math.sqrt(prob),
+    state = WaveFunction(input.grid, out / math.sqrt(prob),
                          label=f"oracle_output(gamma={params.gamma}, s={s}, "
                                f"y_m={params.y_m})",
                          normalized=True)

@@ -18,7 +18,6 @@ __all__ = [
     "wigner_log_negativity",
     "semiclassical_shear",
     "build_support_region",
-    "intersect_horizontal",
     "suggest_wigner_bounds",
 ]
 
@@ -70,9 +69,6 @@ class WignerGrid:
 
     def mass(self) -> float:
         return float(np.sum(self.values) * self.dx * self.dp)
-
-    def purity(self) -> float:
-        return float(2.0 * math.pi * np.sum(self.values ** 2) * self.dx * self.dp)
 
     def to_csv(self) -> str:
         """CSV matrix with a one-line header 'x_min,x_max,p_min,p_max,n_x,n_p'."""
@@ -169,7 +165,7 @@ def wigner_log_negativity(w: WignerGrid) -> float:
 
 def semiclassical_shear(x: float, y: float, gamma: float):
     """Area-preserving phase-plane map of the cubic evolution: y += 3 gamma x^2."""
-    return x, y + 3.0 * gamma * x * x
+    return x, y + 3.0 * gamma * x ** 2
 
 
 @dataclass(frozen=True)
@@ -215,22 +211,9 @@ def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,
     with np.errstate(over="ignore", invalid="ignore"):
         x = sigma_level / (math.sqrt(2.0) * s) * np.cos(t)
         p = sigma_level * s / math.sqrt(2.0) * np.sin(t)
-        p = p + 3.0 * gamma * x ** 2
+        x, p = semiclassical_shear(x, p, gamma)
     x[-1], p[-1] = x[0], p[0]
     return SupportRegion(boundary=np.column_stack([x, p]), sigma_level=sigma_level)
-
-
-def intersect_horizontal(region: SupportRegion, p_value: float):
-    """x-intervals where the line p = p_value lies inside the region."""
-    b = region.boundary
-    crossings = []
-    for i in range(len(b) - 1):
-        (x0, p0), (x1, p1) = b[i], b[i + 1]
-        if (p0 - p_value) * (p1 - p_value) < 0:
-            t = (p_value - p0) / (p1 - p0)
-            crossings.append(x0 + t * (x1 - x0))
-    crossings.sort()
-    return [(crossings[i], crossings[i + 1]) for i in range(0, len(crossings) - 1, 2)]
 
 
 def suggest_wigner_bounds(state: WaveFunction, pad: float = 6.0,

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _EDGE_ENVELOPE = 1e-12
+# the largest grid: the two-mode oracle's ancilla grid reaches 2^26 / 16
+MAX_GRID_POINTS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -45,12 +47,16 @@ class GridSpec:
             raise DomainError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise DomainError("grid requires x_min < x_max")
-        if self.n_points < 16:
-            raise DomainError("grid requires n_points >= 16")
+        if not 16 <= self.n_points <= MAX_GRID_POINTS:
+            raise DomainError(f"grid requires 16 <= n_points <= {MAX_GRID_POINTS}"
+                              f", got {self.n_points}")
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """Grid coordinates, computed on first use; read-only."""
+        x = np.linspace(self.x_min, self.x_max, self.n_points)
+        x.setflags(write=False)
+        return x
 
     @property
     def dx(self) -> float:
@@ -67,18 +73,12 @@ def default_grid(p_plus: float = 0.0, n_points: int = 2048) -> GridSpec:
 class WaveFunction:
     """Complex amplitude samples over a uniform coordinate grid."""
 
-    x_min: float
-    x_max: float
-    n_points: int
+    grid: GridSpec
     amplitudes: np.ndarray
     label: str = ""
     normalized: bool = False
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise DomainError("x_min must be below x_max")
-        if self.n_points < 16:
-            raise DomainError("n_points must be >= 16")
         # a private copy: freezing the caller's buffer would leave its other
         # views able to write into this state behind the cached norm
         amp = np.array(self.amplitudes, dtype=complex)
@@ -98,20 +98,25 @@ class WaveFunction:
         object.__setattr__(self, "_density", density)
         object.__setattr__(self, "_norm_squared", n2)
 
-    @functools.cached_property
+    @property
+    def x_min(self) -> float:
+        return self.grid.x_min
+
+    @property
+    def x_max(self) -> float:
+        return self.grid.x_max
+
+    @property
+    def n_points(self) -> int:
+        return self.grid.n_points
+
+    @property
     def x(self) -> np.ndarray:
-        """Grid coordinates, computed on first use; read-only."""
-        x = np.linspace(self.x_min, self.x_max, self.n_points)
-        x.setflags(write=False)
-        return x
+        return self.grid.x
 
     @property
     def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
-
-    @property
-    def grid(self) -> GridSpec:
-        return GridSpec(self.x_min, self.x_max, self.n_points)
+        return self.grid.dx
 
     def norm_squared(self) -> float:
         """Trapezoid integral of density(), computed once at construction."""
@@ -175,9 +180,8 @@ def make_squeezed_vacuum(s: float, grid: GridSpec | None = None) -> WaveFunction
     x = grid.x
     with np.errstate(under="ignore", over="ignore"):   # an inf square gives 0
         amp = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x) ** 2)
-    return WaveFunction(grid.x_min, grid.x_max, grid.n_points,
-                        amp.astype(complex), label=f"squeezed_vacuum(s={s})",
-                        normalized=True)
+    return WaveFunction(grid, amp.astype(complex),
+                        label=f"squeezed_vacuum(s={s})", normalized=True)
 
 
 def make_cubic_phase_state(gamma: float, s: float,
@@ -221,7 +225,7 @@ def make_ideal_cat(cat: CatParams, grid: GridSpec | None = None) -> WaveFunction
     plus = envelope * np.exp(1j * cat.p_plus * x)
     minus = envelope * np.exp(-1j * cat.p_plus * x)
     amp = (np.exp(1j * cat.theta) * plus + np.exp(-1j * cat.theta) * minus) / math.sqrt(denom)
-    return WaveFunction(grid.x_min, grid.x_max, grid.n_points, amp,
+    return WaveFunction(grid, amp,
                         label=f"ideal_cat(p_plus={cat.p_plus}, theta={cat.theta})",
                         normalized=True)
 
@@ -268,5 +272,5 @@ def wavefunction_to_json(wf: WaveFunction) -> str:
 def wavefunction_from_json(text: str) -> WaveFunction:
     rec = json.loads(text)
     amp = np.asarray(rec["re"], dtype=float) + 1j * np.asarray(rec["im"], dtype=float)
-    return WaveFunction(rec["x_min"], rec["x_max"], rec["n_points"], amp,
-                        label=rec.get("label", ""))
+    return WaveFunction(GridSpec(rec["x_min"], rec["x_max"], rec["n_points"]),
+                        amp, label=rec.get("label", ""))

@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from cvcat.analysis import SweepSpec, db_to_s, fidelity, \
-    log_inverse_s_values, phase_aligned_l2, rows_to_csv, run_sweep
+from cvcat.analysis import SweepSpec, db_to_s, fidelity, phase_aligned_l2, \
+    run_sweep
 from cvcat.cli import main, run_verification
 from cvcat.gate import apply_gate, outcome_probability_density
 from cvcat.oracle import oracle_two_mode
@@ -79,7 +79,7 @@ def infidelity_curve(y_m, inverse_s_values):
 
 
 def test_criterion_03_infidelity_curves():
-    inv_s = log_inverse_s_values(60)
+    inv_s = tuple(float(v) for v in np.geomspace(1.0, 10.0, 60))
     idx_5 = int(np.argmin(np.abs(np.array(inv_s) - 5.0)))
     plateaus = []
     ok = True

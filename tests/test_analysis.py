@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cvcat.analysis import SweepRow, SweepSpec, db_to_s, efficiency_score, \
-    fidelity, log_inverse_s_values, phase_aligned_l2, resample, rows_to_csv, \
-    run_sweep
+    fidelity, phase_aligned_l2, resample, rows_to_csv, run_sweep
 from cvcat.errors import DomainError
 from cvcat.states import GateParams, GridSpec, WaveFunction, \
     make_squeezed_vacuum
@@ -18,8 +17,7 @@ def vacuum(grid=None):
 def momentum_displaced_vacuum(p_shift, grid):
     x = grid.x
     amp = math.pi ** -0.25 * np.exp(-0.5 * x ** 2 + 1j * p_shift * x)
-    return WaveFunction(grid.x_min, grid.x_max, grid.n_points, amp,
-                        normalized=True)
+    return WaveFunction(grid, amp, normalized=True)
 
 
 class TestFidelity:
@@ -45,8 +43,8 @@ class TestFidelity:
         grid = GridSpec(-12.0, 12.0, 1024)
         a = momentum_displaced_vacuum(0.7, grid)
         b = momentum_displaced_vacuum(-0.4, grid)
-        rotated = WaveFunction(grid.x_min, grid.x_max, grid.n_points,
-                               np.exp(1.1j) * b.amplitudes, normalized=True)
+        rotated = WaveFunction(grid, np.exp(1.1j) * b.amplitudes,
+                               normalized=True)
         assert abs(fidelity(a, b) - fidelity(a, rotated)) <= 1e-12
 
     def test_mismatched_grids_resampled(self):
@@ -56,8 +54,7 @@ class TestFidelity:
 
     def test_rejects_unnormalized(self):
         vac = vacuum()
-        bad = WaveFunction(vac.x_min, vac.x_max, vac.n_points,
-                           2.0 * vac.amplitudes)
+        bad = WaveFunction(vac.grid, 2.0 * vac.amplitudes)
         with pytest.raises(DomainError):
             fidelity(vac, bad)
 
@@ -74,8 +71,7 @@ class TestPhaseAlignedL2:
     def test_pure_phase_is_zero(self):
         grid = GridSpec(-10.0, 10.0, 512)
         a = vacuum(grid)
-        b = WaveFunction(grid.x_min, grid.x_max, grid.n_points,
-                         np.exp(-0.9j) * a.amplitudes, normalized=True)
+        b = WaveFunction(grid, np.exp(-0.9j) * a.amplitudes, normalized=True)
         assert phase_aligned_l2(a, b) <= 1e-10
 
     def test_requires_common_grid(self):
@@ -120,7 +116,7 @@ class TestEfficiencyScore:
 
     def test_interior_maximum_in_inverse_s(self):
         spec = SweepSpec(variable="inverse_s",
-                         values=log_inverse_s_values(15),
+                         values=np.geomspace(1.0, 10.0, 15),
                          fixed=GateParams(gamma=0.1, s=1.0, y_m=3.0),
                          outputs=frozenset({"efficiency"}))
         rows = run_sweep(spec)
@@ -221,10 +217,3 @@ class TestSweep:
         assert cells[0] == "1.5" and cells[1] == "0.25"
         assert cells[2] == "" and cells[3] == "" and cells[4] == ""
         assert cells[5] == "DomainError: a; b"
-
-    def test_log_inverse_s_values(self):
-        vals = log_inverse_s_values()
-        assert len(vals) == 60
-        assert vals[0] == 1.0 and abs(vals[-1] - 10.0) < 1e-12
-        ratios = np.diff(np.log(vals))
-        assert np.allclose(ratios, ratios[0])

@@ -9,8 +9,8 @@ from cvcat.cli import VERIFY_ABS_FLOOR, VERIFY_TOLERANCE, main, \
     run_verification, verify_grid
 from cvcat.gate import added_factor
 from cvcat.oracle import oracle_added_factor
-from cvcat.states import GateParams, GridSpec, make_cubic_phase_state, \
-    wavefunction_from_json
+from cvcat.states import MAX_GRID_POINTS, GateParams, GridSpec, \
+    make_cubic_phase_state, wavefunction_from_json
 
 
 class TestExitCodes:
@@ -127,6 +127,30 @@ class TestWignerCommand:
         assert "n_x, n_p >= 2" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, form", [
+        (["wigner", "--bounds", "a:b:c:d"], "xmin:xmax:pmin:pmax"),
+        (["sweep-probability", "--db-range", "a:b"], "lo:hi or lo:hi:n"),
+        (["sweep-probability", "--db-range", "0:1:x"], "lo:hi or lo:hi:n")])
+    def test_malformed_number_list_shows_its_form(self, argv, form, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert form in err and repr(argv[-1]) in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-config"])
+    def test_missing_directory_names_the_path(self, flag, tmp_path, capsys):
+        path = tmp_path / "missing" / "x"
+        assert main(["state", "--kind", "vacuum", flag, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {path}: No such file or directory\n")
+
+    def test_grid_points_over_the_cap(self, capsys):
+        # GridSpec refuses the count before any array is made
+        assert main(["gate", "--grid-points", "100000000000"]) == 1
+        assert str(MAX_GRID_POINTS) in capsys.readouterr().err
+
+
 class TestSweepCommands:
     def test_infidelity_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -231,6 +255,12 @@ REPLAY_ARGV = {
 
 
 class TestConfigHandling:
+    def test_dump_config_bytes(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        assert main(["verify", "--fast", "--dump-config", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_text() == '{\n  "fast": true,\n  "out": null\n}\n'
+
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma": 0.5, "ym": 15.0, "db": 5.0}))

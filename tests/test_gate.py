@@ -136,8 +136,8 @@ class TestApplyGate:
     def test_global_phase_invariance(self):
         vac = vacuum()
         params = GateParams(gamma=0.1, s=0.5, y_m=3.0)
-        rotated = type(vac)(vac.x_min, vac.x_max, vac.n_points,
-                            np.exp(0.3j) * vac.amplitudes, normalized=True)
+        rotated = type(vac)(vac.grid, np.exp(0.3j) * vac.amplitudes,
+                            normalized=True)
         a = apply_gate(vac, params).state
         b = apply_gate(rotated, params).state
         assert phase_aligned_l2(a, b) <= 1e-10
@@ -171,8 +171,7 @@ class TestApplyGate:
 
     def test_rejects_unnormalized_input(self):
         vac = vacuum()
-        doubled = type(vac)(vac.x_min, vac.x_max, vac.n_points,
-                            2.0 * vac.amplitudes)
+        doubled = type(vac)(vac.grid, 2.0 * vac.amplitudes)
         with pytest.raises(DomainError):
             apply_gate(doubled, GateParams(gamma=0.1, s=1.0, y_m=3.0))
         with pytest.raises(DomainError):

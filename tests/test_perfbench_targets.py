@@ -1,20 +1,50 @@
 """The benchmark's traced run patches named functions on cvcat's modules
-(``perfbench/tracing.py``'s ``TARGETS``). A refactor that drops or renames
-one of those names would break the traced run; this test catches it here."""
+(``perfbench/tracing.py``'s ``TARGETS``), and its counters read the
+attributes of what those functions take and return. A refactor that drops
+or renames one of those names would break the traced run; these tests catch
+it here."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from cvcat import analysis, oracle, states
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_name_resolves():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    tracing = load_tracing()
     missing = [(module, attr) for module, attr, _, _ in tracing.TARGETS
                if not callable(getattr(importlib.import_module(module), attr,
                                        None))]
     assert tracing.TARGETS
     assert missing == []
+
+
+def test_counters_read_the_traced_layers():
+    """The counters read WaveFunction attributes (n_points, x_min, x_max);
+    one small call of each such layer, traced, gives the expected counts."""
+    tracer = load_tracing().Tracer()
+    params = states.GateParams(gamma=0.1, s=1.0, y_m=3.0)
+    with tracer.installed():
+        a = states.make_squeezed_vacuum(1.0, states.GridSpec(-8.0, 8.0, 64))
+        b = states.make_squeezed_vacuum(1.0, states.GridSpec(-9.0, 9.0, 80))
+        analysis.fidelity(a, a)
+        analysis.fidelity(a, b)
+        oracle.oracle_two_mode(a, params)
+    totals, _ = tracer.take()
+    assert totals["states.constructors"]["calls"] == 2
+    assert totals["states.constructors"]["points"] == 64 + 80
+    assert totals["analysis.fidelity"]["calls"] == 2
+    assert totals["analysis.fidelity"]["resampled"] == 1
+    n_ancilla = oracle.ancilla_grid_for(params, 64).n_points
+    assert totals["oracle.oracle_two_mode"]["entries"] == 64 * n_ancilla
+    assert totals["oracle.oracle_two_mode"]["points"] == 64

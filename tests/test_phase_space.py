@@ -7,8 +7,8 @@ import pytest
 from cvcat.errors import DomainError
 from cvcat.gate import apply_gate
 from cvcat.phase_space import SupportRegion, WignerGrid, \
-    build_support_region, intersect_horizontal, semiclassical_shear, \
-    suggest_wigner_bounds, wigner_log_negativity, wigner_transform
+    build_support_region, semiclassical_shear, suggest_wigner_bounds, \
+    wigner_log_negativity, wigner_transform
 from cvcat.states import CatParams, GateParams, GridSpec, \
     cat_params_from_gate, make_cubic_phase_state, make_ideal_cat, \
     make_squeezed_vacuum
@@ -33,7 +33,8 @@ class TestWignerTransform:
     def test_mass_and_purity(self):
         w = vacuum_wigner(241)
         assert abs(w.mass() - 1.0) < 1e-3
-        assert abs(w.purity() - 1.0) < 1e-3
+        purity = 2.0 * math.pi * np.sum(w.values ** 2) * w.dx * w.dp
+        assert abs(purity - 1.0) < 1e-3
 
     def test_marginal_matches_density(self):
         state = make_squeezed_vacuum(1.0, GridSpec(-7.5, 7.5, 301))
@@ -54,8 +55,7 @@ class TestWignerTransform:
 
     def test_requires_normalized_state(self):
         vac = make_squeezed_vacuum(1.0, GridSpec(-8.0, 8.0, 512))
-        bad = type(vac)(vac.x_min, vac.x_max, vac.n_points,
-                        1.5 * vac.amplitudes)
+        bad = type(vac)(vac.grid, 1.5 * vac.amplitudes)
         with pytest.raises(DomainError):
             wigner_transform(bad, (-6.0, 6.0, -6.0, 6.0), 64, 64)
 
@@ -146,6 +146,19 @@ class TestSemiclassicalShear:
         x, y = semiclassical_shear(*semiclassical_shear(1.3, -0.4, 0.2),
                                    gamma=-0.2)
         assert (x, y) == (1.3, -0.4)
+
+
+def intersect_horizontal(region: SupportRegion, p_value: float):
+    """x-intervals where the line p = p_value lies inside the region."""
+    b = region.boundary
+    crossings = []
+    for i in range(len(b) - 1):
+        (x0, p0), (x1, p1) = b[i], b[i + 1]
+        if (p0 - p_value) * (p1 - p_value) < 0:
+            t = (p_value - p0) / (p1 - p0)
+            crossings.append(x0 + t * (x1 - x0))
+    crossings.sort()
+    return [(crossings[i], crossings[i + 1]) for i in range(0, len(crossings) - 1, 2)]
 
 
 class TestSupportRegion:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cvcat.errors import DegenerateSuperpositionError, DomainError
-from cvcat.states import CatParams, GateParams, GridSpec, WaveFunction, \
-    cat_params_from_gate, default_grid, make_cubic_phase_state, \
+from cvcat.states import MAX_GRID_POINTS, CatParams, GateParams, GridSpec, \
+    WaveFunction, cat_params_from_gate, default_grid, make_cubic_phase_state, \
     make_ideal_cat, make_squeezed_vacuum, wavefunction_from_json, \
     wavefunction_to_json
 
@@ -134,19 +134,19 @@ class TestWaveFunction:
 
     def test_normalized_flag_checked(self):
         with pytest.raises(DomainError):
-            WaveFunction(-1.0, 1.0, 32, np.ones(32, dtype=complex),
+            WaveFunction(GridSpec(-1.0, 1.0, 32), np.ones(32, dtype=complex),
                          normalized=True)
 
     def test_rejects_non_finite_amplitudes(self):
         amp = np.ones(32, dtype=complex)
         amp[3] = np.nan
         with pytest.raises(DomainError):
-            WaveFunction(-1.0, 1.0, 32, amp)
+            WaveFunction(GridSpec(-1.0, 1.0, 32), amp)
 
     def test_copies_the_callers_array(self):
         buf = np.full(32, 0.5 ** 0.5, dtype=complex)
         view = buf[:]
-        wf = WaveFunction(0.0, 2.0, 32, buf, normalized=True)
+        wf = WaveFunction(GridSpec(0.0, 2.0, 32), buf, normalized=True)
         n2 = wf.norm_squared()
         assert buf.flags.writeable
         buf[0] = 5.0
@@ -163,6 +163,21 @@ class TestWaveFunction:
         assert wf.x is wf.x and wf.density() is wf.density()
         assert np.array_equal(wf.x, np.linspace(-10.0, 10.0, 64))
         assert np.array_equal(wf.density(), np.abs(wf.amplitudes) ** 2)
+
+    def test_states_on_one_grid_share_its_coordinates(self):
+        grid = GridSpec(-10.0, 10.0, 64)
+        a = make_squeezed_vacuum(1.0, grid)
+        b = make_cubic_phase_state(0.1, 1.0, grid)
+        assert a.grid is grid and b.grid is grid
+        assert a.x is grid.x and b.x is grid.x and a.dx == grid.dx
+        assert (a.x_min, a.x_max, a.n_points) == (-10.0, 10.0, 64)
+
+    def test_grid_spec_caps_n_points(self):
+        # the coordinates are made on first use, so no check here allocates
+        assert GridSpec(-1.0, 1.0, MAX_GRID_POINTS).n_points == MAX_GRID_POINTS
+        for n in (15, MAX_GRID_POINTS + 1, 10 ** 11):
+            with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
+                GridSpec(-1.0, 1.0, n)
 
     def test_default_grid_covers_lobes(self):
         grid = default_grid(3.0, 512)
