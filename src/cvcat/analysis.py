@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CvcatError, DomainError
-from .gate import PROBABILITY_FLOOR, added_factor_rows, apply_gate, \
-    norm_squared
+# apply_gate stays bound: perfbench/tracing.py patches cvcat.analysis.apply_gate
+from .gate import PROBABILITY_FLOOR, apply_gate, gate_rows
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
 from .states import GateParams, GridSpec, WaveFunction, cat_params_from_gate, \
@@ -97,20 +97,16 @@ def efficiency_score(f_cat: float, probability_density: float) -> float:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Declarative description of a parameter scan."""
+    """A scan over 1/s at one outcome y_m; gamma None means y_m / 30."""
 
-    variable: str                      # "inverse_s" | "y_m"
-    values: tuple
-    fixed: GateParams
-    gamma_rule: str = "fixed"          # "fixed" | "proportional_y_m_over_30"
+    values: tuple                      # 1/s, strictly increasing
+    y_m: float
+    gamma: float | None = None
     outputs: frozenset = frozenset({"infidelity", "probability"})
     n_grid_points: int = 2048
 
     def __post_init__(self):
-        if self.variable not in ("inverse_s", "y_m"):
-            raise DomainError(f"unknown sweep variable {self.variable!r}")
-        if self.gamma_rule not in ("fixed", "proportional_y_m_over_30"):
-            raise DomainError(f"unknown gamma_rule {self.gamma_rule!r}")
+        self.params   # a non-finite y_m or a bad gamma is a spec error
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise DomainError("sweep values must be nonempty")
@@ -118,13 +114,19 @@ class SweepSpec:
             raise DomainError("sweep values must be finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise DomainError("sweep values must be strictly increasing")
-        if self.variable == "inverse_s" and vals[0] <= 0:
+        if vals[0] <= 0:
             raise DomainError("inverse_s sweep values must be positive")
         bad = set(self.outputs) - {"infidelity", "probability", "wln", "efficiency"}
         if bad:
             raise DomainError(f"unknown outputs {sorted(bad)}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "outputs", frozenset(self.outputs))
+
+    @property
+    def params(self) -> GateParams:
+        """The gate setting of every row, at s = 1."""
+        gamma = self.y_m / 30.0 if self.gamma is None else self.gamma
+        return GateParams(gamma=gamma, s=1.0, y_m=self.y_m)
 
 
 @dataclass(frozen=True)
@@ -139,21 +141,7 @@ class SweepRow:
     error: str = ""
 
 
-def _row_params(spec: SweepSpec, value: float) -> GateParams:
-    if spec.variable == "inverse_s":
-        s = 1.0 / value
-        y_m = spec.fixed.y_m
-    else:
-        s = spec.fixed.s
-        y_m = value
-    if spec.gamma_rule == "proportional_y_m_over_30":
-        gamma = y_m / 30.0
-    else:
-        gamma = spec.fixed.gamma
-    return GateParams(gamma=gamma, s=s, y_m=y_m)
-
-
-# points per factor call in run_sweep: bounds the (rows, n) block temporaries
+# points per gate_rows call in run_sweep: bounds the (rows, n) block temporaries
 _ROW_BLOCK_POINTS = 8192
 
 
@@ -162,72 +150,57 @@ def _failed(value: float, exc: CvcatError) -> SweepRow:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every scan point; rows that share a grid share one vacuum and
-    one ideal cat per target, and go through the factor as (rows, n) blocks.
-    Per-row failures are recorded in-row, with the error of the row alone."""
-    rows, groups = [None] * len(spec.values), {}
+    """Evaluate every 1/s of the scan. gamma, y_m, the target cat and the
+    grid are the same in every row, so the rows share one vacuum and one
+    ideal cat and go through gate_rows in (rows, n) blocks. Per-row failures
+    are recorded in-row, with the error of the row alone."""
+    base, rows, todo = spec.params, [None] * len(spec.values), []
     for i, value in enumerate(spec.values):
         try:
-            params = _row_params(spec, value)
-            cat = cat_params_from_gate(params)
-            grid = default_grid(cat.p_plus, spec.n_grid_points)
-            groups.setdefault(grid, []).append((i, params, cat))
+            todo.append((i, replace(base, s=1.0 / value)))
         except CvcatError as exc:
             rows[i] = _failed(value, exc)
-    for grid, members in groups.items():
-        step, cache = max(1, _ROW_BLOCK_POINTS // grid.n_points), {}
-        for start in range(0, len(members), step):
-            _gate_block(spec, grid, members[start:start + step], rows, cache)
-    return rows
-
-
-def _gate_block(spec, grid, block, rows, cache):
-    """One factor call for rows on ``grid``; ``cache`` holds its vacuum and cats."""
     try:
-        if grid not in cache:
-            # its normalized flag is apply_gate's input-norm check
-            cache[grid] = make_squeezed_vacuum(1.0, grid)
-        vacuum = cache[grid]
-        states = vacuum.amplitudes * added_factor_rows(
-            vacuum.x, [params for _, params, _ in block])
+        cat = cat_params_from_gate(base)
+        grid = default_grid(cat.p_plus, spec.n_grid_points)
+        vacuum = make_squeezed_vacuum(1.0, grid)
     except CvcatError as exc:
-        for member in block:   # row by row, so the error lands in its own row
-            if len(block) > 1:
-                _gate_block(spec, grid, [member], rows, cache)
-            else:
-                rows[member[0]] = _failed(spec.values[member[0]], exc)
-        return
-    prob = norm_squared(states, vacuum.dx)
-    # normalized in place; a row under the probability floor is scaled by
-    # the floor and never read
-    states /= np.sqrt(np.maximum(prob, PROBABILITY_FLOOR))[:, None]
-    norm2 = norm_squared(states, vacuum.dx)
-    for (i, params, cat), p, n2, state in zip(block, prob.tolist(), norm2, states):
-        value, fields, f_cat = spec.values[i], {}, math.nan
-        try:
-            if not (p >= PROBABILITY_FLOOR and abs(n2 - 1.0) <= 1e-6):
-                apply_gate(vacuum, params)   # raises the row's own error
-            if {"infidelity", "efficiency"} & spec.outputs:
-                if cat not in cache:
-                    cache[cat] = make_ideal_cat(cat, grid)
-                overlap = np.trapezoid(np.conj(state) * cache[cat].amplitudes,
-                                       dx=vacuum.dx)
-                f_cat = _squared_overlap(overlap)
-            if "infidelity" in spec.outputs:
-                fields["infidelity"] = 1.0 - f_cat
-            if {"probability", "efficiency"} & spec.outputs:
-                fields["probability_density"] = p
-            if "efficiency" in spec.outputs:
-                fields["efficiency"] = efficiency_score(f_cat, p)
-            if "wln" in spec.outputs:
-                state = WaveFunction(grid, state, normalized=True)
-                bounds = suggest_wigner_bounds(state)
-                n_p = max(256, int((bounds[3] - bounds[2]) / 0.08))
-                w = wigner_transform(state, bounds, 256, n_p)
-                fields["wln"] = wigner_log_negativity(w)
-            rows[i] = SweepRow(variable_value=value, **fields)
-        except CvcatError as exc:
-            rows[i] = _failed(value, exc)
+        return [row or _failed(value, exc) for row, value in zip(rows, spec.values)]
+    target, step = None, max(1, _ROW_BLOCK_POINTS // grid.n_points)
+    for start in range(0, len(todo), step):
+        block = todo[start:start + step]
+        states, prob, errors = gate_rows(vacuum, [params for _, params in block])
+        # normalized in place; failed rows are never read
+        with np.errstate(invalid="ignore"):
+            states /= np.sqrt(np.maximum(prob, PROBABILITY_FLOOR))[:, None]
+        for (i, _), p, error, state in zip(block, prob.tolist(), errors, states):
+            value, fields, f_cat = spec.values[i], {}, math.nan
+            if error:
+                rows[i] = _failed(value, error)
+                continue
+            try:
+                if {"infidelity", "efficiency"} & spec.outputs:
+                    if target is None:
+                        target = make_ideal_cat(cat, grid)
+                    overlap = np.trapezoid(np.conj(state) * target.amplitudes,
+                                           dx=vacuum.dx)
+                    f_cat = _squared_overlap(overlap)
+                if "infidelity" in spec.outputs:
+                    fields["infidelity"] = 1.0 - f_cat
+                if {"probability", "efficiency"} & spec.outputs:
+                    fields["probability_density"] = p
+                if "efficiency" in spec.outputs:
+                    fields["efficiency"] = efficiency_score(f_cat, p)
+                if "wln" in spec.outputs:
+                    state = WaveFunction(grid, state, normalized=True)
+                    bounds = suggest_wigner_bounds(state)
+                    n_p = max(256, int((bounds[3] - bounds[2]) / 0.08))
+                    w = wigner_transform(state, bounds, 256, n_p)
+                    fields["wln"] = wigner_log_negativity(w)
+                rows[i] = SweepRow(variable_value=value, **fields)
+            except CvcatError as exc:
+                rows[i] = _failed(value, exc)
+    return rows
 
 
 def rows_to_csv(rows) -> str:

@@ -249,16 +249,14 @@ def _cmd_sweep(cfg) -> int:
     with np.errstate(over="ignore", invalid="ignore"):   # SweepSpec rejects inf
         inverse_s = tuple(float(v) for v in
                           np.round(10.0 ** (np.linspace(lo, hi, n) / 20.0), 15))
-    rule = "proportional_y_m_over_30" if cfg["gamma_rule"] == "ym/30" else "fixed"
     gamma = cfg["gamma"]
-    if rule == "fixed" and gamma is None:
+    if cfg["gamma_rule"] == "fixed" and gamma is None:
         raise DomainError("--gamma is required with --gamma-rule fixed")
-    fixed = GateParams(gamma=(gamma if gamma is not None else cfg["ym"] / 30.0),
-                       s=1.0, y_m=cfg["ym"])
+    if cfg["gamma_rule"] == "ym/30" and gamma is not None:
+        raise DomainError("--gamma is not allowed with --gamma-rule ym/30")
     outputs = frozenset(v.strip() for v in cfg["outputs"].split(",") if v.strip())
-    spec = SweepSpec(variable="inverse_s", values=inverse_s, fixed=fixed,
-                     gamma_rule=rule, outputs=outputs,
-                     n_grid_points=cfg["grid_points"])
+    spec = SweepSpec(values=inverse_s, y_m=cfg["ym"], gamma=gamma,
+                     outputs=outputs, n_grid_points=cfg["grid_points"])
     rows = run_sweep(spec)
     if cfg["format"] == "json":
         payload = {"spec": {"variable": "inverse_s", "db_range": [lo, hi, n],

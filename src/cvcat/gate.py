@@ -20,8 +20,8 @@ __all__ = [
     "ConditionalOutput",
     "added_factor",
     "added_factor_grid",
-    "added_factor_rows",
     "apply_gate",
+    "gate_rows",
     "outcome_probability_density",
 ]
 
@@ -49,8 +49,12 @@ def _factor_constants(params: GateParams) -> tuple:
                           "gamma = 0 is the Gaussian special case")
     log_pref = 0.5 * math.log(2.0 * s) + 0.25 * math.log(math.pi) \
         - (1.0 / 3.0) * math.log(3.0 * gamma)
-    return (y_m, log_pref, s * s / (6.0 * gamma), s ** 4 / (18.0 * gamma),
-            (3.0 * gamma) ** (-1.0 / 3.0), s ** 4 / (12.0 * gamma))
+    try:
+        s4 = s ** 4   # s*s*s*s differs from it in the last bit
+    except OverflowError:   # s >~ 1e77: the factor is not finite, by name
+        s4 = math.inf
+    return (y_m, log_pref, s * s / (6.0 * gamma), s4 / (18.0 * gamma),
+            (3.0 * gamma) ** (-1.0 / 3.0), s4 / (12.0 * gamma))
 
 
 def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift) -> np.ndarray:
@@ -66,56 +70,45 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift) -> np.ndarray:
     per setting; every element sees the same operations either way.
 
     Floating-point warnings are off in here, the Airy calls' included, under
-    one errstate context. Underflow is the factor's tails, log(0) at an
-    exact zero of Ai becomes 0 after the exponentiation, and an overflow or
-    invalid operation, here or inside the Airy code, leaves the result
-    non-finite, which _checked_finite rejects. One way to get there is a
-    small gamma: the exponent cancels two terms of size ~s^6/(108 gamma^2)
-    and, below gamma ~ 1e-10 s^3, what is left overflows."""
+    one errstate context, and nothing raises. Underflow is the factor's
+    tails, log(0) at an exact zero of Ai becomes 0 after the exponentiation,
+    and a z that overflowed (NaN out) or an overflow here or inside the Airy
+    code leaves the result non-finite, which the callers name. One way there
+    is a small gamma: the exponent cancels two terms of size
+    ~s^6/(108 gamma^2) and, below gamma ~ 1e-10 s^3, what is left overflows."""
     delta = x - y_m
     with np.errstate(all="ignore"):
         lead = log_pref + rate * (delta + exp_shift)
         z = scale * (delta + z_shift)
-        out = np.empty_like(z)
-        # scaled branch first: a z that overflowed to +inf fails there, with
-        # airy_ai_scaled's error
-        asy = z >= ASYMP_EDGE
+        out = np.full_like(z, math.nan)
+        finite = np.isfinite(z)
+        asy = finite & (z >= ASYMP_EDGE)
+        low = finite ^ asy
         if asy.any():
             za = z[asy]
             scaled = airy_ai_scaled(za)
             out[asy] = np.exp(lead[asy] - (2.0 / 3.0) * (za * np.sqrt(za))
                               + np.log(scaled))
-        low = ~asy
         if low.any():
             ai = airy_ai(z[low])
             out[low] = np.copysign(np.exp(lead[low] + np.log(np.abs(ai))), ai)
     return out
 
 
-def _checked_finite(factor: np.ndarray, rows) -> np.ndarray:
-    """factor (one row per GateParams in rows), or a DomainError naming the
-    first setting whose factor is not finite."""
-    finite = np.isfinite(factor)
-    if not finite.all():
-        bad = rows[int(np.argmin(finite.reshape(len(rows), -1).all(axis=1)))]
-        raise DomainError(
-            f"added factor is not finite at gamma={bad.gamma!r}, s={bad.s!r}, "
-            f"y_m={bad.y_m!r}")
-    return factor
-
-
-def added_factor_rows(x: np.ndarray, rows) -> np.ndarray:
-    """Airy-form factor on a 1-D coordinate array, one row per GateParams."""
-    columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
-    return _checked_finite(
-        _factor(np.asarray(x, dtype=float), *columns.transpose(1, 0, 2)), rows)
+def _not_finite(params: GateParams, factor: np.ndarray) -> DomainError:
+    what = "outcome probability density" if np.isfinite(factor).all() \
+        else "added factor"
+    return DomainError(f"{what} is not finite at gamma={params.gamma!r}, "
+                       f"s={params.s!r}, y_m={params.y_m!r}")
 
 
 def added_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
-    """Airy-form multiplicative factor evaluated on an array of coordinates:
-    the one-row case of ``added_factor_rows``."""
-    return _checked_finite(
-        _factor(np.asarray(x, dtype=float), *_factor_constants(params)), [params])
+    """Airy-form multiplicative factor evaluated on an array of coordinates,
+    or a DomainError naming the setting where it is not finite."""
+    factor = _factor(np.asarray(x, dtype=float), *_factor_constants(params))
+    if not np.isfinite(factor).all():
+        raise _not_finite(params, factor)
+    return factor
 
 
 def added_factor(x: float, params: GateParams) -> complex:
@@ -130,33 +123,53 @@ def _gaussian_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
         return math.pi ** (-0.25) / math.sqrt(s) * np.exp(-((x - y_m) ** 2) / (2.0 * s * s))
 
 
-def _unnormalized_output(input: WaveFunction, params: GateParams) -> np.ndarray:
-    if params.gamma > 0:
-        factor = added_factor_grid(input.x, params)
-    else:
-        factor = _gaussian_factor_grid(input.x, params)
-    return input.amplitudes * factor
-
-
 def norm_squared(amplitudes: np.ndarray, dx: float):
     """Trapezoid integral of |amplitudes|^2 along the last axis. On the
     unnormalized output this is P(y_m), and every route to P uses it, so
     apply_gate, outcome_probability_density and run_sweep agree to the bit."""
-    with np.errstate(over="ignore"):   # an infinite P fails the norm check
+    with np.errstate(over="ignore"):   # gate_rows names an infinite P
         return np.trapezoid(np.abs(amplitudes) ** 2, dx=dx, axis=-1)
+
+
+def gate_rows(input: WaveFunction, rows) -> tuple:
+    """The gate on one normalized input for each GateParams in rows: the
+    unnormalized outputs (rows, n), P(y_m) per row, and per row None or the
+    error that leaves its state undefined. One row is one added_factor_grid
+    call (the Gaussian factor at gamma = 0); several rows, all with
+    gamma > 0, share one _factor call."""
+    if abs(input.norm_squared() - 1.0) > 1e-6:
+        raise DomainError("the gate expects a normalized input state")
+    if len(rows) == 1:
+        try:
+            factor = (added_factor_grid(input.x, rows[0]) if rows[0].gamma > 0
+                      else _gaussian_factor_grid(input.x, rows[0]))[None]
+        except DomainError:   # not finite; named below, from its P
+            factor = np.full((1, input.n_points), math.nan)
+        unnorm = input.amplitudes * factor
+    else:
+        columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
+        factor = _factor(input.x, *columns.transpose(1, 0, 2))
+        with np.errstate(invalid="ignore"):   # inf * 0j: its row fails below
+            unnorm = input.amplitudes * factor
+    prob = norm_squared(unnorm, input.dx)
+    errors = [None] * len(rows)
+    for i, p in enumerate(prob.tolist()):
+        if not math.isfinite(p):   # so is a factor that is not finite
+            errors[i] = _not_finite(rows[i], factor[i])
+        elif p < PROBABILITY_FLOOR:
+            errors[i] = ZeroProbabilityOutcomeError(
+                f"outcome y_m={rows[i].y_m} has probability density {p}; "
+                "the conditional state is undefined")
+    return unnorm, prob, errors
 
 
 def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:
     """Condition the input on the ancilla momentum outcome params.y_m."""
-    if abs(input.norm_squared() - 1.0) > 1e-6:
-        raise DomainError("apply_gate expects a normalized input state")
-    unnorm = _unnormalized_output(input, params)
-    prob = float(norm_squared(unnorm, input.dx))
-    if prob < PROBABILITY_FLOOR:
-        raise ZeroProbabilityOutcomeError(
-            f"outcome y_m={params.y_m} has probability density {prob}; "
-            "the conditional state is undefined")
-    state = WaveFunction(input.grid, unnorm / math.sqrt(prob),
+    unnorm, prob, [error] = gate_rows(input, [params])
+    if error:
+        raise error
+    prob = float(prob[0])
+    state = WaveFunction(input.grid, unnorm[0] / math.sqrt(prob),
                          label=f"gate_output(gamma={params.gamma}, s={params.s}, "
                                f"y_m={params.y_m})",
                          normalized=True)
@@ -165,8 +178,9 @@ def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:
 
 def outcome_probability_density(input: WaveFunction, gamma: float, s: float,
                                 y_m: float) -> float:
-    """P(y_m): squared norm of the unnormalized conditional output."""
-    if abs(input.norm_squared() - 1.0) > 1e-6:
-        raise DomainError("outcome_probability_density expects a normalized input")
-    unnorm = _unnormalized_output(input, GateParams(gamma=gamma, s=s, y_m=y_m))
-    return float(norm_squared(unnorm, input.dx))
+    """P(y_m): squared norm of the unnormalized conditional output, also under
+    the probability floor; a P or factor that is not finite raises."""
+    _, prob, [error] = gate_rows(input, [GateParams(gamma=gamma, s=s, y_m=y_m)])
+    if error and not isinstance(error, ZeroProbabilityOutcomeError):
+        raise error
+    return float(prob[0])

@@ -117,7 +117,7 @@ def wigner_transform(state: WaveFunction,
 
     The y quadrature runs on the state's own grid spacing over the state's
     half-width. Raises DomainError when the x bounds truncate the state or
-    when the resulting grid fails the unit-mass check (p window too tight).
+    when the resulting grid fails the unit-mass check (few points or tight bounds).
     """
     if abs(state.norm_squared() - 1.0) > 1e-6:
         raise DomainError("wigner_transform expects a normalized state")
@@ -154,7 +154,8 @@ def wigner_transform(state: WaveFunction,
     mass = grid.mass()
     if not abs(mass - 1.0) <= 1e-3:
         raise DomainError(
-            f"bounds too tight: Wigner mass {mass} deviates from 1 by > 1e-3")
+            f"Wigner mass {mass} deviates from 1 by > 1e-3 on n_x={n_x}, "
+            f"n_p={n_p}: use more points or wider bounds")
     return grid
 
 

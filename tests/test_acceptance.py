@@ -69,9 +69,7 @@ def test_criterion_02_end_to_end_oracle():
 
 
 def infidelity_curve(y_m, inverse_s_values):
-    spec = SweepSpec(variable="inverse_s", values=inverse_s_values,
-                     fixed=GateParams(gamma=y_m / 30.0, s=1.0, y_m=y_m),
-                     gamma_rule="proportional_y_m_over_30",
+    spec = SweepSpec(values=inverse_s_values, y_m=y_m,
                      outputs=frozenset({"infidelity"}))
     rows = run_sweep(spec)
     assert all(r.error == "" for r in rows)
@@ -124,9 +122,7 @@ def test_criterion_04_probability_curves():
     details = []
     gaps = []
     for y_m in (3.0, 6.0, 9.0, 12.0, 15.0):
-        spec = SweepSpec(variable="inverse_s", values=inv_s,
-                         fixed=GateParams(gamma=y_m / 30.0, s=1.0, y_m=y_m),
-                         gamma_rule="proportional_y_m_over_30",
+        spec = SweepSpec(values=inv_s, y_m=y_m,
                          outputs=frozenset({"probability"}))
         rows = run_sweep(spec)
         assert all(r.error == "" for r in rows)

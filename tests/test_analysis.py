@@ -115,10 +115,8 @@ class TestEfficiencyScore:
             efficiency_score(0.5, -0.1)
 
     def test_interior_maximum_in_inverse_s(self):
-        spec = SweepSpec(variable="inverse_s",
-                         values=np.geomspace(1.0, 10.0, 15),
-                         fixed=GateParams(gamma=0.1, s=1.0, y_m=3.0),
-                         outputs=frozenset({"efficiency"}))
+        spec = SweepSpec(values=np.geomspace(1.0, 10.0, 15), y_m=3.0,
+                         gamma=0.1, outputs=frozenset({"efficiency"}))
         rows = run_sweep(spec)
         eff = [r.efficiency for r in rows]
         peak = int(np.argmax(eff))
@@ -127,23 +125,22 @@ class TestEfficiencyScore:
 
 class TestSweep:
     def spec(self, **kw):
-        base = dict(variable="inverse_s", values=(1.0, 2.0, 4.0),
-                    fixed=GateParams(gamma=0.1, s=1.0, y_m=3.0),
+        base = dict(values=(1.0, 2.0, 4.0), y_m=3.0, gamma=0.1,
                     outputs=frozenset({"infidelity", "probability"}))
         base.update(kw)
         return SweepSpec(**base)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            self.spec(variable="bogus")
+            self.spec(gamma=-0.1)
+        with pytest.raises(DomainError):
+            self.spec(gamma=math.nan)
         with pytest.raises(DomainError):
             self.spec(values=(2.0, 1.0))
         with pytest.raises(DomainError):
             self.spec(values=())
         with pytest.raises(DomainError):
             self.spec(outputs=frozenset({"nonsense"}))
-        with pytest.raises(DomainError):
-            self.spec(gamma_rule="sometimes")
 
     @pytest.mark.parametrize("values", [
         (1.0, math.nan, 2.0), (math.nan,), (1.0, math.inf), (-math.inf, 1.0),
@@ -153,10 +150,14 @@ class TestSweep:
             self.spec(values=values)
 
     def test_rejects_non_finite_y_m(self):
-        with pytest.raises(DomainError):
-            self.spec(variable="y_m", values=(3.0, math.nan, 6.0))
-        # y_m <= 0 is a per-row error, not a spec error
-        self.spec(variable="y_m", values=(-1.0, 0.0, 3.0))
+        for y_m in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                self.spec(y_m=y_m)
+            with pytest.raises(DomainError):
+                self.spec(y_m=y_m, gamma=None)
+        # at a fixed gamma, y_m < 0 is a per-row error, not a spec error
+        rows = run_sweep(self.spec(y_m=-1.0))
+        assert all(r.error.endswith("to derive cat parameters") for r in rows)
 
     def test_deterministic(self):
         a = run_sweep(self.spec())
@@ -185,18 +186,17 @@ class TestSweep:
         assert rows[0].infidelity == 1.0 - f
 
     def test_gamma_rule_proportional(self):
-        spec = self.spec(variable="y_m", values=(3.0, 6.0),
-                         gamma_rule="proportional_y_m_over_30",
-                         fixed=GateParams(gamma=0.1, s=0.5, y_m=3.0))
-        rows = run_sweep(spec)
+        # gamma None is y_m / 30
+        rows = run_sweep(self.spec(y_m=6.0, gamma=None))
         assert all(r.error == "" for r in rows)
+        assert list(map(repr, rows)) == list(map(
+            repr, run_sweep(self.spec(y_m=6.0, gamma=0.2))))
 
     def test_small_fixed_gamma_rows_name_the_coarse_grid(self):
         # p_plus = sqrt(y_m / 3 gamma) outgrows the 2,048-point default grid:
         # p_plus*dx is 1.22 at gamma = 1e-3, 10.5 at 1e-4 and 37 at 1e-5
         def row(gamma):
-            return run_sweep(self.spec(
-                values=(1.0,), fixed=GateParams(gamma=gamma, s=1.0, y_m=3.0)))[0]
+            return run_sweep(self.spec(values=(1.0,), gamma=gamma))[0]
 
         ok = row(1e-3)
         assert ok.error == "" and 0.0 <= ok.infidelity <= 1.0

@@ -119,6 +119,17 @@ class TestWignerCommand:
                 assert main(["wigner", flag, value]) == 64
                 assert "at least 2" in capsys.readouterr().err
 
+    def test_mass_error_names_the_axes_and_both_remedies(self, capsys):
+        # on the same automatic bounds, 32 x points fail the mass check and
+        # 256 pass: the message must not blame the bounds alone
+        assert main(["wigner", "--nx", "32", "--np", "32"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Wigner mass ") and err.count("\n") == 1
+        assert "n_x=32, n_p=32" in err
+        assert "more points" in err and "wider bounds" in err
+        assert main(["wigner", "--nx", "256", "--np", "32"]) == 0
+        capsys.readouterr()
+
     def test_axis_points_below_two_from_config_is_domain_error(self, tmp_path,
                                                                capsys):
         cfg = tmp_path / "cfg.json"
@@ -229,6 +240,22 @@ class TestSweepCommands:
         assert main(["sweep-infidelity", "--ym", "3",
                      "--gamma-rule", "fixed"]) == 1
         capsys.readouterr()
+
+    def test_gamma_under_the_ym_over_30_rule_is_refused(self, tmp_path,
+                                                        capsys):
+        # y_m/30 sets gamma, so a --gamma, as a flag or a config key, would
+        # be silently ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 0.2}))
+        out = tmp_path / "prob.csv"
+        for argv in (["--gamma", "0.2"], ["--config", str(cfg)],
+                     ["--gamma", "0.2", "--gamma-rule", "ym/30"]):
+            assert main(["sweep-probability", "--db-range", "0:20:5",
+                         "--out", str(out)] + argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--gamma " in err and "--gamma-rule ym/30" in err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

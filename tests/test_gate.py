@@ -9,14 +9,15 @@ from cvcat.gate import added_factor, added_factor_grid, apply_gate, \
     outcome_probability_density
 from cvcat.special_numerics import integrate_oscillatory_gaussian
 from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
-from cvcat.analysis import phase_aligned_l2
+from cvcat.analysis import SweepSpec, phase_aligned_l2, run_sweep
 
 
 # (gamma, y_m) at s = 1 where the factor overflows: the closed form's
 # exponent at the three small gammas (the third is y_m = 5e-161 under the
-# y_m/30 rule), and the Airy phase zeta at |z| ~ 1e206
+# y_m/30 rule), the Airy phase zeta at |z| ~ 1e206, and z itself at
+# gamma = 1e-300
 OVERFLOWING = [(1e-12, 3.0), (1e-100, 3.0), (5e-161 / 30.0, 5e-161),
-               (0.1, 1e206)]
+               (0.1, 1e206), (1e-300, 3.0)]
 
 
 def vacuum(grid=None):
@@ -120,6 +121,20 @@ class TestAddedFactor:
             added_factor_grid(np.linspace(-10.0, 10.0, 64), params)
         with pytest.raises(DomainError, match=named):
             apply_gate(vacuum(), params)
+        with pytest.raises(DomainError, match=named):
+            outcome_probability_density(vacuum(), gamma, 1.0, y_m)
+
+    def test_overflowing_s_to_the_fourth_is_named(self):
+        """From s ~ 1e77 on, s ** 4 overflows. Every entry point fails with
+        the named factor error, not a bare OverflowError."""
+        named = ("added factor is not finite at gamma=0.1, s=1e+100, "
+                 "y_m=3.0")
+        with pytest.raises(DomainError, match=re.escape(named)):
+            apply_gate(vacuum(), GateParams(gamma=0.1, s=1e100, y_m=3.0))
+        with pytest.raises(DomainError, match=re.escape(named)):
+            outcome_probability_density(vacuum(), 0.1, 1e100, 3.0)
+        [row] = run_sweep(SweepSpec(values=(1e-100,), y_m=3.0, gamma=0.1))
+        assert row.error == "DomainError: " + named
 
     def test_gamma_zero_routed_to_special_case(self):
         with pytest.raises(DomainError):
@@ -176,6 +191,15 @@ class TestApplyGate:
             apply_gate(doubled, GateParams(gamma=0.1, s=1.0, y_m=3.0))
         with pytest.raises(DomainError):
             outcome_probability_density(doubled, 0.1, 1.0, 3.0)
+
+    def test_overflowing_probability_is_named(self):
+        # at s = 1e3 the factor is finite but |psi~|^2 overflows
+        named = re.escape("outcome probability density is not finite at "
+                          "gamma=0.1, s=1000.0, y_m=3.0")
+        with pytest.raises(DomainError, match=named):
+            outcome_probability_density(vacuum(), 0.1, 1e3, 3.0)
+        with pytest.raises(DomainError, match=named):
+            apply_gate(vacuum(), GateParams(gamma=0.1, s=1e3, y_m=3.0))
 
     def test_probability_density_consistency(self):
         params = GateParams(gamma=0.2, s=0.8, y_m=4.0)

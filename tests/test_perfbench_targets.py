@@ -8,7 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from cvcat import analysis, oracle, states
+from cvcat import analysis, cli, gate, oracle, states
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,9 +29,10 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_counters_read_the_traced_layers():
-    """The counters read WaveFunction attributes (n_points, x_min, x_max);
-    one small call of each such layer, traced, gives the expected counts."""
+def test_counters_read_the_traced_layers(tmp_path):
+    """The counters read WaveFunction attributes (n_points, x_min, x_max)
+    and sweep rows; one small call of each such layer, traced, gives the
+    expected counts. The sweep's 1/s = 1e-3 row fails (P overflows)."""
     tracer = load_tracing().Tracer()
     params = states.GateParams(gamma=0.1, s=1.0, y_m=3.0)
     with tracer.installed():
@@ -40,9 +41,21 @@ def test_counters_read_the_traced_layers():
         analysis.fidelity(a, a)
         analysis.fidelity(a, b)
         oracle.oracle_two_mode(a, params)
+        gate.apply_gate(a, params)
+        assert cli.main(["sweep-probability", "--db-range=-60:0:3",
+                         "--grid-points", "64",
+                         "--out", str(tmp_path / "sweep.csv")]) == 0
     totals, _ = tracer.take()
-    assert totals["states.constructors"]["calls"] == 2
-    assert totals["states.constructors"]["points"] == 64 + 80
+    assert totals["gate.apply_gate"]["calls"] == 1
+    # one apply_gate; the sweep's three rows share one factor call
+    assert totals["gate.added_factor_grid"]["calls"] == 1
+    assert totals["gate.added_factor_grid"]["points"] == 64
+    assert totals["analysis.run_sweep"]["calls"] == 1
+    assert totals["analysis.run_sweep"]["rows"] == 3
+    assert totals["analysis.run_sweep"]["failed_rows"] == 1
+    # a and b, then the sweep's one vacuum
+    assert totals["states.constructors"]["calls"] == 3
+    assert totals["states.constructors"]["points"] == 64 + 80 + 64
     assert totals["analysis.fidelity"]["calls"] == 2
     assert totals["analysis.fidelity"]["resampled"] == 1
     n_ancilla = oracle.ancilla_grid_for(params, 64).n_points
