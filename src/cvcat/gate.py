@@ -58,24 +58,28 @@ def _factor_constants(params: GateParams) -> tuple:
 
 
 def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift) -> np.ndarray:
-    """Assembled in log space: log-prefactor, exponent argument and log |Ai|
-    are summed before a single exponentiation, so the growing exponential
-    never meets the decaying Ai at overflow scale. On the asymptotic side,
-    z >= ASYMP_EDGE, Ai = airy_ai_scaled(z) exp(-zeta) can underflow, so the
-    scaled form enters with -zeta added to the exponent. Below the edge Ai
-    is no smaller than Ai(9) ~ 1e-10 (away from its zeros on z < 0), so the
-    plain Ai enters as log |Ai|, its sign restored after the exponentiation.
+    """The factor exp(lead) Ai(z), lead = log_pref + rate (delta + exp_shift).
+
+    Neither exponential can overflow, but by the rounding named below.
+    With a = s^2/(6 gamma),
+    lead - log_pref = a (3 gamma)^(1/3) z - gamma a^3, which over a is at
+    most zeta = (2/3) z^(3/2), reached at z = a^2 (3 gamma)^(2/3); on z < 0
+    it is negative. So below the edge, z < ASYMP_EDGE, lead <= log_pref + 18
+    and the factor is exp(lead) Ai(z). At and above the edge,
+    lead - zeta <= log_pref and the factor is exp(lead - zeta) times the
+    scaled Ai, so the growing exponential never meets the decaying Ai at
+    overflow scale. log_pref itself stays below 620 for every finite s and
+    positive gamma.
 
     Float constants give an array shaped like x, (rows, 1) columns one row
     per setting; every element sees the same operations either way.
 
     Floating-point warnings are off in here, the Airy calls' included, under
     one errstate context, and nothing raises. Underflow is the factor's
-    tails, log(0) at an exact zero of Ai becomes 0 after the exponentiation,
-    and a z that overflowed (NaN out) or an overflow here or inside the Airy
-    code leaves the result non-finite, which the callers name. One way there
-    is a small gamma: the exponent cancels two terms of size
-    ~s^6/(108 gamma^2) and, below gamma ~ 1e-10 s^3, what is left overflows."""
+    tails, and a z that overflowed (NaN out) or an overflow left by rounding
+    leaves the result non-finite, which the callers name. One way there is a
+    small gamma: lead cancels two terms of size ~s^6/(108 gamma^2) and,
+    below gamma ~ 1e-10 s^3, what the rounding leaves overflows."""
     delta = x - y_m
     with np.errstate(all="ignore"):
         lead = log_pref + rate * (delta + exp_shift)
@@ -86,12 +90,10 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift) -> np.ndarray:
         low = finite ^ asy
         if asy.any():
             za = z[asy]
-            scaled = airy_ai_scaled(za)
-            out[asy] = np.exp(lead[asy] - (2.0 / 3.0) * (za * np.sqrt(za))
-                              + np.log(scaled))
+            out[asy] = airy_ai_scaled(za) \
+                * np.exp(lead[asy] - (2.0 / 3.0) * (za * np.sqrt(za)))
         if low.any():
-            ai = airy_ai(z[low])
-            out[low] = np.copysign(np.exp(lead[low] + np.log(np.abs(ai))), ai)
+            out[low] = airy_ai(z[low]) * np.exp(lead[low])
     return out
 
 
@@ -117,40 +119,48 @@ def added_factor(x: float, params: GateParams) -> complex:
 
 
 def _gaussian_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
-    """gamma = 0 limit of the added factor (Gaussian Fourier identity)."""
+    """gamma = 0 limit of the added factor (Gaussian Fourier identity). The
+    exponent is formed as -((x - y_m)/s)^2 / 2: a tiny s overflows the ratio
+    to a factor of 0, where 2 s^2 would underflow to a division by zero."""
     s, y_m = params.s, params.y_m
-    with np.errstate(under="ignore"):
-        return math.pi ** (-0.25) / math.sqrt(s) * np.exp(-((x - y_m) ** 2) / (2.0 * s * s))
+    with np.errstate(over="ignore", under="ignore"):
+        return math.pi ** (-0.25) / math.sqrt(s) * np.exp(-0.5 * ((x - y_m) / s) ** 2)
 
 
 def norm_squared(amplitudes: np.ndarray, dx: float):
-    """Trapezoid integral of |amplitudes|^2 along the last axis. On the
-    unnormalized output this is P(y_m), and every route to P uses it, so
-    apply_gate, outcome_probability_density and run_sweep agree to the bit."""
-    with np.errstate(over="ignore"):   # gate_rows names an infinite P
-        return np.trapezoid(np.abs(amplitudes) ** 2, dx=dx, axis=-1)
+    """Trapezoid integral of |amplitudes|^2 along the last axis of a complex
+    array: the sum of squares of its float view, the two end points at half
+    weight, every row reduced the same way. On the unnormalized output this
+    is P(y_m), and every route to P uses it, so apply_gate,
+    outcome_probability_density and run_sweep agree to the bit."""
+    f = amplitudes.view(float)
+    ends = f[..., [0, 1, -2, -1]]
+    with np.errstate(over="ignore", invalid="ignore"):   # gate_rows names it
+        return dx * (np.vecdot(f, f) - 0.5 * np.vecdot(ends, ends))
 
 
 def gate_rows(input: WaveFunction, rows) -> tuple:
     """The gate on one normalized input for each GateParams in rows: the
     unnormalized outputs (rows, n), P(y_m) per row, and per row None or the
-    error that leaves its state undefined. One row is one added_factor_grid
-    call (the Gaussian factor at gamma = 0); several rows, all with
-    gamma > 0, share one _factor call."""
+    error that leaves its state undefined. A lone gamma > 0 row is one
+    added_factor_grid call; otherwise the gamma > 0 rows share one _factor
+    call and each gamma = 0 row takes the Gaussian factor."""
     if abs(input.norm_squared() - 1.0) > 1e-6:
         raise DomainError("the gate expects a normalized input state")
-    if len(rows) == 1:
+    if len(rows) == 1 and rows[0].gamma > 0:
         try:
-            factor = (added_factor_grid(input.x, rows[0]) if rows[0].gamma > 0
-                      else _gaussian_factor_grid(input.x, rows[0]))[None]
+            factor = added_factor_grid(input.x, rows[0])[None]
         except DomainError:   # not finite; named below, from its P
             factor = np.full((1, input.n_points), math.nan)
-        unnorm = input.amplitudes * factor
     else:
-        columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
-        factor = _factor(input.x, *columns.transpose(1, 0, 2))
-        with np.errstate(invalid="ignore"):   # inf * 0j: its row fails below
-            unnorm = input.amplitudes * factor
+        cubic = [p for p in rows if p.gamma > 0]
+        if cubic:
+            columns = np.array([_factor_constants(p) for p in cubic])[:, :, None]
+            shared = iter(_factor(input.x, *columns.transpose(1, 0, 2)))
+        factor = np.array([next(shared) if p.gamma > 0
+                           else _gaussian_factor_grid(input.x, p) for p in rows])
+    with np.errstate(invalid="ignore"):   # inf * 0j: its row fails below
+        unnorm = input.amplitudes * factor
     prob = norm_squared(unnorm, input.dx)
     errors = [None] * len(rows)
     for i, p in enumerate(prob.tolist()):

@@ -1,13 +1,8 @@
 """Real-argument Airy function and the oracle's oscillatory-Gaussian quadrature.
 
-Ai(z) is assembled from three regimes, each a fixed-length Horner evaluation
+Ai(z) is assembled from two regimes, each a fixed-length Horner evaluation
 over coefficients built once at import:
 
-* ``|z| <= 4``      -- Maclaurin series, a polynomial in w = z^3 with Ai(0)
-                       and Ai'(0) folded into its coefficients (21 terms; the
-                       first omitted one is below 5e-22 absolute, 5e-19 of
-                       Ai(4), the smallest |Ai| there away from its zeros),
-                       each coefficient formed as Horner reaches it,
 * ``|z| >= 9``      -- Poincare asymptotic expansions, a polynomial in
                        -1/zeta on the positive side and in -1/zeta^2 on the
                        oscillatory side. Their 20-term sums (the first
@@ -17,27 +12,23 @@ over coefficients built once at import:
                        terms, within 1.1e-16 of the 20-term values; the
                        oscillatory side takes cos and sin of its phase from
                        one tangent of the half phase,
-* ``4 < |z| < 9``   -- Taylor expansions about anchor nodes 0.25 apart,
-                       summed to 14 terms in the offset (at most 0.125)
-                       from the nearest anchor, with the coefficients
+* ``|z| < 9``       -- the bridge: Taylor expansions about 73 anchor nodes
+                       0.25 apart, summed to 14 terms in the offset (at most
+                       0.125) from the nearest anchor, with the coefficients
                        gathered from a contiguous (terms x anchors) table.
 
 Every point takes its regime's one formula, so a value never depends on the
 array it is evaluated in.
 
-The bridge exists because neither expansion reaches full double accuracy on
-the seam: the Maclaurin cancellation grows like exp((2/3)|z|^(3/2)) while the
-asymptotic optimal-truncation error only decays like exp(-(4/3)|z|^(3/2)).
-Matching both at |z| in [4, 6] bottoms out near 1e-9 absolute, which is not
-enough for the gate's closed-form/quadrature cross-checks near Airy zeros.
 The anchor values come from stepping the ODE ``Ai'' = z Ai`` inward from the
-asymptotic region, seeded with (Ai, Ai') at z = +-9. That seed is the only
-place Ai' is computed, from all 20 Poincare terms. Each 0.25 step sums 30
-Taylor terms, so the anchors carry no truncation error forward; evaluation
-needs only 14, because the offset from an anchor is at most half a step.
-Against a 30-digit reference on the bridge, 14 terms give the same worst
-(3e-12) and median (3e-16) relative errors as 30; at 10 terms the worst
-rises to 4e-11.
+asymptotic region, seeded with (Ai, Ai') at z = +-9, 36 steps to z = 0 on
+each side. That seed is the only place Ai' is computed, from all 20 Poincare
+terms. Each 0.25 step sums 30 Taylor terms, so the anchors carry no
+truncation error forward; evaluation needs only 14, because the offset from
+an anchor is at most half a step. Against a 30-digit reference at step 1/64,
+the worst error is 6.4e-16 relative on 0 < z < 9 and 1.4e-15 of the envelope
+sqrt(Ai^2 + Bi^2) on -9 < z < 0. A Maclaurin series in its place near
+z = 0 would cancel to 1e-5 of its terms by z = 4 and lose 1e-12 there.
 
 The quadrature at the end of the module shares no code with the Airy
 evaluation, so the oracle built on it stays an independent check.
@@ -57,26 +48,19 @@ __all__ = [
     "integrate_oscillatory_gaussian",
 ]
 
-# Ai(0) = 3^(-2/3)/Gamma(2/3),  Ai'(0) = -3^(-1/3)/Gamma(1/3)
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-
-_SERIES_EDGE = 4.0   # Maclaurin for |z| <= 4
-ASYMP_EDGE = 9.0     # asymptotic for |z| >= 9
+ASYMP_EDGE = 9.0     # asymptotic for |z| >= 9, the bridge below
 # the smallest asymptotic zeta, (2/3) ASYMP_EDGE^(3/2) = 18, rounded down to
 # an integer so that the economization's Chebyshev coefficients are exact
 _ZETA_EDGE = math.floor(2.0 * ASYMP_EDGE ** 1.5 / 3.0)
 _NODE_STEP = 0.25    # anchor spacing on the bridge
 _TAYLOR_TERMS = 30   # per anchor-to-anchor step
 _BRIDGE_TERMS = 14   # per evaluation, |offset| <= _NODE_STEP / 2
-_N_SERIES = 21
 _N_ASY = 20
 
 
 def _horner(coeffs, x):
-    """Sum over k of coeffs[k] * x**k; coeffs[k] is a scalar or a row that
-    broadcasts against x. In place on arrays, which saves a temporary per
-    operation."""
+    """Sum over k of coeffs[k] * x**k for float coefficients. In place on
+    arrays, which saves a temporary per operation."""
     acc = coeffs[-1] * x + coeffs[-2]
     for c in coeffs[-3::-1]:
         acc *= x
@@ -120,47 +104,18 @@ def _economize(coeffs, scale: int, n_terms: int) -> np.ndarray:
     return np.array(a[:n_terms])
 
 
-# Ai(z) = sum_k A_k w^k + z sum_k B_k w^k with w = z^3
-_SERIES_A = np.array([_AI0 / math.prod(3 * j * (3 * j - 1) for j in range(1, k + 1))
-                      for k in range(_N_SERIES)])
-_SERIES_B = np.array([_AIP0 / math.prod(3 * j * (3 * j + 1) for j in range(1, k + 1))
-                      for k in range(_N_SERIES)])
 _U = _asymptotic_u(_N_ASY)
 # v_k enter the expansion of Ai', needed only for the bridge seed
 _V = _U * (6.0 * np.arange(_N_ASY) + 1.0) / (1.0 - 6.0 * np.arange(_N_ASY))
 _V[0] = 1.0
-# The oscillatory side sums even and odd k separately; row j holds
-# (u_2j, u_2j+1), each sign (-1)^j carried by the variable -1/zeta^2.
-_V_NEG = _V.reshape(-1, 2)[:, :, None]
 # zeta >= _ZETA_EDGE wherever |z| >= ASYMP_EDGE, so -1/zeta lies in
 # [-1/_ZETA_EDGE, 0] and -1/zeta^2 in [-1/_ZETA_EDGE^2, 0]; economized there,
 # the value sums move from the 20-term ones by at most 1.1e-16.
-_U_POS = _economize(_U, 2 * _ZETA_EDGE, 10)
-# The oscillatory rows hold (even, odd) economized to 7 and 8 terms, the
-# even column topped with a zero, which leaves its sum unchanged.
-_U_NEG = np.stack([np.append(_economize(_U[0::2], 2 * _ZETA_EDGE ** 2, 7), 0.0),
-                   _economize(_U[1::2], 2 * _ZETA_EDGE ** 2, 8)], axis=1)[:, :, None]
-
-
-def _series(z):
-    """Ai by its Maclaurin series, |z| <= _SERIES_EDGE.
-
-    One Horner sum in w with coefficients A_k + z B_k. Near z = 4 the two
-    sums cancel to 1e-5 of their size; pairing their terms keeps the partial
-    sums smaller, and with them the rounding: the worst relative error on
-    [2, 4] against a 30-digit reference is 2.5e-12, against 8.9e-12 when the
-    two sums are formed apart. Each coefficient is formed as its term is
-    reached, with no (terms x points) matrix.
-    """
-    w = z * z * z
-    acc = _SERIES_A[-1] + _SERIES_B[-1] * z
-    term = np.empty_like(acc)
-    for a, b in zip(_SERIES_A[-2::-1].tolist(), _SERIES_B[-2::-1].tolist()):
-        np.multiply(z, b, out=term)
-        term += a
-        acc *= w
-        acc += term
-    return acc
+_U_POS = _economize(_U, 2 * _ZETA_EDGE, 10).tolist()
+# The oscillatory side sums even and odd k apart, each sign (-1)^j carried
+# by the variable -1/zeta^2: (even, odd), economized to 7 and 8 terms.
+_U_NEG = (_economize(_U[0::2], 2 * _ZETA_EDGE ** 2, 7).tolist(),
+          _economize(_U[1::2], 2 * _ZETA_EDGE ** 2, 8).tolist())
 
 
 def _zeta(w):
@@ -194,7 +149,8 @@ def _asymptotic_neg(z):
     zeta = (2.0 / 3.0) * w * root
     half = 0.5 * zeta
     t = np.tan(half - 0.125 * math.pi)
-    even, odd = _horner(_U_NEG, -1.0 / (zeta * zeta))
+    v = -1.0 / (zeta * zeta)
+    even, odd = _horner(_U_NEG[0], v), _horner(_U_NEG[1], v)
     return (even + t * (odd / half - t * even)) \
         / ((1.0 + t * t) * (math.sqrt(math.pi) * np.sqrt(root)))
 
@@ -210,7 +166,8 @@ def _edge_pair(z: float):
             / (2.0 * math.sqrt(math.pi))
     else:
         ph = zeta - 0.25 * math.pi
-        even, odd = _horner(_V_NEG, -1.0 / (zeta * zeta))
+        v = -1.0 / (zeta * zeta)
+        even, odd = _horner(_V[0::2], v), _horner(_V[1::2], v)
         ai = _asymptotic_neg(-w)
         aip = quart * (np.sin(ph) * even - np.cos(ph) * odd / zeta) / math.sqrt(math.pi)
     return float(ai[0]), float(aip[0])
@@ -225,22 +182,22 @@ def _taylor_row(z0: float, ai: float, aip: float) -> list:
 
 
 def _build_bridge_table():
-    """Taylor coefficients about the anchors z0 = k _NODE_STEP,
-    4 <= |z0| <= 9, as a (_BRIDGE_TERMS, anchors) table whose column
-    k + _BRIDGE_K0 holds anchor k; the columns for |z0| < 4 are never read.
+    """Taylor coefficients about the anchors z0 = k _NODE_STEP, |z0| <= 9, as
+    a (_BRIDGE_TERMS, anchors) table whose column k + _BRIDGE_K0 holds
+    anchor k.
 
     Each side is stepped by the full _TAYLOR_TERMS series from its seed at
-    |z| = 9 towards |z| = 4. The positive side runs downward, where Ai is the
+    |z| = 9 to z = 0. The positive side runs downward, where Ai is the
     growing solution, so the recessive Bi admixture decays; the oscillatory
-    side has no exponential separation.
+    side has no exponential separation. The positive side is stepped last,
+    so its value holds the shared anchor z0 = 0.
     """
-    n_steps = round((ASYMP_EDGE - _SERIES_EDGE) / _NODE_STEP)
     k0 = round(ASYMP_EDGE / _NODE_STEP)
-    table = np.full((_BRIDGE_TERMS, 2 * k0 + 1), np.nan)
-    for z0 in (ASYMP_EDGE, -ASYMP_EDGE):
+    table = np.empty((_BRIDGE_TERMS, 2 * k0 + 1))
+    for z0 in (-ASYMP_EDGE, ASYMP_EDGE):
         h = -math.copysign(_NODE_STEP, z0)
         ai, aip = _edge_pair(z0)
-        for _ in range(n_steps + 1):
+        for _ in range(k0 + 1):
             c = _taylor_row(z0, ai, aip)
             table[:, round(z0 / _NODE_STEP) + k0] = c[:_BRIDGE_TERMS]
             ai = _horner(c, h)
@@ -253,21 +210,26 @@ _BRIDGE_K0, _BRIDGE_T = _build_bridge_table()
 
 
 def _bridge(z):
-    """Ai on 4 < |z| < 9 by the Taylor column of the nearest anchor."""
+    """Ai on |z| < 9 by the Taylor column of the nearest anchor, summed by
+    Horner with each term's coefficients gathered as it is reached: a
+    (terms x points) gather is slower on sweep-sized blocks, where it no
+    longer stays in cache."""
     k = np.floor(z / _NODE_STEP + 0.5)
-    cols = _BRIDGE_T.take(k.astype(np.intp) + _BRIDGE_K0, axis=1)
-    return _horner(cols, z - k * _NODE_STEP)
+    cols = k.astype(np.intp) + _BRIDGE_K0
+    offset = z - k * _NODE_STEP
+    acc = _BRIDGE_T[-1].take(cols)
+    for row in _BRIDGE_T[-2::-1]:
+        acc *= offset
+        acc += row.take(cols)
+    return acc
 
 
 def _ai(z):
     """Ai(z) for a finite float array."""
     ai = np.empty_like(z)
-    m_ser = np.abs(z) <= _SERIES_EDGE
     m_pos = z >= ASYMP_EDGE
     m_neg = z <= -ASYMP_EDGE
-    m_bri = ~(m_ser | m_pos | m_neg)
-    if m_ser.any():
-        ai[m_ser] = _series(z[m_ser])
+    m_bri = ~(m_pos | m_neg)
     if m_pos.any():
         zp = z[m_pos]
         zeta = _zeta(zp)

@@ -6,7 +6,7 @@ import pytest
 
 from cvcat.errors import DomainError, ZeroProbabilityOutcomeError
 from cvcat.gate import added_factor, added_factor_grid, apply_gate, \
-    outcome_probability_density
+    gate_rows, outcome_probability_density
 from cvcat.special_numerics import integrate_oscillatory_gaussian
 from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
 from cvcat.analysis import SweepSpec, phase_aligned_l2, run_sweep
@@ -135,6 +135,49 @@ class TestAddedFactor:
             outcome_probability_density(vacuum(), 0.1, 1e100, 3.0)
         [row] = run_sweep(SweepSpec(values=(1e-100,), y_m=3.0, gamma=0.1))
         assert row.error == "DomainError: " + named
+
+    @pytest.mark.parametrize("gamma", [1e-9, 1e-4, 0.1, 10.0])
+    def test_exponentials_stay_below_their_bounds(self, gamma,
+                                                  reference_integral):
+        """With a = s^2/(6 gamma), the exponent over log_pref is at most
+        zeta(z), reached where z = a^2 (3 gamma)^(2/3), which is x = y_m.
+        s^2 = 2 sqrt(z) (3 gamma)^(2/3) puts that worst case at z = 9, just
+        under it (below the edge, where exp(lead) Ai(z) is at its largest)
+        and at z = 20 and 50 (above it, where lead - zeta = log_pref). The
+        factor is finite there and matches the closed form."""
+        scale = (3.0 * gamma) ** (-1.0 / 3.0)
+        for z_star in (9.0, 20.0, 50.0):
+            s = math.sqrt(2.0 * math.sqrt(z_star) * (3.0 * gamma) ** (2.0 / 3.0))
+            assert 1e-3 <= s <= 1e3
+            x = np.array([-1e-9 / scale, 0.0])
+            got = added_factor_grid(x, GateParams(gamma=gamma, s=s, y_m=0.0))
+            norm = math.sqrt(s) / (math.pi ** 0.75 * math.sqrt(2.0))
+            want = np.array([norm * reference_integral(v, gamma, s).real
+                             for v in x])
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want) / want) <= 1e-12, z_star
+
+    def test_gamma_zero_at_tiny_s(self):
+        """Below s ~ 1e-162, 2 s^2 underflows to 0; the Gaussian exponent is
+        formed from (x - y_m)/s, so P comes back. It is 0 here, as no grid
+        point lies within s of y_m, and the state fails by name."""
+        for s, y_m in ((1e-200, 0.0), (1e-170, 0.3)):
+            assert outcome_probability_density(vacuum(), 0.0, s, y_m) == 0.0
+            with pytest.raises(ZeroProbabilityOutcomeError):
+                apply_gate(vacuum(), GateParams(gamma=0.0, s=s, y_m=y_m))
+
+    def test_gamma_zero_rows_in_a_block(self):
+        """gamma = 0 rows take the Gaussian factor in a block as they do
+        alone, next to the gamma > 0 rows that share one factor call."""
+        rows = [GateParams(0.0, 1.0, 0.0), GateParams(0.1, 0.7, 3.0),
+                GateParams(0.0, 0.5, 0.0), GateParams(0.2, 0.5, -2.0)]
+        unnorm, prob, errors = gate_rows(vacuum(), rows)
+        assert errors == [None] * len(rows)
+        for i, row in enumerate(rows):
+            one, [p], [error] = gate_rows(vacuum(), [row])
+            assert error is None
+            assert repr(prob[i]) == repr(p)
+            assert repr(unnorm[i].tolist()) == repr(one[0].tolist())
 
     def test_gamma_zero_routed_to_special_case(self):
         with pytest.raises(DomainError):

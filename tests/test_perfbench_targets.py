@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from cvcat import analysis, cli, gate, oracle, states
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -61,3 +63,28 @@ def test_counters_read_the_traced_layers(tmp_path):
     n_ancilla = oracle.ancilla_grid_for(params, 64).n_points
     assert totals["oracle.oracle_two_mode"]["entries"] == 64 * n_ancilla
     assert totals["oracle.oracle_two_mode"]["points"] == 64
+
+
+def test_airy_counters_see_every_gate_point(monkeypatch):
+    """One outcome whose z range crosses both Airy edges, z = -9 and 9: the
+    gate makes one airy_ai call below z = 9 and one airy_ai_scaled call at
+    and above it, and the traced Airy points add up to the grid."""
+    calls = []
+    for name in ("airy_ai", "airy_ai_scaled"):
+        def spy(z, fn=getattr(gate, name), name=name):
+            calls.append((name, np.size(z)))
+            return fn(z)
+        monkeypatch.setattr(gate, name, spy)
+    vacuum = states.make_squeezed_vacuum(1.0, states.GridSpec(-10.0, 10.0, 2048))
+    gamma, s, y_m = 0.1, 1.0, 0.0
+    z = (3.0 * gamma) ** (-1.0 / 3.0) * (vacuum.x - y_m + s ** 4 / (12.0 * gamma))
+    assert z.min() < -9.0 and z.max() > 9.0
+    n_scaled = int(np.count_nonzero(z >= 9.0))
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        gate.outcome_probability_density(vacuum, gamma, s, y_m)
+    totals, _ = tracer.take()
+    assert totals["special_numerics.airy"]["calls"] == 2
+    assert totals["special_numerics.airy"]["points"] == 2048
+    assert sorted(calls) == [("airy_ai", 2048 - n_scaled),
+                             ("airy_ai_scaled", n_scaled)]
