@@ -12,8 +12,8 @@ from .errors import CvcatError, DomainError
 from .gate import PROBABILITY_FLOOR, apply_gate, gate_rows
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
-from .states import GateParams, GridSpec, WaveFunction, cat_params_from_gate, \
-    default_grid, make_ideal_cat, make_squeezed_vacuum
+from .states import NORM_TOLERANCE, GateParams, GridSpec, WaveFunction, \
+    cat_params_from_gate, default_grid, make_ideal_cat, make_squeezed_vacuum
 
 __all__ = [
     "fidelity",
@@ -42,7 +42,7 @@ def fidelity(a: WaveFunction, b: WaveFunction) -> float:
     """|<a|b>|^2 by trapezoidal overlap; mismatched grids are reconciled by
     sinc-resampling the coarser state onto the finer grid."""
     for wf in (a, b):
-        if abs(wf.norm_squared() - 1.0) > 1e-6:
+        if abs(wf.norm_squared() - 1.0) > NORM_TOLERANCE:
             raise DomainError("fidelity requires normalized states")
     if a.grid != b.grid:
         if a.dx <= b.dx:

@@ -55,7 +55,8 @@ def _axis_points(text: str) -> int:
 _FLAGS = {
     "kind": {"choices": ("vacuum", "squeezed", "cubic", "cat")},
     "source": {"choices": ("output", "cubic", "cat", "vacuum")},
-    "gamma": {"type": float, "help": "cubic deformation coefficient"},
+    "gamma": {"type": float,
+              "help": "cubic deformation coefficient (sweeps: y_m/30 if absent)"},
     "ym": {"type": float, "help": "ancilla momentum outcome"},
     "db": {"type": float, "help": "initial ancilla squeezing in dB"},
     "format": {"choices": ("csv", "json"), "help": "output format"},
@@ -67,7 +68,6 @@ _FLAGS = {
     "nx": {"type": _axis_points},
     "np": {"type": _axis_points},
     "db_range": {"help": "lo:hi[:n] in dB"},
-    "gamma_rule": {"choices": ("fixed", "ym/30")},
     "outputs": {"help": "comma list of row outputs"},
     "sigma_level": {"type": float},
     "n_boundary": {"type": int},
@@ -143,10 +143,17 @@ def _emit(text: str, out_path):
 
 
 def _grid_for(cfg, p_plus: float) -> GridSpec:
-    if cfg["grid_half_width"]:
+    if cfg["grid_half_width"] is not None:
         return GridSpec(-cfg["grid_half_width"], cfg["grid_half_width"],
                         cfg["grid_points"])
     return default_grid(p_plus, cfg["grid_points"])
+
+
+def _gate_settings(cfg):
+    """The gate settings, the cat they herald and the grid for both."""
+    params = GateParams(gamma=cfg["gamma"], s=db_to_s(cfg["db"]), y_m=cfg["ym"])
+    cat = cat_params_from_gate(params)
+    return params, cat, _grid_for(cfg, cat.p_plus)
 
 
 def _build_state(cfg):
@@ -156,22 +163,24 @@ def _build_state(cfg):
         return make_squeezed_vacuum(1.0, _grid_for(cfg, 0.0))
     if kind in ("squeezed", "cubic"):
         s = db_to_s(cfg["db"])
-        grid = _grid_for(cfg, 0.0) if cfg["grid_half_width"] \
+        grid = _grid_for(cfg, 0.0) if cfg["grid_half_width"] is not None \
             else GridSpec(-10.0 / s, 10.0 / s, cfg["grid_points"])
         if kind == "squeezed":
             return make_squeezed_vacuum(s, grid)
         return make_cubic_phase_state(cfg["gamma"], s, grid)
-    cat = cat_params_from_gate(
-        GateParams(gamma=cfg["gamma"], s=db_to_s(cfg["db"]), y_m=cfg["ym"]))
-    return make_ideal_cat(cat, _grid_for(cfg, cat.p_plus))
+    return make_ideal_cat(*_gate_settings(cfg)[1:])
 
 
 def _gate_output(cfg):
     """The gate settings and the gate's output for an input vacuum."""
-    params = GateParams(gamma=cfg["gamma"], s=db_to_s(cfg["db"]), y_m=cfg["ym"])
-    cat = cat_params_from_gate(params)
-    vacuum = make_squeezed_vacuum(1.0, _grid_for(cfg, cat.p_plus))
-    return params, apply_gate(vacuum, params)
+    params, _, grid = _gate_settings(cfg)
+    return params, apply_gate(make_squeezed_vacuum(1.0, grid), params)
+
+
+def _json(head: dict, **bulk) -> str:
+    """A JSON document: the head's fields, the version, then the bulk data."""
+    return json.dumps({**head, "version": __version__, **bulk},
+                      default=float) + "\n"
 
 
 def _state_csv(wf) -> str:
@@ -179,30 +188,26 @@ def _state_csv(wf) -> str:
     return "x,re,im\n" + _csv_matrix(np.column_stack([wf.x, amp.real, amp.imag]))
 
 
-def _cmd_state(cfg) -> int:
+# each _cmd_* returns its output document, which main writes, and exit code
+def _cmd_state(cfg) -> tuple[str, int]:
     wf = _build_state(cfg)
-    if cfg["format"] == "json":
-        _emit(wavefunction_to_json(wf) + "\n", cfg["out"])
-    else:
-        _emit(_state_csv(wf), cfg["out"])
-    return EXIT_OK
+    if cfg["format"] == "csv":
+        return _state_csv(wf), EXIT_OK
+    return wavefunction_to_json(wf) + "\n", EXIT_OK
 
 
-def _cmd_gate(cfg) -> int:
+def _cmd_gate(cfg) -> tuple[str, int]:
     params, out = _gate_output(cfg)
-    if cfg["format"] == "json":
-        rec = json.loads(wavefunction_to_json(out.state))
-        payload = {"probability_density": out.probability_density,
-                   "gamma": params.gamma, "s": params.s, "y_m": params.y_m,
-                   "version": __version__, "state": rec}
-        _emit(json.dumps(payload) + "\n", cfg["out"])
-    else:
-        print(f"probability_density {out.probability_density:.17g}")
-        _emit(_state_csv(out.state), cfg["out"])
-    return EXIT_OK
+    if cfg["format"] == "csv":
+        print(f"probability_density {out.probability_density:.17g}",
+              file=sys.stderr)
+        return _state_csv(out.state), EXIT_OK
+    return _json({"probability_density": out.probability_density,
+                  "gamma": params.gamma, "s": params.s, "y_m": params.y_m},
+                 state=json.loads(wavefunction_to_json(out.state))), EXIT_OK
 
 
-def _cmd_wigner(cfg) -> int:
+def _cmd_wigner(cfg) -> tuple[str, int]:
     if cfg["source"] == "output":
         state = _gate_output(cfg)[1].state
     else:
@@ -218,15 +223,11 @@ def _cmd_wigner(cfg) -> int:
     else:
         bounds = suggest_wigner_bounds(state)
     w = wigner_transform(state, bounds, cfg["nx"], cfg["np"])
-    if cfg["format"] == "json":
-        payload = {"x_min": w.x_min, "x_max": w.x_max, "p_min": w.p_min,
-                   "p_max": w.p_max, "n_x": w.n_x, "n_p": w.n_p,
-                   "version": __version__,
-                   "values": [list(row) for row in w.values]}
-        _emit(json.dumps(payload) + "\n", cfg["out"])
-    else:
-        _emit(w.to_csv(), cfg["out"])
-    return EXIT_OK
+    if cfg["format"] == "csv":
+        return w.to_csv(), EXIT_OK
+    return _json({"x_min": w.x_min, "x_max": w.x_max, "p_min": w.p_min,
+                  "p_max": w.p_max, "n_x": w.n_x, "n_p": w.n_p},
+                 values=[list(row) for row in w.values]), EXIT_OK
 
 
 def _parse_db_range(text: str):
@@ -244,32 +245,25 @@ def _parse_db_range(text: str):
     return lo, hi, n
 
 
-def _cmd_sweep(cfg) -> int:
+def _cmd_sweep(cfg) -> tuple[str, int]:
     lo, hi, n = _parse_db_range(cfg["db_range"])
     with np.errstate(over="ignore", invalid="ignore"):   # SweepSpec rejects inf
         inverse_s = tuple(float(v) for v in
                           np.round(10.0 ** (np.linspace(lo, hi, n) / 20.0), 15))
-    gamma = cfg["gamma"]
-    if cfg["gamma_rule"] == "fixed" and gamma is None:
-        raise DomainError("--gamma is required with --gamma-rule fixed")
-    if cfg["gamma_rule"] == "ym/30" and gamma is not None:
-        raise DomainError("--gamma is not allowed with --gamma-rule ym/30")
     outputs = frozenset(v.strip() for v in cfg["outputs"].split(",") if v.strip())
-    spec = SweepSpec(values=inverse_s, y_m=cfg["ym"], gamma=gamma,
+    spec = SweepSpec(values=inverse_s, y_m=cfg["ym"], gamma=cfg["gamma"],
                      outputs=outputs, n_grid_points=cfg["grid_points"])
     rows = run_sweep(spec)
-    if cfg["format"] == "json":
-        payload = {"spec": {"variable": "inverse_s", "db_range": [lo, hi, n],
-                            "gamma_rule": cfg["gamma_rule"], "y_m": cfg["ym"],
-                            "outputs": sorted(outputs)},
-                   "version": __version__,
-                   # null, not a non-standard NaN token, marks an unrequested output
-                   "rows": [{k: None if isinstance(v, float) and math.isnan(v)
-                             else v for k, v in vars(r).items()} for r in rows]}
-        _emit(json.dumps(payload, default=float) + "\n", cfg["out"])
-    else:
-        _emit(rows_to_csv(rows), cfg["out"])
-    return _report_failed_rows(rows)
+    code = _report_failed_rows(rows)
+    if cfg["format"] == "csv":
+        return rows_to_csv(rows), code
+    rule = "fixed" if spec.gamma is not None else "ym/30"
+    return _json({"spec": {"variable": "inverse_s", "db_range": [lo, hi, n],
+                           "gamma_rule": rule, "y_m": cfg["ym"],
+                           "outputs": sorted(outputs)}},
+                 # null, not a non-standard NaN token, marks an unrequested output
+                 rows=[{k: None if isinstance(v, float) and math.isnan(v) else v
+                        for k, v in vars(r).items()} for r in rows]), code
 
 
 def _report_failed_rows(rows) -> int:
@@ -284,17 +278,13 @@ def _report_failed_rows(rows) -> int:
     return EXIT_DOMAIN if n_failed == len(rows) else EXIT_OK
 
 
-def _cmd_support_region(cfg) -> int:
+def _cmd_support_region(cfg) -> tuple[str, int]:
     region = build_support_region(db_to_s(cfg["db"]), cfg["gamma"],
                                   cfg["sigma_level"], cfg["n_boundary"])
-    if cfg["format"] == "json":
-        payload = {"sigma_level": region.sigma_level,
-                   "version": __version__,
-                   "boundary": [list(pt) for pt in region.boundary]}
-        _emit(json.dumps(payload) + "\n", cfg["out"])
-    else:
-        _emit(region.to_csv(), cfg["out"])
-    return EXIT_OK
+    if cfg["format"] == "csv":
+        return region.to_csv(), EXIT_OK
+    return _json({"sigma_level": region.sigma_level},
+                 boundary=[list(pt) for pt in region.boundary]), EXIT_OK
 
 
 def verify_grid(fast: bool = False):
@@ -334,19 +324,18 @@ def run_verification(fast: bool = False):
     return worst
 
 
-def _cmd_verify(cfg) -> int:
+def _cmd_verify(cfg) -> tuple[str, int]:
     worst = run_verification(bool(cfg["fast"]))
-    _emit(f"max relative deviation {worst:.6e} "
-          f"(tolerance {VERIFY_TOLERANCE:.0e})\n", cfg["out"])
-    return EXIT_OK if worst <= VERIFY_TOLERANCE else EXIT_DOMAIN
+    return (f"max relative deviation {worst:.6e} "
+            f"(tolerance {VERIFY_TOLERANCE:.0e})\n",
+            EXIT_OK if worst <= VERIFY_TOLERANCE else EXIT_DOMAIN)
 
 
 # command -> (handler, help, defaults); a command takes exactly the flags
 # its defaults name, plus --config and --dump-config
 _GRID = {"grid_half_width": None, "grid_points": 2048}
-_SWEEP = {"gamma": None, "ym": 3.0, "db_range": "0:20:60",
-          "gamma_rule": "ym/30", "format": "csv", "out": None,
-          "grid_points": 2048}
+_SWEEP = {"gamma": None, "ym": 3.0, "db_range": "0:20:60", "format": "csv",
+          "out": None, "grid_points": 2048}
 _COMMANDS = {
     "state": (_cmd_state, "dump a constructed state",
               {"kind": "cubic", "gamma": 0.1, "ym": 3.0, "db": 5.0,
@@ -399,7 +388,9 @@ def main(argv=None) -> int:
         if args.dump_config:
             _emit(json.dumps(cfg, indent=2, sort_keys=True) + "\n",
                   args.dump_config)
-        return handler(cfg)
+        text, code = handler(cfg)
+        _emit(text, cfg["out"])
+        return code
     except CvcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, ZeroProbabilityOutcomeError
 from .special_numerics import ASYMP_EDGE, airy_ai, airy_ai_scaled
-from .states import GateParams, WaveFunction
+from .states import NORM_TOLERANCE, GateParams, WaveFunction
 
 __all__ = [
     "ConditionalOutput",
@@ -145,7 +145,7 @@ def gate_rows(input: WaveFunction, rows) -> tuple:
     error that leaves its state undefined. A lone gamma > 0 row is one
     added_factor_grid call; otherwise the gamma > 0 rows share one _factor
     call and each gamma = 0 row takes the Gaussian factor."""
-    if abs(input.norm_squared() - 1.0) > 1e-6:
+    if abs(input.norm_squared() - 1.0) > NORM_TOLERANCE:
         raise DomainError("the gate expects a normalized input state")
     if len(rows) == 1 and rows[0].gamma > 0:
         try:

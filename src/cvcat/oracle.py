@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DomainError, ZeroProbabilityOutcomeError
 from .gate import ConditionalOutput
 from .special_numerics import integrate_oscillatory_gaussian
-from .states import GateParams, GridSpec, WaveFunction
+from .states import MAX_ENTRIES, NORM_TOLERANCE, GateParams, GridSpec, \
+    WaveFunction
 
 __all__ = [
     "ancilla_grid_for",
@@ -23,7 +24,6 @@ __all__ = [
     "oracle_two_mode",
 ]
 
-_MAX_ENTRIES = 2 ** 26      # quadratic-memory cap: desk-scale validation only
 _PHASE_STEP_LIMIT = 0.5     # rad of entangling/cubic phase per ancilla step
 
 
@@ -47,7 +47,7 @@ def ancilla_grid_for(params: GateParams, n_target: int) -> GridSpec:
     """
     s = params.s
     w = 12.0 / s
-    budget = _MAX_ENTRIES // n_target
+    budget = MAX_ENTRIES // n_target
 
     def n_for(width: float) -> int:
         rate = abs(params.y_m) + 3.0 * params.gamma * width ** 2
@@ -77,11 +77,11 @@ def oracle_two_mode(input: WaveFunction, params: GateParams,
     the n1 x n2 table of complex exponentials, and the full two-mode matrix
     is never materialized.
     """
-    if abs(input.norm_squared() - 1.0) > 1e-6:
+    if abs(input.norm_squared() - 1.0) > NORM_TOLERANCE:
         raise DomainError("oracle_two_mode expects a normalized input state")
     if grid_2 is None:
         grid_2 = ancilla_grid_for(params, input.n_points)
-    if input.n_points * grid_2.n_points > _MAX_ENTRIES:
+    if input.n_points * grid_2.n_points > MAX_ENTRIES:
         raise DomainError("two-mode grid exceeds the 2^26 entry cap")
     x2 = grid_2.x
     s = params.s

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import WaveFunction
+from .states import MAX_ENTRIES, NORM_TOLERANCE, WaveFunction
 
 __all__ = [
     "WignerGrid",
@@ -116,10 +116,11 @@ def wigner_transform(state: WaveFunction,
     """W(x, p) = (1/pi) integral of psi*(x+y) psi(x-y) exp(2ipy) dy.
 
     The y quadrature runs on the state's own grid spacing over the state's
-    half-width. Raises DomainError when the x bounds truncate the state or
-    when the resulting grid fails the unit-mass check (few points or tight bounds).
+    half-width. Raises DomainError when a work array would pass MAX_ENTRIES,
+    when the x bounds truncate the state or when the resulting grid fails
+    the unit-mass check (few points or tight bounds).
     """
-    if abs(state.norm_squared() - 1.0) > 1e-6:
+    if abs(state.norm_squared() - 1.0) > NORM_TOLERANCE:
         raise DomainError("wigner_transform expects a normalized state")
     if not all(math.isfinite(b) for b in bounds):
         raise DomainError("phase-space bounds must be finite")
@@ -128,6 +129,10 @@ def wigner_transform(state: WaveFunction,
         raise DomainError("invalid phase-space bounds")
     if n_x < 2 or n_p < 2:
         raise DomainError("wigner_transform needs n_x, n_p >= 2")
+    n, dy = state.n_points, state.dx
+    if max(n_x, n_p) * n > MAX_ENTRIES or n_x * n_p > MAX_ENTRIES:
+        raise DomainError(f"Wigner map of n_x={n_x}, n_p={n_p} on n_points={n} "
+                          "exceeds the 2^26 entry cap")
     dens = state.density()
     for edge in (x_min, x_max):
         if state.x_min <= edge <= state.x_max:
@@ -135,7 +140,6 @@ def wigner_transform(state: WaveFunction,
             if val > 1e-10:
                 raise DomainError(
                     f"x bounds too tight: density {val:.3e} at x={edge}")
-    n, dy = state.n_points, state.dx
     k_half = (n - 1) // 2
     rel = (np.linspace(x_min, x_max, n_x) - state.x_min) / dy
     spectrum = np.fft.fft(state.amplitudes, 1 << int(math.ceil(math.log2(2 * n))))
@@ -217,21 +221,24 @@ def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,
     return SupportRegion(boundary=np.column_stack([x, p]), sigma_level=sigma_level)
 
 
-def suggest_wigner_bounds(state: WaveFunction, pad: float = 6.0,
-                          density_floor: float = 1e-6):
+_SUPPORT_FLOOR = 1e-6   # share of its peak from which a density is support
+_PAD = 6.0               # margin of the suggested bounds past the support
+
+
+def suggest_wigner_bounds(state: WaveFunction):
     """Phase-space rectangle that should capture the state's Wigner mass.
 
     x range from the coordinate density support; p range from the momentum
-    density (FFT of the amplitudes), both widened by ``pad`` on each side.
+    density (FFT of the amplitudes), both widened by _PAD on each side.
     """
     dens = state.density()
-    sig = np.flatnonzero(dens > density_floor * float(dens.max()))
+    sig = np.flatnonzero(dens > _SUPPORT_FLOOR * float(dens.max()))
     xs = state.x[sig]
     spec = np.fft.fftshift(np.fft.fft(state.amplitudes))
     p_axis = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(state.n_points,
                                                             d=state.dx))
     p_dens = np.abs(spec) ** 2
-    sig_p = np.flatnonzero(p_dens > density_floor * float(p_dens.max()))
+    sig_p = np.flatnonzero(p_dens > _SUPPORT_FLOOR * float(p_dens.max()))
     ps = p_axis[sig_p]
-    return (float(xs.min() - pad), float(xs.max() + pad),
-            float(ps.min() - pad), float(ps.max() + pad))
+    return (float(xs.min() - _PAD), float(xs.max() + _PAD),
+            float(ps.min() - _PAD), float(ps.max() + _PAD))

@@ -30,8 +30,10 @@ __all__ = [
 ]
 
 _EDGE_ENVELOPE = 1e-12
+MAX_ENTRIES = 2 ** 26   # largest work array: a two-mode oracle or Wigner matrix
 # the largest grid: the two-mode oracle's ancilla grid reaches 2^26 / 16
-MAX_GRID_POINTS = 2 ** 22
+MAX_GRID_POINTS = MAX_ENTRIES // 16
+NORM_TOLERANCE = 1e-6   # the |norm^2 - 1| a state taken as normalized may have
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class WaveFunction:
         n2 = float(np.trapezoid(density, dx=self.dx))
         if not math.isfinite(n2):
             raise DomainError("norm^2 must be finite")
-        if self.normalized and abs(n2 - 1.0) > 1e-6:
+        if self.normalized and abs(n2 - 1.0) > NORM_TOLERANCE:
             raise DomainError(f"normalized flag set but norm^2 = {n2}")
         amp.setflags(write=False)
         density.setflags(write=False)

@@ -1,14 +1,19 @@
 import json
+import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cvcat.gate
-from cvcat.analysis import SweepRow, db_to_s, rows_to_csv
+from cvcat.analysis import SweepRow, SweepSpec, db_to_s, rows_to_csv, \
+    run_sweep
 from cvcat.cli import VERIFY_ABS_FLOOR, VERIFY_TOLERANCE, main, \
     run_verification, verify_grid
 from cvcat.gate import added_factor
 from cvcat.oracle import oracle_added_factor
+from cvcat.phase_space import build_support_region
 from cvcat.states import MAX_GRID_POINTS, GateParams, GridSpec, \
     make_cubic_phase_state, wavefunction_from_json
 
@@ -84,6 +89,38 @@ class TestStateCommand:
         assert out.read_text() == "x,re,im\n" + want
 
 
+class TestGateCommand:
+    def test_csv_stdout_is_the_state_and_p_goes_to_stderr(self, tmp_path,
+                                                          capsys):
+        argv = ["gate", "--gamma", "0.2", "--grid-points", "256"]
+        out = tmp_path / "gate.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        rec = json.loads(out.read_text())
+        wf = wavefunction_from_json(json.dumps(rec["state"]))
+        assert main(argv + ["--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "x,re,im\n" + "".join(
+            f"{x:.17g},{a.real:.17g},{a.imag:.17g}\n"
+            for x, a in zip(wf.x, wf.amplitudes))
+        assert captured.err == (
+            f"probability_density {rec['probability_density']:.17g}\n")
+
+
+class TestSupportRegionCommand:
+    def test_json_carries_the_boundary(self, tmp_path, capsys):
+        out = tmp_path / "region.json"
+        assert main(["support-region", "--gamma", "0.2", "--db", "9",
+                     "--n-boundary", "40", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["sigma_level", "version", "boundary"]
+        region = build_support_region(db_to_s(9.0), 0.2, 2.0, 40)
+        assert doc["sigma_level"] == 2.0
+        assert doc["boundary"] == region.boundary.tolist()
+
+
 class TestWignerCommand:
     def test_cat_interference_is_negative(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"
@@ -142,7 +179,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv, form", [
         (["wigner", "--bounds", "a:b:c:d"], "xmin:xmax:pmin:pmax"),
         (["sweep-probability", "--db-range", "a:b"], "lo:hi or lo:hi:n"),
-        (["sweep-probability", "--db-range", "0:1:x"], "lo:hi or lo:hi:n")])
+        (["sweep-probability", "--db-range", "0:1:x"], "lo:hi or lo:hi:n"),
+        (["sweep-probability", "--db-range", "0:20:5:7"], "lo:hi or lo:hi:n")])
     def test_malformed_number_list_shows_its_form(self, argv, form, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -155,6 +193,27 @@ class TestMalformedInput:
         assert main(["state", "--kind", "vacuum", flag, str(path)]) == 1
         assert capsys.readouterr().err == (
             f"error: cannot write {path}: No such file or directory\n")
+
+    @pytest.mark.parametrize("command", [["state", "--kind", "vacuum"],
+                                         ["state"], ["gate"], ["wigner"]])
+    @pytest.mark.parametrize("half_width", ["0", "-5"])
+    def test_grid_half_width_must_be_positive(self, command, half_width,
+                                              tmp_path, capsys):
+        # 0 is a half-width like any other, not a request for the default
+        out = tmp_path / "out"
+        assert main(command + ["--grid-half-width=" + half_width,
+                               "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: grid requires x_min < x_max\n"
+        assert not out.exists()
+
+    def test_wigner_map_over_the_entry_cap(self, tmp_path, capsys):
+        # refused before any array is made; the tight bounds would fail next
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "--source", "vacuum", "--nx", "65536",
+                     "--bounds=-1:1:-6:6", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "n_x=65536, n_p=256 on n_points=2048" in err
+        assert not out.exists()
 
     def test_grid_points_over_the_cap(self, capsys):
         # GridSpec refuses the count before any array is made
@@ -236,26 +295,43 @@ class TestSweepCommands:
             assert row["infidelity"] is None and row["wln"] is None
             assert row["efficiency"] is None and row["probability_density"] > 0
 
-    def test_fixed_rule_requires_gamma(self, capsys):
+    def test_gamma_rule_flag_is_a_usage_error(self, capsys):
         assert main(["sweep-infidelity", "--ym", "3",
-                     "--gamma-rule", "fixed"]) == 1
-        capsys.readouterr()
+                     "--gamma-rule", "fixed"]) == 64
+        assert "unrecognized arguments: --gamma-rule" in capsys.readouterr().err
 
-    def test_gamma_under_the_ym_over_30_rule_is_refused(self, tmp_path,
-                                                        capsys):
-        # y_m/30 sets gamma, so a --gamma, as a flag or a config key, would
-        # be silently ignored
+    def test_gamma_rule_config_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma": 0.2}))
+        cfg.write_text(json.dumps({"gamma": 0.2, "gamma_rule": "fixed"}))
         out = tmp_path / "prob.csv"
-        for argv in (["--gamma", "0.2"], ["--config", str(cfg)],
-                     ["--gamma", "0.2", "--gamma-rule", "ym/30"]):
-            assert main(["sweep-probability", "--db-range", "0:20:5",
-                         "--out", str(out)] + argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert "--gamma " in err and "--gamma-rule ym/30" in err
-            assert not out.exists()
+        assert main(["sweep-probability", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown config keys: ['gamma_rule']\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma, rule", [
+        (["--gamma", "0.2"], "fixed"), ({"gamma": 0.2}, "fixed"),
+        ([], "ym/30")], ids=["flag", "config", "absent"])
+    def test_gamma_alone_picks_the_rule(self, gamma, rule, tmp_path, capsys):
+        """--gamma, as a flag or a config key, scans at that fixed gamma;
+        without it gamma is y_m/30, SweepSpec's gamma=None."""
+        if isinstance(gamma, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(gamma))
+            gamma = ["--config", str(cfg)]
+        out = tmp_path / "prob.json"
+        assert main(["sweep-probability", "--db-range", "0:20:5", "--format",
+                     "json", "--out", str(out)] + gamma) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert doc["spec"]["gamma_rule"] == rule
+        spec = SweepSpec(values=[row["variable_value"] for row in doc["rows"]],
+                         y_m=3.0, gamma=0.2 if rule == "fixed" else None,
+                         outputs=frozenset({"probability"}))
+        want = [{k: None if isinstance(v, float) and math.isnan(v) else v
+                 for k, v in vars(r).items()} for r in run_sweep(spec)]
+        assert repr(doc["rows"]) == repr(want)
 
 
 @pytest.mark.parametrize("argv", [
@@ -274,8 +350,8 @@ REPLAY_ARGV = {
                "--grid-points", "256"],
     "sweep-infidelity": ["sweep-infidelity", "--db-range", "0:20:3",
                          "--format", "json"],
-    "sweep-probability": ["sweep-probability", "--gamma-rule", "fixed",
-                          "--gamma", "0.2", "--db-range", "0:10:3"],
+    "sweep-probability": ["sweep-probability", "--gamma", "0.2",
+                          "--db-range", "0:10:3"],
     "support-region": ["support-region", "--n-boundary", "40"],
     "verify": ["verify", "--fast"],
 }
@@ -416,3 +492,31 @@ class TestVerifyCommand:
     def test_physics_flags_are_usage_errors(self, flag, capsys):
         assert main(["verify", "--fast", *flag]) == 64
         capsys.readouterr()
+
+
+def readme_cli_examples():
+    """The cvcat lines of the README's CLI code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("cvcat ")]
+
+
+def test_readme_cli_block_has_every_example():
+    commands = {line.split()[1] for line in readme_cli_examples()}
+    assert commands == {"gate", "wigner", "sweep-infidelity",
+                        "sweep-probability", "support-region", "verify"}
+
+
+@pytest.mark.parametrize("line", readme_cli_examples(),
+                         ids=lambda line: line.split()[1])
+def test_readme_cli_example_runs(line, tmp_path, capsys):
+    argv = shlex.split(line)[1:]
+    out = str(tmp_path / "out")
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = out
+    else:
+        argv += ["--out", out]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert Path(out).stat().st_size > 0

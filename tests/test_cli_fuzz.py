@@ -96,7 +96,7 @@ def configs(command):
 # found by this fuzz: an infinite dB bound, and a P that overflows
 @example(("sweep-infidelity", {"db_range": "0.0:inf:2"}), "")
 @example(("sweep-infidelity", {"db_range": "-89.0:-1.0:7"}), "")
-# a gamma that the y_m/30 rule would ignore
+# a sweep given a gamma, which it scans at instead of y_m/30
 @example(("sweep-probability", {"gamma": 0.2, "db_range": "0:20:5"}), "")
 @given(st.sampled_from(COMMANDS).flatmap(
     lambda command: st.tuples(st.just(command), configs(command))),

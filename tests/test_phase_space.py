@@ -88,6 +88,17 @@ class TestWignerTransform:
             with pytest.raises(DomainError):
                 wigner_transform(vac, tuple(bounds), 64, 64)
 
+    @pytest.mark.parametrize("n_points, n_x, n_p", [
+        (2048, 2 ** 16, 2), (2048, 2, 2 ** 16), (64, 2 ** 13 + 1, 2 ** 13 + 1)])
+    def test_maps_over_the_entry_cap_are_refused(self, n_points, n_x, n_p):
+        # the bounds truncate the state: had the size check not come first,
+        # that cheap error would be raised instead of an allocation
+        vac = make_squeezed_vacuum(1.0, GridSpec(-8.0, 8.0, n_points))
+        with pytest.raises(DomainError) as info:
+            wigner_transform(vac, (-1.0, 1.0, -6.0, 6.0), n_x, n_p)
+        assert f"n_x={n_x}, n_p={n_p} on n_points={n_points}" in str(info.value)
+        assert "2^26 entry cap" in str(info.value)
+
 
 class TestWignerGrid:
     def test_fewer_than_two_points_rejected(self):
