@@ -71,8 +71,6 @@ _FLAGS = {
     "outputs": {"help": "comma list of row outputs"},
     "sigma_level": {"type": float},
     "n_boundary": {"type": int},
-    "fast": {"action": "store_true", "default": None,
-             "help": "reduced parameter grid"},
 }
 
 
@@ -83,9 +81,7 @@ def _config_value(key: str, value, default):
     kind = flag.get("type", str)
     if value is None and default is None:
         return None
-    if flag.get("action") == "store_true":
-        ok, want = type(value) is bool, "true or false"
-    elif "choices" in flag:
+    if "choices" in flag:
         ok, want = value in flag["choices"], f"one of {list(flag['choices'])}"
     elif kind is float:
         ok, want = type(value) in (int, float), "a number"
@@ -117,7 +113,7 @@ def _load_config(path: str) -> dict:
 def _effective_config(args, defaults) -> dict:
     """defaults <- config file <- explicit flags (flags win)."""
     cfg = dict(defaults)
-    if args.config:
+    if args.config is not None:
         loaded = _load_config(args.config)
         unknown = set(loaded) - set(cfg)
         if unknown:
@@ -132,7 +128,7 @@ def _effective_config(args, defaults) -> dict:
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
@@ -212,7 +208,7 @@ def _cmd_wigner(cfg) -> tuple[str, int]:
         state = _gate_output(cfg)[1].state
     else:
         state = _build_state({**cfg, "kind": cfg["source"]})
-    if cfg["bounds"]:
+    if cfg["bounds"] is not None:
         try:
             bounds = tuple(float(v) for v in str(cfg["bounds"]).split(":"))
         except ValueError:
@@ -287,22 +283,19 @@ def _cmd_support_region(cfg) -> tuple[str, int]:
                  boundary=[list(pt) for pt in region.boundary]), EXIT_OK
 
 
-def verify_grid(fast: bool = False):
-    gammas = (0.1, 0.5) if fast else (0.1, 0.2, 0.5)
-    dbs = (0.0, 14.0) if fast else (0.0, 5.0, 9.0, 14.0)
-    y_ms = (3.0,) if fast else (3.0, 6.0, 15.0)
-    deltas = np.arange(-10.0, 10.0 + 1e-9, 2.0 if fast else 0.5)
-    return gammas, dbs, y_ms, deltas
+# gammas, dBs, outcomes y_m and offsets x - y_m: 3 x 4 x 3 x 41 = 1,476 points
+VERIFY_GRID = ((0.1, 0.2, 0.5), (0.0, 5.0, 9.0, 14.0), (3.0, 6.0, 15.0),
+               np.arange(-10.0, 10.0 + 1e-9, 0.5))
 
 
-def run_verification(fast: bool = False):
+def run_verification():
     """Max scaled deviation between added_factor and its quadrature oracle.
 
     Deviation at each grid point is |closed - oracle| / max(|oracle|,
     floor/tol), so a return value <= tol means every point satisfies
     |closed - oracle| <= max(tol*|oracle|, floor).
     """
-    gammas, dbs, y_ms, deltas = verify_grid(fast)
+    gammas, dbs, y_ms, deltas = VERIFY_GRID
     worst = 0.0
     for gamma in gammas:
         for db in dbs:
@@ -324,8 +317,8 @@ def run_verification(fast: bool = False):
     return worst
 
 
-def _cmd_verify(cfg) -> tuple[str, int]:
-    worst = run_verification(bool(cfg["fast"]))
+def _cmd_verify(_cfg) -> tuple[str, int]:
+    worst = run_verification()
     return (f"max relative deviation {worst:.6e} "
             f"(tolerance {VERIFY_TOLERANCE:.0e})\n",
             EXIT_OK if worst <= VERIFY_TOLERANCE else EXIT_DOMAIN)
@@ -356,7 +349,7 @@ _COMMANDS = {
                        {"gamma": 0.1, "db": 5.0, "sigma_level": 2.0,
                         "n_boundary": 256, "format": "csv", "out": None}),
     "verify": (_cmd_verify, "closed form vs quadrature oracle",
-               {"fast": False, "out": None}),
+               {"out": None}),
 }
 
 
@@ -385,7 +378,7 @@ def main(argv=None) -> int:
     handler, _, defaults = _COMMANDS[args.command]
     try:
         cfg = _effective_config(args, defaults)
-        if args.dump_config:
+        if args.dump_config is not None:
             _emit(json.dumps(cfg, indent=2, sort_keys=True) + "\n",
                   args.dump_config)
         text, code = handler(cfg)

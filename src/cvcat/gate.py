@@ -34,11 +34,6 @@ class ConditionalOutput:
 
     state: WaveFunction
     probability_density: float
-    params: GateParams
-
-    def __post_init__(self):
-        if self.probability_density < 0:
-            raise DomainError("probability_density must be >= 0")
 
 
 def _factor_constants(params: GateParams) -> tuple:
@@ -183,7 +178,7 @@ def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:
                          label=f"gate_output(gamma={params.gamma}, s={params.s}, "
                                f"y_m={params.y_m})",
                          normalized=True)
-    return ConditionalOutput(state=state, probability_density=prob, params=params)
+    return ConditionalOutput(state=state, probability_density=prob)
 
 
 def outcome_probability_density(input: WaveFunction, gamma: float, s: float,

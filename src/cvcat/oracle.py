@@ -116,4 +116,4 @@ def oracle_two_mode(input: WaveFunction, params: GateParams,
                          label=f"oracle_output(gamma={params.gamma}, s={s}, "
                                f"y_m={params.y_m})",
                          normalized=True)
-    return ConditionalOutput(state=state, probability_density=prob, params=params)
+    return ConditionalOutput(state=state, probability_density=prob)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import MAX_ENTRIES, NORM_TOLERANCE, WaveFunction
+from .states import MAX_ENTRIES, MAX_GRID_POINTS, NORM_TOLERANCE, WaveFunction
 
 __all__ = [
     "WignerGrid",
@@ -38,18 +38,23 @@ class WignerGrid:
     x_max: float
     p_min: float
     p_max: float
-    n_x: int
-    n_p: int
-    values: np.ndarray
+    values: np.ndarray   # (n_x, n_p): one row per x, one column per p
 
     def __post_init__(self):
-        if self.n_x < 2 or self.n_p < 2:
-            raise DomainError("WignerGrid needs n_x, n_p >= 2")
-        if self.values.shape != (self.n_x, self.n_p):
-            raise DomainError("values shape must be (n_x, n_p)")
         v = np.ascontiguousarray(self.values, dtype=float)
+        if v.ndim != 2 or min(v.shape) < 2:
+            raise DomainError("WignerGrid needs an (n_x, n_p) matrix with "
+                              "n_x, n_p >= 2")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @property
+    def n_x(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n_p(self) -> int:
+        return self.values.shape[1]
 
     @property
     def x(self) -> np.ndarray:
@@ -154,7 +159,7 @@ def wigner_transform(state: WaveFunction,
     resid = float(np.max(np.abs(w_cplx.imag)))
     if not resid <= 1e-8:
         raise DomainError(f"Wigner imaginary residue {resid:.3e} exceeds 1e-8")
-    grid = WignerGrid(x_min, x_max, p_min, p_max, n_x, n_p, w_cplx.real)
+    grid = WignerGrid(x_min, x_max, p_min, p_max, w_cplx.real)
     mass = grid.mass()
     if not abs(mass - 1.0) <= 1e-3:
         raise DomainError(
@@ -191,12 +196,6 @@ class SupportRegion:
         b.setflags(write=False)
         object.__setattr__(self, "boundary", b)
 
-    def area(self) -> float:
-        """Shoelace area of the enclosed region."""
-        x = self.boundary[:, 0]
-        p = self.boundary[:, 1]
-        return float(0.5 * abs(np.sum(x[:-1] * p[1:] - x[1:] * p[:-1])))
-
     def to_csv(self) -> str:
         return "x,p\n" + _csv_matrix(self.boundary)
 
@@ -210,8 +209,12 @@ def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,
     """
     if not s > 0:
         raise DomainError("squeeze factor s must be positive")
-    if n_boundary < 32:
-        raise DomainError("n_boundary must be >= 32")
+    if not 0 < sigma_level < math.inf:   # nan fails too
+        raise DomainError("sigma_level must be finite and > 0, got "
+                          f"{sigma_level!r}")
+    if not 32 <= n_boundary <= MAX_GRID_POINTS:   # before linspace allocates
+        raise DomainError(f"n_boundary must be 32 to {MAX_GRID_POINTS}, "
+                          f"got {n_boundary}")
     t = np.linspace(0.0, 2.0 * math.pi, n_boundary + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         x = sigma_level / (math.sqrt(2.0) * s) * np.cos(t)

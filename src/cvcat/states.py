@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,14 +150,12 @@ class GateParams:
 class CatParams:
     """Ideal two-coherent-state superposition target."""
 
-    p_plus: float
+    p_plus: float   # the coherent amplitude is alpha = i p_plus
     theta: float
-    alpha: complex = field(init=False)
 
     def __post_init__(self):
         if self.p_plus < 0:
             raise DomainError("p_plus must be >= 0")
-        object.__setattr__(self, "alpha", 1j * self.p_plus)
 
 
 def _check_grid_covers(grid: GridSpec, s: float):

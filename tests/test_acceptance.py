@@ -40,7 +40,7 @@ def gate_output(gamma, db, y_m, n_points=2048):
 
 def test_criterion_01_closed_form_vs_oracle():
     t0 = time.time()
-    worst = run_verification(fast=False)
+    worst = run_verification()
     elapsed = time.time() - t0
     report(1, worst <= 1e-8 and elapsed <= 60.0,
            f"max scaled deviation {worst:.3e} (tol 1e-8), {elapsed:.1f}s "
@@ -226,8 +226,8 @@ def test_criterion_09_wln_monotone_in_gamma():
 
 
 def test_criterion_10_determinism(tmp_path, capsys):
-    dev_a = run_verification(fast=True)
-    dev_b = run_verification(fast=True)
+    dev_a = run_verification()
+    dev_b = run_verification()
     verify_ok = dev_a == dev_b
     files = []
     for name in ("a.csv", "b.csv"):

@@ -9,8 +9,8 @@ import pytest
 import cvcat.gate
 from cvcat.analysis import SweepRow, SweepSpec, db_to_s, rows_to_csv, \
     run_sweep
-from cvcat.cli import VERIFY_ABS_FLOOR, VERIFY_TOLERANCE, main, \
-    run_verification, verify_grid
+from cvcat.cli import VERIFY_ABS_FLOOR, VERIFY_GRID, VERIFY_TOLERANCE, main, \
+    run_verification
 from cvcat.gate import added_factor
 from cvcat.oracle import oracle_added_factor
 from cvcat.phase_space import build_support_region
@@ -120,6 +120,24 @@ class TestSupportRegionCommand:
         assert doc["sigma_level"] == 2.0
         assert doc["boundary"] == region.boundary.tolist()
 
+    @pytest.mark.parametrize("level", ["0", "-2", "nan", "inf"])
+    def test_sigma_level_must_be_finite_and_positive(self, level, tmp_path,
+                                                     capsys):
+        # 0 would give a one-point region and -2 the +2 ellipse
+        out = tmp_path / "region.csv"
+        assert main(["support-region", "--sigma-level", level,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: sigma_level must be finite and > 0, got {float(level)!r}\n")
+        assert not out.exists()
+
+    def test_n_boundary_over_the_cap(self, capsys):
+        # refused before np.linspace allocates the boundary
+        assert main(["support-region", "--n-boundary", "2000000000"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: n_boundary must be 32 to {MAX_GRID_POINTS}, "
+            "got 2000000000\n")
+
 
 class TestWignerCommand:
     def test_cat_interference_is_negative(self, tmp_path, capsys):
@@ -193,6 +211,17 @@ class TestMalformedInput:
         assert main(["state", "--kind", "vacuum", flag, str(path)]) == 1
         assert capsys.readouterr().err == (
             f"error: cannot write {path}: No such file or directory\n")
+
+    @pytest.mark.parametrize("flag, err", [
+        ("--out", "cannot write : No such file or directory"),
+        ("--dump-config", "cannot write : No such file or directory"),
+        ("--config", "cannot read config : No such file or directory"),
+        ("--bounds", "--bounds must be xmin:xmax:pmin:pmax, got ''")])
+    def test_an_empty_string_is_a_value(self, flag, err, capsys):
+        # an empty string is a value, not an absent flag
+        assert main(["wigner", "--source", "vacuum", "--nx", "96", "--np",
+                     "80", "--grid-points", "256", flag, ""]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     @pytest.mark.parametrize("command", [["state", "--kind", "vacuum"],
                                          ["state"], ["gate"], ["wigner"]])
@@ -353,16 +382,16 @@ REPLAY_ARGV = {
     "sweep-probability": ["sweep-probability", "--gamma", "0.2",
                           "--db-range", "0:10:3"],
     "support-region": ["support-region", "--n-boundary", "40"],
-    "verify": ["verify", "--fast"],
+    "verify": ["verify"],
 }
 
 
 class TestConfigHandling:
     def test_dump_config_bytes(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        assert main(["verify", "--fast", "--dump-config", str(path)]) == 0
+        assert main(["verify", "--dump-config", str(path)]) == 0
         capsys.readouterr()
-        assert path.read_text() == '{\n  "fast": true,\n  "out": null\n}\n'
+        assert path.read_text() == '{\n  "out": null\n}\n'
 
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -417,7 +446,7 @@ class TestConfigHandling:
         ("state", {"kind": "bogus"}), ("state", {"format": "xml"}),
         ("gate", {"db": True}), ("gate", {"ym": None}),
         ("state", {"grid_points": 64.5}), ("wigner", {"nx": 96.0}),
-        ("verify", {"fast": 1}), ("sweep-probability", {"db_range": 20})])
+        ("verify", {"out": 5}), ("sweep-probability", {"db_range": 20})])
     def test_config_values_are_checked_like_flags(self, command, config,
                                                   tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -440,24 +469,23 @@ class TestConfigHandling:
 
 
 class TestVerifyCommand:
-    def test_fast_verification_passes(self, capsys):
-        assert main(["verify", "--fast"]) == 0
+    def test_verification_passes(self, capsys):
+        assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "max relative deviation" in out
 
     def test_out_writes_the_stdout_line(self, tmp_path, capsys):
-        assert main(["verify", "--fast"]) == 0
+        assert main(["verify"]) == 0
         stdout = capsys.readouterr().out
         out = tmp_path / "verify.txt"
-        assert main(["verify", "--fast", "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text() == stdout
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_blocks_match_the_per_point_route(self, fast):
+    def test_blocks_match_the_per_point_route(self):
         """The parent route: one scalar closed-form call per point, each
         against the oracle value at the same offset."""
-        gammas, dbs, y_ms, deltas = verify_grid(fast)
+        gammas, dbs, y_ms, deltas = VERIFY_GRID
         worst = 0.0
         for gamma in gammas:
             for db in dbs:
@@ -470,28 +498,41 @@ class TestVerifyCommand:
                             delta, GateParams(gamma=gamma, s=s, y_m=0.0))
                         worst = max(worst, abs(a - o) / max(
                             abs(o), VERIFY_ABS_FLOOR / VERIFY_TOLERANCE))
-        assert run_verification(fast) == pytest.approx(worst, rel=1e-12, abs=0)
+        assert run_verification() == pytest.approx(worst, rel=1e-12, abs=0)
 
-    def test_fast_run_makes_at_most_two_airy_calls_per_block(self, monkeypatch,
-                                                             capsys):
+    def test_run_makes_at_most_two_airy_calls_per_block(self, monkeypatch,
+                                                        capsys):
         calls = []
         for name in ("airy_ai", "airy_ai_scaled"):
             def counted(z, fn=getattr(cvcat.gate, name)):
                 calls.append(np.size(z))
                 return fn(z)
             monkeypatch.setattr(cvcat.gate, name, counted)
-        assert main(["verify", "--fast"]) == 0
+        assert main(["verify"]) == 0
         capsys.readouterr()
-        gammas, dbs, y_ms, deltas = verify_grid(fast=True)
+        gammas, dbs, y_ms, deltas = VERIFY_GRID
         blocks = len(gammas) * len(dbs) * len(y_ms)
         assert len(calls) <= 2 * blocks
-        assert sum(calls) == blocks * len(deltas)
+        assert sum(calls) == blocks * len(deltas) == 1476
 
     @pytest.mark.parametrize("flag", [["--gamma", "5"], ["--ym", "3"],
                                       ["--db", "99"], ["--format", "json"]])
     def test_physics_flags_are_usage_errors(self, flag, capsys):
-        assert main(["verify", "--fast", *flag]) == 64
-        capsys.readouterr()
+        assert main(["verify", *flag]) == 64
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_fast_flag_is_a_usage_error(self, capsys):
+        assert main(["verify", "--fast"]) == 64
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
+
+    def test_fast_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fast": True}))
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown config keys: ['fast']\n")
+        assert not out.exists()
 
 
 def readme_cli_examples():

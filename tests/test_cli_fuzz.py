@@ -88,6 +88,7 @@ def configs(command):
 @example(("state", {"grid_half_width": 1e300}), "")
 @example(("gate", {"ym": 1e300}), "")
 @example(("support-region", {"sigma_level": 1e300}), "")
+@example(("support-region", {"n_boundary": 10**12}), "")
 # malformed number lists, and output paths in a missing directory
 @example(("wigner", {"bounds": "a:b:c:d", "nx": 8, "np": 8}), "")
 @example(("sweep-probability", {"db_range": "a:b"}), "")

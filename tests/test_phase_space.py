@@ -9,7 +9,7 @@ from cvcat.gate import apply_gate
 from cvcat.phase_space import SupportRegion, WignerGrid, \
     build_support_region, semiclassical_shear, suggest_wigner_bounds, \
     wigner_log_negativity, wigner_transform
-from cvcat.states import CatParams, GateParams, GridSpec, \
+from cvcat.states import MAX_GRID_POINTS, CatParams, GateParams, GridSpec, \
     cat_params_from_gate, make_cubic_phase_state, make_ideal_cat, \
     make_squeezed_vacuum
 
@@ -103,9 +103,11 @@ class TestWignerTransform:
 class TestWignerGrid:
     def test_fewer_than_two_points_rejected(self):
         with pytest.raises(DomainError):
-            WignerGrid(-1.0, 1.0, -1.0, 1.0, 1, 4, np.zeros((1, 4)))
+            WignerGrid(-1.0, 1.0, -1.0, 1.0, np.zeros((1, 4)))
         with pytest.raises(DomainError):
-            WignerGrid(-1.0, 1.0, -1.0, 1.0, 4, 1, np.zeros((4, 1)))
+            WignerGrid(-1.0, 1.0, -1.0, 1.0, np.zeros((4, 1)))
+        with pytest.raises(DomainError):
+            WignerGrid(-1.0, 1.0, -1.0, 1.0, np.zeros(4))
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 2), (5, 3)])
     def test_csv_matches_savetxt(self, shape):
@@ -113,7 +115,8 @@ class TestWignerGrid:
                    math.pi, 0.1, -7.0, 1e-17, 123456789.0, -2.5e-5,
                    0.0, 1.0, -0.5]
         values = np.array(special[:shape[0] * shape[1]]).reshape(shape)
-        grid = WignerGrid(-1.5, 2.0, -3.25, 4.0, *shape, values)
+        grid = WignerGrid(-1.5, 2.0, -3.25, 4.0, values)
+        assert (grid.n_x, grid.n_p) == shape
         buf = io.StringIO()
         np.savetxt(buf, values, delimiter=",", fmt="%.17g")
         assert grid.to_csv() == f"-1.5,2.0,-3.25,4.0,{shape[0]},{shape[1]}\n" \
@@ -159,6 +162,12 @@ class TestSemiclassicalShear:
         assert (x, y) == (1.3, -0.4)
 
 
+def shoelace_area(region: SupportRegion) -> float:
+    """Area enclosed by the region's closed boundary."""
+    x, p = region.boundary[:, 0], region.boundary[:, 1]
+    return float(0.5 * abs(np.sum(x[:-1] * p[1:] - x[1:] * p[:-1])))
+
+
 def intersect_horizontal(region: SupportRegion, p_value: float):
     """x-intervals where the line p = p_value lies inside the region."""
     b = region.boundary
@@ -184,7 +193,7 @@ class TestSupportRegion:
         s = 10.0 ** (-14.0 / 20.0)
         flat = build_support_region(s, 0.0, n_boundary=4096)
         sheared = build_support_region(s, 0.1, n_boundary=4096)
-        assert abs(flat.area() - sheared.area()) < 1e-6
+        assert abs(shoelace_area(flat) - shoelace_area(sheared)) < 1e-6
 
     def test_two_intervals_at_measured_outcome(self):
         s = 10.0 ** (-14.0 / 20.0)
@@ -208,6 +217,16 @@ class TestSupportRegion:
             build_support_region(0.0, 0.1)
         with pytest.raises(DomainError):
             build_support_region(1.0, 0.1, n_boundary=8)
+
+    @pytest.mark.parametrize("level", [0.0, -2.0, math.nan, math.inf])
+    def test_sigma_level_must_be_finite_and_positive(self, level):
+        with pytest.raises(DomainError, match="sigma_level must be finite"):
+            build_support_region(1.0, 0.1, sigma_level=level)
+
+    def test_n_boundary_over_the_cap(self):
+        # refused before np.linspace allocates the boundary
+        with pytest.raises(DomainError, match=f"32 to {MAX_GRID_POINTS}, "):
+            build_support_region(1.0, 0.1, n_boundary=MAX_GRID_POINTS + 1)
 
 
 class TestSuggestWignerBounds:

@@ -100,7 +100,6 @@ class TestCatParamsFromGate:
         want = math.pi / 4.0 - (2.0 / (3.0 * math.sqrt(0.3))) * 3.0 ** 1.5
         want = math.remainder(want, 2.0 * math.pi)
         assert abs(cat.theta - want) < 1e-12
-        assert cat.alpha == 1j * cat.p_plus
 
     def test_proportional_gamma_family(self):
         for y_m in (3.0, 6.0, 9.0, 12.0, 15.0):
