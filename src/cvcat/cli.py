@@ -303,8 +303,7 @@ def run_verification():
             # the factor depends on y_m only through x - y_m, so the oracle
             # values are shared across outcomes
             params = GateParams(gamma=gamma, s=s, y_m=0.0)
-            oracle = np.array([oracle_added_factor(float(delta), params)
-                               for delta in deltas])
+            oracle = oracle_added_factor(deltas, params)
             # np.hypot rounds as abs() of a Python complex does; np.abs can
             # differ from it in the last bit
             scale = np.maximum(np.hypot(oracle.real, oracle.imag),

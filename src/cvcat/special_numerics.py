@@ -31,7 +31,10 @@ sqrt(Ai^2 + Bi^2) on -9 < z < 0. A Maclaurin series in its place near
 z = 0 would cancel to 1e-5 of its terms by z = 4 and lose 1e-12 there.
 
 The quadrature at the end of the module shares no code with the Airy
-evaluation, so the oracle built on it stays an independent check.
+evaluation, so the oracle built on it stays an independent check. It takes
+an array of offsets in one call, and its phases, like the two-mode
+oracle's, come from _cis: exp(i phase) from one tangent of the half phase,
+several times cheaper than numpy's complex exp.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .states import MAX_ENTRIES
 
 __all__ = [
     "airy_ai",
@@ -288,10 +292,44 @@ def airy_ai_scaled(z):
 # The trapezoid sum is cut where the integrand has fallen by e^(-_TAIL_EXPONENT)
 # below its peak; the same exponent sets the Gaussian bandwidth the step resolves.
 _TAIL_EXPONENT = 40.0
+# Nodes evaluated at once. Whole offsets are grouped up to this count, so the
+# work arrays do not grow with the number of offsets; one offset alone may
+# pass it, up to MAX_ENTRIES nodes.
+_QUAD_BLOCK = 2 ** 16
 
 
-def integrate_oscillatory_gaussian(delta: float, gamma: float, s: float) -> complex:
-    """Integral over x of exp(i x(delta + gamma x^2)) exp(-(s x)^2 / 2).
+def _cis(phase):
+    """exp(i phase) for a float array, from one tangent t = tan(phase/2):
+    cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2), written into one float
+    buffer that is viewed as complex. Halving is exact, and no double lies
+    nearer than about 2^-61 to an odd multiple of pi/2, so t^2 cannot
+    overflow."""
+    t = np.tan(0.5 * phase)
+    sq = t * t
+    den = 1.0 + sq
+    out = np.empty(t.shape + (2,))
+    out[..., 0] = (1.0 - sq) / den
+    out[..., 1] = (t + t) / den
+    return out.view(complex)[..., 0]
+
+
+def _trapezoid_sums(n, h, a, beta, k0, gamma: float):
+    """h times the sum over t = h k, |k| <= n, of
+    exp(k0 - a t^2) cis(t(beta + gamma t^2)), one sum per offset: all nodes
+    are laid out at once and each offset's run of 2n + 1 is reduced alone."""
+    counts = 2 * n + 1
+    first = np.cumsum(counts) - counts
+    t = np.repeat(h, counts) * (np.arange(counts.sum())
+                                - np.repeat(first + n, counts))
+    with np.errstate(under="ignore"):
+        env = np.exp(np.repeat(k0, counts) - np.repeat(a, counts) * t * t)
+    fv = env * _cis(t * (np.repeat(beta, counts) + gamma * t * t))
+    return h * np.add.reduceat(fv, first)
+
+
+def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
+    """Integral over x of exp(i x(delta + gamma x^2)) exp(-(s x)^2 / 2), for
+    a float delta (a complex out) or an array of them (a complex array out).
 
     The integrand is entire and decays in the strip 0 <= Im x <= c, so the
     path moves to Im x = c, where x = t + ic gives
@@ -305,29 +343,57 @@ def integrate_oscillatory_gaussian(delta: float, gamma: float, s: float) -> comp
     e^(-a T^2) <= e^(-L - delta c) and the step h = pi/(omega_max + sqrt(L a))
     resolves the largest local angular frequency on |t| <= T with the
     Gaussian bandwidth to spare.
+
+    Each delta takes its own c, a, beta, h and node count, and its sum is
+    reduced alone, so a value does not depend on the array it is evaluated
+    in. A delta that needs more than MAX_ENTRIES nodes raises DomainError
+    before any node is built.
     """
-    if not all(map(math.isfinite, (delta, gamma, s))):
+    d = np.asarray(delta, dtype=float)
+    if not (np.isfinite(d).all() and math.isfinite(gamma) and math.isfinite(s)):
         raise DomainError("delta, gamma and s must be finite")
     if not s > 0:
         raise DomainError("squeeze factor s must be positive")
     if gamma < 0:
         # integrand(delta, -gamma) = conj(integrand(delta, gamma))
-        return np.conj(integrate_oscillatory_gaussian(delta, -gamma, s))
+        return np.conj(integrate_oscillatory_gaussian(d, -gamma, s))
+    flat = d.ravel()
     s2 = s * s
-    if gamma == 0:
-        c = 0.0
-    elif delta > 0:
-        c = (math.sqrt(s2 * s2 + 12.0 * gamma * delta) - s2) / (6.0 * gamma)
-    else:
-        c = 1.0 / max(-delta, 1.0)
-    a = 3.0 * gamma * c + 0.5 * s2
-    beta = delta - 3.0 * gamma * c * c - s2 * c
-    k0 = -delta * c + gamma * c ** 3 + 0.5 * s2 * c * c
-    half = math.sqrt((_TAIL_EXPONENT + delta * c) / a)
-    omega_max = max(abs(beta), abs(beta + 3.0 * gamma * half * half))
-    h = math.pi / (omega_max + math.sqrt(_TAIL_EXPONENT * a))
-    n = math.ceil(half / h)
-    t = h * np.arange(-n, n + 1)
-    with np.errstate(under="ignore"):
-        fv = np.exp(k0 - a * t * t + 1j * t * (beta + gamma * t * t))
-    return complex(h * np.sum(fv))
+    # overflow or a vanishing a leaves a node count that is not finite,
+    # which the cap below refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if gamma == 0:
+            c = np.zeros_like(flat)
+        else:
+            c = np.where(flat > 0.0, (np.sqrt(s2 * s2 + 12.0 * gamma
+                                              * np.maximum(flat, 0.0)) - s2)
+                         / (6.0 * gamma), 1.0 / np.maximum(-flat, 1.0))
+        a = 3.0 * gamma * c + 0.5 * s2
+        beta = flat - 3.0 * gamma * c * c - s2 * c
+        k0 = -flat * c + gamma * c ** 3 + 0.5 * s2 * c * c
+        half = np.sqrt((_TAIL_EXPONENT + flat * c) / a)
+        omega_max = np.maximum(np.abs(beta),
+                               np.abs(beta + 3.0 * gamma * half * half))
+        h = math.pi / (omega_max + np.sqrt(_TAIL_EXPONENT * a))
+        n = np.ceil(half / h)
+    fits = 2.0 * n + 1.0 <= MAX_ENTRIES
+    if not fits.all():
+        bad = int(np.argmin(fits))
+        raise DomainError(f"quadrature at delta={flat[bad]:.6g}, gamma={gamma:.6g}, "
+                          f"s={s:.6g} needs {2.0 * n[bad] + 1.0:.3g} nodes, "
+                          "over the 2^26 entry cap")
+    n = n.astype(np.int64)
+    ends = np.cumsum(2 * n + 1)     # nodes up to and including each offset
+    out = np.empty(flat.size, dtype=complex)
+    start = 0
+    while start < flat.size:
+        # the offsets from start on whose nodes fit in one block, at least one
+        limit = (ends[start - 1] if start else 0) + _QUAD_BLOCK
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        block = slice(start, stop)
+        out[block] = _trapezoid_sums(n[block], h[block], a[block],
+                                     beta[block], k0[block], gamma)
+        start = stop
+    if d.ndim == 0:
+        return complex(out[0])
+    return out.reshape(d.shape)

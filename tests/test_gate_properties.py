@@ -12,7 +12,8 @@ from cvcat.errors import ZeroProbabilityOutcomeError
 from cvcat.gate import PROBABILITY_FLOOR, added_factor_grid, apply_gate, \
     outcome_probability_density
 from cvcat.special_numerics import airy_ai, airy_ai_scaled
-from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
+from cvcat.states import GateParams, GridSpec, WaveFunction, \
+    make_squeezed_vacuum
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -73,6 +74,21 @@ def test_airy_arrays_equal_their_scalar_calls(z):
 @given(params=gate_params)
 def test_gate_output_is_normalized(params):
     assert abs(unit_output(params).norm_squared() - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=gate_params, p0=st.floats(-5.0, 5.0))
+def test_momentum_kick_commutes_with_the_gate(params, p0):
+    """The gate multiplies its input by a function of x, so the kick
+    e^(i p0 x) may come before it or after it: the outputs agree to 1e-13,
+    and P does not move."""
+    kick = np.exp(1j * p0 * VACUUM.x)
+    kicked = WaveFunction(VACUUM.grid, kick * VACUUM.amplitudes)
+    plain = unit_output(params)
+    p = apply_gate(VACUUM, params).probability_density
+    out = apply_gate(kicked, params)
+    assert np.max(np.abs(out.state.amplitudes - kick * plain.amplitudes)) <= 1e-13
+    assert abs(out.probability_density - p) <= 1e-13 * p
 
 
 @settings(max_examples=40, deadline=None)

@@ -218,3 +218,77 @@ class TestIntegrateOscillatoryGaussian:
                                 (math.nan, 0.1, 1.0), (0.0, math.inf, 1.0)):
             with pytest.raises(DomainError):
                 integrate_oscillatory_gaussian(delta, gamma, s)
+
+    # offsets on both sides of the saddle-point switch at delta = 0, the
+    # switch itself and its nearest doubles, in no particular order
+    DELTAS = np.random.default_rng(5).permutation(np.concatenate(
+        [np.linspace(-30.0, 30.0, 121), [-1e-9, -5e-324, 0.0, 5e-324, 1e-9]]))
+
+    def test_arrays_equal_their_scalar_calls(self):
+        """An offset's value does not depend on the array it is evaluated
+        in, whatever its shape."""
+        for gamma, s in ((0.1, 1.0), (0.5, 0.2), (0.02, 0.1), (0.0, 0.7)):
+            batch = integrate_oscillatory_gaussian(self.DELTAS, gamma, s)
+            assert batch.shape == self.DELTAS.shape
+            assert all(batch[i] == integrate_oscillatory_gaussian(float(d), gamma, s)
+                       for i, d in enumerate(self.DELTAS)), (gamma, s)
+            square = integrate_oscillatory_gaussian(
+                self.DELTAS[:120].reshape(12, 10), gamma, s)
+            assert np.array_equal(square.ravel(), batch[:120])
+
+    def test_blocks_bound_the_work_arrays(self, monkeypatch):
+        """Offsets are evaluated in blocks of at most _QUAD_BLOCK nodes, an
+        offset that alone needs more being its own block, and the block
+        boundaries do not move any value."""
+        gamma, s = 0.1, 0.3
+        want = integrate_oscillatory_gaussian(self.DELTAS, gamma, s)
+        blocks = []
+        trapezoid_sums = special_numerics._trapezoid_sums
+
+        def spy(n, *args):
+            blocks.append(n.copy())
+            return trapezoid_sums(n, *args)
+
+        monkeypatch.setattr(special_numerics, "_trapezoid_sums", spy)
+        monkeypatch.setattr(special_numerics, "_QUAD_BLOCK", 1000)
+        got = integrate_oscillatory_gaussian(self.DELTAS, gamma, s)
+        assert np.array_equal(got, want)
+        nodes = [int(np.sum(2 * n + 1)) for n in blocks]
+        assert sum(n.size for n in blocks) == self.DELTAS.size
+        assert any(n.size > 1 for n in blocks) and max(nodes) > 1000
+        assert all(total <= 1000 or n.size == 1 for n, total in zip(blocks, nodes))
+
+    def test_conjugation_symmetry_over_arrays(self):
+        for gamma, s in ((0.2, 0.7), (1.0, 0.1)):
+            plus = integrate_oscillatory_gaussian(self.DELTAS, gamma, s)
+            minus = integrate_oscillatory_gaussian(self.DELTAS, -gamma, s)
+            assert np.array_equal(plus, np.conj(minus))
+
+    def test_oversized_quadrature_fails_before_building_nodes(self, monkeypatch):
+        """delta = 3e5 at gamma = 0.1 would take about 1.9e8 nodes; that and
+        a node count that is not finite are refused before any block is
+        evaluated, also when the other offsets would fit."""
+        def no_nodes(*args):
+            raise AssertionError("nodes built for an oversized quadrature")
+
+        monkeypatch.setattr(special_numerics, "_trapezoid_sums", no_nodes)
+        for delta, gamma, s in ((3e5, 0.1, 1.0), (np.array([1.0, 3e5]), 0.1, 1.0),
+                                (1e300, 0.1, 1.0), (1.0, 0.0, 1e-160)):
+            with pytest.raises(DomainError, match="2\\^26 entry cap"):
+                integrate_oscillatory_gaussian(delta, gamma, s)
+
+
+def test_cis_matches_complex_exp():
+    """exp(i phase) from one tangent, within 4e-16 of numpy's complex exp for
+    |phase| <= 2e4, also at the doubles next to odd multiples of pi, where
+    |tan(phase/2)| reaches about 1e18."""
+    cis = special_numerics._cis
+    phase = np.concatenate([np.random.default_rng(9).uniform(-2e4, 2e4, 100_000),
+                            np.linspace(-2e4, 2e4, 100_001)])
+    assert np.max(np.abs(cis(phase) - np.exp(1j * phase))) <= 4e-16
+    odd = (2.0 * np.arange(-3183, 3183) + 1.0) * math.pi
+    near = (odd[:, None] + np.arange(-4, 5) * np.spacing(odd)[:, None]).ravel()
+    assert np.max(np.abs(np.tan(0.5 * near))) > 1e17
+    assert np.max(np.abs(cis(near) - np.exp(1j * near))) <= 4e-16
+    table = phase[:600].reshape(20, 30)
+    assert np.array_equal(cis(table), cis(phase[:600]).reshape(20, 30))
