@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ZeroProbabilityOutcomeError
-from .special_numerics import ASYMP_EDGE, airy_ai, airy_ai_scaled
+# airy_ai_scaled stays bound: perfbench/tracing.py patches it here
+from .special_numerics import ASYMP_EDGE, _positive_sum, _zeta, airy_ai, \
+    airy_ai_scaled
 from .states import NORM_TOLERANCE, GateParams, WaveFunction
 
 __all__ = [
@@ -37,56 +39,67 @@ class ConditionalOutput:
 
 
 def _factor_constants(params: GateParams) -> tuple:
-    """y_m, log-prefactor, exponent rate and shift, Airy scale and shift."""
+    """y_m; below the edge log_pref, rate, exp_shift, scale and z_shift (z
+    is +inf at every x when gamma = 0); at and above it pi^(-1/4) s^(1/2)/m,
+    m, 12 gamma/m^4 and (s/m)^2, where m = max(s, (12 gamma)^(1/4))."""
     gamma, s, y_m = params.gamma, params.s, params.y_m
-    if not gamma > 0:
-        raise DomainError("added_factor needs gamma > 0; "
-                          "gamma = 0 is the Gaussian special case")
-    log_pref = 0.5 * math.log(2.0 * s) + 0.25 * math.log(math.pi) \
-        - (1.0 / 3.0) * math.log(3.0 * gamma)
     try:
         s4 = s ** 4   # s*s*s*s differs from it in the last bit
-    except OverflowError:   # s >~ 1e77: the factor is not finite, by name
+    except OverflowError:   # s >~ 1e77: z is +inf
         s4 = math.inf
-    return (y_m, log_pref, s * s / (6.0 * gamma), s4 / (18.0 * gamma),
-            (3.0 * gamma) ** (-1.0 / 3.0), s4 / (12.0 * gamma))
+    below = (math.nan,) * 3 + (math.inf,) * 2
+    if gamma > 0:
+        below = (0.5 * math.log(2.0 * s) + 0.25 * math.log(math.pi)
+                 - (1.0 / 3.0) * math.log(3.0 * gamma), s * s / (6.0 * gamma),
+                 s4 / (18.0 * gamma), (3.0 * gamma) ** (-1.0 / 3.0),
+                 s4 / (12.0 * gamma))
+    root = (12.0 * gamma) ** 0.25
+    m = max(s, root)
+    return (y_m, *below, math.pi ** (-0.25) / math.sqrt(s) * (s / m), m,
+            (root / m) ** 4, (s / m) ** 2)
 
 
-def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift) -> np.ndarray:
-    """The factor exp(lead) Ai(z), lead = log_pref + rate (delta + exp_shift).
+def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift, pref, m, c,
+            ratio) -> np.ndarray:
+    """The added factor exp(lead) Ai(z) on x, given _factor_constants.
 
-    Neither exponential can overflow, but by the rounding named below.
-    With a = s^2/(6 gamma),
-    lead - log_pref = a (3 gamma)^(1/3) z - gamma a^3, which over a is at
-    most zeta = (2/3) z^(3/2), reached at z = a^2 (3 gamma)^(2/3); on z < 0
-    it is negative. So below the edge, z < ASYMP_EDGE, lead <= log_pref + 18
-    and the factor is exp(lead) Ai(z). At and above the edge,
-    lead - zeta <= log_pref and the factor is exp(lead - zeta) times the
-    scaled Ai, so the growing exponential never meets the decaying Ai at
-    overflow scale. log_pref itself stays below 620 for every finite s and
-    positive gamma.
+    Below the edge, z = scale (delta + z_shift) < ASYMP_EDGE, it is formed
+    so, as lead = log_pref + rate (delta + exp_shift) <= log_pref + 18.
+    At and above it, +inf included, lead and zeta = (2/3) z^(3/2) are each
+    about K = s^6/(108 gamma^2). In u = 12 gamma delta/s^4 and w = 1 + u,
+    lead - zeta - log_pref = K (1 + 3u/2 - w^(3/2)), and the factor is
 
-    Float constants give an array shaped like x, (rows, 1) columns one row
-    per setting; every element sees the same operations either way.
+        pi^(-1/4) s^(-1/2) w^(-1/4) S(zeta)
+            exp(-(delta/s)^2 (1 + 4u/3) / (w^(3/2) + 1 + 3u/2)),
 
-    Floating-point warnings are off in here, the Airy calls' included, under
-    one errstate context, and nothing raises. Underflow is the factor's
-    tails, and a z that overflowed (NaN out) or an overflow left by rounding
-    leaves the result non-finite, which the callers name. One way there is a
-    small gamma: lead cancels two terms of size ~s^6/(108 gamma^2) and,
-    below gamma ~ 1e-10 s^3, what the rounding leaves overflows."""
+    S the economized asymptotic sum, exactly 1 at zeta = inf. No two terms
+    cancel for u > -1, so this holds for every gamma >= 0; at gamma = 0 it
+    is the Gaussian pi^(-1/4) s^(-1/2) exp(-(delta/s)^2 / 2) to the bit. In
+    p = w^(-1/2) and W = w (s/m)^4 = (s/m)^4 + 12 gamma delta/m^4, finite
+    at a tiny s, the exponent is -(delta/m)^2 (2 + p)/(1.5 (1 + p)^2 W^(1/2)).
+
+    Float constants give an array shaped like x; (rows, 1) columns give one
+    row per setting, gathered one value per point at and above the edge, so
+    every element sees the same operations either way. Nothing raises: the
+    tails underflow, and a NaN or -inf z leaves a NaN that the callers name."""
     delta = x - y_m
     with np.errstate(all="ignore"):
         lead = log_pref + rate * (delta + exp_shift)
         z = scale * (delta + z_shift)
         out = np.full_like(z, math.nan)
-        finite = np.isfinite(z)
-        asy = finite & (z >= ASYMP_EDGE)
-        low = finite ^ asy
+        asy = z >= ASYMP_EDGE
+        low = np.isfinite(z) & ~asy
         if asy.any():
-            za = z[asy]
-            out[asy] = airy_ai_scaled(za) \
-                * np.exp(lead[asy] - (2.0 / 3.0) * (za * np.sqrt(za)))
+            if np.ndim(m):   # (rows, 1) columns: each row's points in turn
+                counts = np.count_nonzero(asy, axis=-1)
+                pref, m, c, ratio = (k[:, 0].repeat(counts)
+                                     for k in (pref, m, c, ratio))
+            d = delta[asy]
+            root = np.sqrt(ratio * ratio + c * d)   # sqrt(W)
+            p = ratio / root
+            q = d / m
+            out[asy] = pref / np.sqrt(root) * _positive_sum(_zeta(z[asy])) \
+                * np.exp(q * q / root * ((p + 2.0) / (-1.5 * (p + 1.0) ** 2)))
         if low.any():
             out[low] = airy_ai(z[low]) * np.exp(lead[low])
     return out
@@ -113,15 +126,6 @@ def added_factor(x: float, params: GateParams) -> complex:
     return complex(float(added_factor_grid(np.asarray([x]), params)[0]))
 
 
-def _gaussian_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
-    """gamma = 0 limit of the added factor (Gaussian Fourier identity). The
-    exponent is formed as -((x - y_m)/s)^2 / 2: a tiny s overflows the ratio
-    to a factor of 0, where 2 s^2 would underflow to a division by zero."""
-    s, y_m = params.s, params.y_m
-    with np.errstate(over="ignore", under="ignore"):
-        return math.pi ** (-0.25) / math.sqrt(s) * np.exp(-0.5 * ((x - y_m) / s) ** 2)
-
-
 def norm_squared(amplitudes: np.ndarray, dx: float):
     """Trapezoid integral of |amplitudes|^2 along the last axis of a complex
     array: the sum of squares of its float view, the two end points at half
@@ -137,23 +141,18 @@ def norm_squared(amplitudes: np.ndarray, dx: float):
 def gate_rows(input: WaveFunction, rows) -> tuple:
     """The gate on one normalized input for each GateParams in rows: the
     unnormalized outputs (rows, n), P(y_m) per row, and per row None or the
-    error that leaves its state undefined. A lone gamma > 0 row is one
-    added_factor_grid call; otherwise the gamma > 0 rows share one _factor
-    call and each gamma = 0 row takes the Gaussian factor."""
+    error that leaves its state undefined. A lone row is one
+    added_factor_grid call, a block one _factor call over constant columns."""
     if abs(input.norm_squared() - 1.0) > NORM_TOLERANCE:
         raise DomainError("the gate expects a normalized input state")
-    if len(rows) == 1 and rows[0].gamma > 0:
+    if len(rows) == 1:
         try:
             factor = added_factor_grid(input.x, rows[0])[None]
         except DomainError:   # not finite; named below, from its P
             factor = np.full((1, input.n_points), math.nan)
     else:
-        cubic = [p for p in rows if p.gamma > 0]
-        if cubic:
-            columns = np.array([_factor_constants(p) for p in cubic])[:, :, None]
-            shared = iter(_factor(input.x, *columns.transpose(1, 0, 2)))
-        factor = np.array([next(shared) if p.gamma > 0
-                           else _gaussian_factor_grid(input.x, p) for p in rows])
+        columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
+        factor = _factor(input.x, *columns.transpose(1, 0, 2))
     with np.errstate(invalid="ignore"):   # inf * 0j: its row fails below
         unnorm = input.amplitudes * factor
     prob = norm_squared(unnorm, input.dx)

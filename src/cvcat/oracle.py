@@ -30,8 +30,6 @@ _PHASE_STEP_LIMIT = 0.5     # rad of entangling/cubic phase per ancilla step
 def oracle_added_factor(x, params: GateParams):
     """Added factor by direct quadrature of its defining integral, at a
     float x (a complex out) or an array of them (a complex array out)."""
-    if not params.gamma > 0:
-        raise DomainError("oracle_added_factor needs gamma > 0")
     integral = integrate_oscillatory_gaussian(np.subtract(x, params.y_m),
                                               params.gamma, params.s)
     return math.sqrt(params.s) / (math.pi ** 0.75 * math.sqrt(2.0)) * integral

@@ -18,7 +18,8 @@ over coefficients built once at import:
                        gathered from a contiguous (terms x anchors) table.
 
 Every point takes its regime's one formula, so a value never depends on the
-array it is evaluated in.
+array it is evaluated in. The gate's added factor calls _positive_sum, the
+positive side's sum, at and above z = 9.
 
 The anchor values come from stepping the ODE ``Ai'' = z Ai`` inward from the
 asymptotic region, seeded with (Ai, Ai') at z = +-9, 36 steps to z = 0 on
@@ -127,15 +128,15 @@ def _zeta(w):
     return (2.0 / 3.0) * w * np.sqrt(w)
 
 
-def _asymptotic_scaled_pos(z, zeta):
-    """Ai(z) exp(zeta) for z >= ASYMP_EDGE, summed over the economized
-    coefficients.
+def _positive_sum(zeta):
+    """Ai(z) exp(zeta) 2 sqrt(pi) z^(1/4) for zeta >= 18, exactly 1 at
+    zeta = inf; there u_k / (u_(k-1) zeta) < 1 for all k < _N_ASY."""
+    return _horner(_U_POS, -1.0 / zeta)
 
-    Every term of the 20-term sum is smaller than the one before it:
-    u_k / (u_(k-1) zeta) < 1 for all k < _N_ASY once zeta >= zeta(9) = 18,
-    so no divergence check is needed.
-    """
-    return _horner(_U_POS, -1.0 / zeta) / (2.0 * math.sqrt(math.pi) * np.sqrt(np.sqrt(z)))
+
+def _asymptotic_scaled_pos(z, zeta):
+    """Ai(z) exp(zeta) for z >= ASYMP_EDGE."""
+    return _positive_sum(zeta) / (2.0 * math.sqrt(math.pi) * np.sqrt(np.sqrt(z)))
 
 
 def _asymptotic_neg(z):
@@ -338,8 +339,9 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
 
     and the trapezoid rule converges geometrically (Trefethen & Weideman,
     SIAM Review 56(3), 2014). For delta > 0, c is the saddle point, where
-    beta = 0; for delta <= 0, c = 1/max(|delta|, 1) keeps the integrand's
-    peak e^k0 of order 1. With L = _TAIL_EXPONENT = 40, the half-width T meets
+    beta = 0; for delta <= 0, c = 1/max(|delta|, 1, s) keeps the integrand's
+    peak e^k0 below e^(3/2 + gamma), anti-squeezed s > 1 included. With
+    L = _TAIL_EXPONENT = 40, the half-width T meets
     e^(-a T^2) <= e^(-L - delta c) and the step h = pi/(omega_max + sqrt(L a))
     resolves the largest local angular frequency on |t| <= T with the
     Gaussian bandwidth to spare.
@@ -367,7 +369,7 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
         else:
             c = np.where(flat > 0.0, (np.sqrt(s2 * s2 + 12.0 * gamma
                                               * np.maximum(flat, 0.0)) - s2)
-                         / (6.0 * gamma), 1.0 / np.maximum(-flat, 1.0))
+                         / (6.0 * gamma), 1.0 / np.maximum(-flat, max(1.0, s)))
         a = 3.0 * gamma * c + 0.5 * s2
         beta = flat - 3.0 * gamma * c * c - s2 * c
         k0 = -flat * c + gamma * c ** 3 + 0.5 * s2 * c * c

@@ -40,12 +40,19 @@ def reference_integral(mp):
 
     Closed form for gamma > 0: 2 pi (3 gamma)^(-1/3) e^E Ai(z), with
     E = s^2/(6 gamma) (delta + s^4/(18 gamma)) and
-    z = (3 gamma)^(-1/3) (delta + s^4/(12 gamma)).
+    z = (3 gamma)^(-1/3) (delta + s^4/(12 gamma)). E and the log of Ai(z)
+    are each about K = s^6/(108 gamma^2) and cancel, so the working
+    precision is raised by log10(K) digits. At gamma = 0 it is the Gaussian
+    sqrt(2 pi)/s exp(-delta^2/(2 s^2)).
     """
     def integral(delta, gamma, s):
         d, g, s = mp.mpf(delta), mp.mpf(gamma), mp.mpf(s)
-        scale = (3 * g) ** (-mp.mpf(1) / 3)
-        exp_arg = s ** 2 / (6 * g) * (d + s ** 4 / (18 * g))
-        z = scale * (d + s ** 4 / (12 * g))
-        return complex(2 * mp.pi * scale * mp.exp(exp_arg) * mp.airyai(z))
+        if g == 0:
+            return complex(mp.sqrt(2 * mp.pi) / s * mp.exp(-(d / s) ** 2 / 2))
+        extra = max(0, int(mp.log10(s ** 6 / (108 * g ** 2))) + 1)
+        with mp.extradps(extra):
+            scale = (3 * g) ** (-mp.mpf(1) / 3)
+            exp_arg = s ** 2 / (6 * g) * (d + s ** 4 / (18 * g))
+            z = scale * (d + s ** 4 / (12 * g))
+            return complex(2 * mp.pi * scale * mp.exp(exp_arg) * mp.airyai(z))
     return integral

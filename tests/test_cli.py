@@ -15,7 +15,8 @@ from cvcat.gate import added_factor
 from cvcat.oracle import oracle_added_factor
 from cvcat.phase_space import build_support_region
 from cvcat.states import MAX_GRID_POINTS, GateParams, GridSpec, \
-    make_cubic_phase_state, wavefunction_from_json
+    cat_params_from_gate, default_grid, make_cubic_phase_state, \
+    make_squeezed_vacuum, wavefunction_from_json
 
 
 class TestExitCodes:
@@ -324,6 +325,27 @@ class TestSweepCommands:
             assert row["infidelity"] is None and row["wln"] is None
             assert row["efficiency"] is None and row["probability_density"] > 0
 
+    def test_negative_db_matches_the_oracle(self, tmp_path, capsys):
+        """Anti-squeezing down to -60 dB: every row succeeds, and each P is
+        within 1e-12 of the trapezoid P of the quadrature oracle's factor on
+        the sweep's own grid and vacuum."""
+        out = tmp_path / "prob.csv"
+        assert main(["sweep-probability", "--db-range=-60:0:7",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert len(rows) == 7 and all(r[5] == "" for r in rows)
+        params = GateParams(gamma=0.1, s=1.0, y_m=3.0)
+        grid = default_grid(cat_params_from_gate(params).p_plus, 2048)
+        vacuum = make_squeezed_vacuum(1.0, grid)
+        for r in rows:
+            s = 1.0 / float(r[0])
+            factor = oracle_added_factor(
+                grid.x, GateParams(gamma=0.1, s=s, y_m=3.0))
+            want = np.trapezoid(np.abs(vacuum.amplitudes * factor) ** 2,
+                                dx=grid.dx)
+            assert abs(float(r[2]) - want) <= 1e-12 * want, s
+
     def test_gamma_rule_flag_is_a_usage_error(self, capsys):
         assert main(["sweep-infidelity", "--ym", "3",
                      "--gamma-rule", "fixed"]) == 64
@@ -502,18 +524,24 @@ class TestVerifyCommand:
 
     def test_run_makes_at_most_two_airy_calls_per_block(self, monkeypatch,
                                                         capsys):
-        calls = []
-        for name in ("airy_ai", "airy_ai_scaled"):
-            def counted(z, fn=getattr(cvcat.gate, name)):
-                calls.append(np.size(z))
-                return fn(z)
-            monkeypatch.setattr(cvcat.gate, name, counted)
+        """One factor call per block, with every grid point, and at most one
+        Airy call under it, for the points below z = 9."""
+        factor_calls, airy_calls = [], []
+        for module, name, calls in (
+                (cvcat.cli, "added_factor_grid", factor_calls),
+                (cvcat.gate, "airy_ai", airy_calls),
+                (cvcat.gate, "airy_ai_scaled", airy_calls)):
+            def counted(x, *args, fn=getattr(module, name), calls=calls):
+                calls.append(np.size(x))
+                return fn(x, *args)
+            monkeypatch.setattr(module, name, counted)
         assert main(["verify"]) == 0
         capsys.readouterr()
         gammas, dbs, y_ms, deltas = VERIFY_GRID
         blocks = len(gammas) * len(dbs) * len(y_ms)
-        assert len(calls) <= 2 * blocks
-        assert sum(calls) == blocks * len(deltas) == 1476
+        assert len(factor_calls) == blocks == 36
+        assert sum(factor_calls) == blocks * len(deltas) == 1476
+        assert len(airy_calls) <= blocks
 
     @pytest.mark.parametrize("flag", [["--gamma", "5"], ["--ym", "3"],
                                       ["--db", "99"], ["--format", "json"]])

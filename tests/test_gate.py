@@ -12,12 +12,16 @@ from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
 from cvcat.analysis import SweepSpec, phase_aligned_l2, run_sweep
 
 
-# (gamma, y_m) at s = 1 where the factor overflows: the closed form's
-# exponent at the three small gammas (the third is y_m = 5e-161 under the
-# y_m/30 rule), the Airy phase zeta at |z| ~ 1e206, and z itself at
-# gamma = 1e-300
-OVERFLOWING = [(1e-12, 3.0), (1e-100, 3.0), (5e-161 / 30.0, 5e-161),
-               (0.1, 1e206), (1e-300, 3.0)]
+# (gamma, y_m) at s = 1 where the factor overflows: the Airy phase zeta at
+# |z| ~ 1e206
+OVERFLOWING = [(0.1, 1e206)]
+
+# (gamma, y_m) at s = 1 where lead and zeta, each about s^6/(108 gamma^2),
+# would cancel into an overflow in exp(lead - zeta): three small gammas (the
+# third is y_m = 5e-161 under the y_m/30 rule) and z itself overflowing at
+# 1e-300
+SMALL_GAMMA = [(1e-12, 3.0), (1e-100, 3.0), (5e-161 / 30.0, 5e-161),
+               (1e-300, 3.0)]
 
 
 def vacuum(grid=None):
@@ -124,17 +128,39 @@ class TestAddedFactor:
         with pytest.raises(DomainError, match=named):
             outcome_probability_density(vacuum(), gamma, 1.0, y_m)
 
+    @pytest.mark.parametrize("gamma, y_m", SMALL_GAMMA)
+    def test_small_gamma_matches_reference(self, gamma, y_m,
+                                           reference_integral):
+        """The factor is within 1e-13 of the reference: mpmath's closed form
+        with its precision raised by log10(s^6/(108 gamma^2)) digits from
+        gamma = 1e-14 on, the Gaussian limit below, where gamma moves the
+        factor by less than 1e-80 of itself. Both entry points return the
+        same P, within 1e-9 of the Gaussian gate's."""
+        x = np.linspace(-10.0, 10.0, 64)
+        got = added_factor_grid(x, GateParams(gamma=gamma, s=1.0, y_m=y_m))
+        limit = gamma if gamma >= 1e-14 else 0.0
+        want = np.array([reference_integral(v - y_m, limit, 1.0).real
+                         for v in x]) / (math.pi ** 0.75 * math.sqrt(2.0))
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+        p = outcome_probability_density(vacuum(), gamma, 1.0, y_m)
+        assert apply_gate(vacuum(), GateParams(gamma=gamma, s=1.0, y_m=y_m)
+                          ).probability_density == p
+        gaussian = outcome_probability_density(vacuum(), 0.0, 1.0, y_m)
+        assert abs(p - gaussian) <= 1e-9 * gaussian
+
     def test_overflowing_s_to_the_fourth_is_named(self):
-        """From s ~ 1e77 on, s ** 4 overflows. Every entry point fails with
-        the named factor error, not a bare OverflowError."""
-        named = ("added factor is not finite at gamma=0.1, s=1e+100, "
-                 "y_m=3.0")
-        with pytest.raises(DomainError, match=re.escape(named)):
-            apply_gate(vacuum(), GateParams(gamma=0.1, s=1e100, y_m=3.0))
-        with pytest.raises(DomainError, match=re.escape(named)):
-            outcome_probability_density(vacuum(), 0.1, 1e100, 3.0)
-        [row] = run_sweep(SweepSpec(values=(1e-100,), y_m=3.0, gamma=0.1))
-        assert row.error == "DomainError: " + named
+        """From s ~ 1e77 on, s ** 4 overflows, z is +inf at every x and the
+        factor is the Gaussian pi^(-1/4) s^(-1/2) exp(-(delta/s)^2 / 2).
+        On the vacuum, P = pi^(-1/2)/s at every entry point, not an error."""
+        s = 1e100
+        want = 1.0 / (math.sqrt(math.pi) * s)
+        out = apply_gate(vacuum(), GateParams(gamma=0.1, s=s, y_m=3.0))
+        assert abs(out.probability_density - want) <= 1e-14 * want
+        p = outcome_probability_density(vacuum(), 0.1, s, 3.0)
+        assert p == out.probability_density
+        [row] = run_sweep(SweepSpec(values=(1.0 / s,), y_m=3.0, gamma=0.1))
+        assert row.error == ""
+        assert abs(row.probability_density - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("gamma", [1e-9, 1e-4, 0.1, 10.0])
     def test_exponentials_stay_below_their_bounds(self, gamma,
@@ -156,6 +182,21 @@ class TestAddedFactor:
                              for v in x])
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - want) / want) <= 1e-12, z_star
+
+    def test_ideal_resource_limit_at_tiny_s(self, mp):
+        """As s -> 0 the factor tends to the ideal-resource gate's
+        sqrt(2 s) pi^(1/4) (3 gamma)^(-1/3) Ai(z), z = (3 gamma)^(-1/3) delta.
+        At z = 15 and 30, above the edge, it holds to 1e-13 down to
+        s = 1e-300, where u = 12 gamma delta / s^4 itself would overflow."""
+        gamma = 0.1
+        scale = (3.0 * gamma) ** (-1.0 / 3.0)
+        delta = np.array([15.0, 30.0]) / scale
+        for s in (1e-30, 1e-100, 1e-300):
+            got = added_factor_grid(delta, GateParams(gamma=gamma, s=s, y_m=0.0))
+            want = np.array([float(mp.sqrt(2 * mp.mpf(s)) * mp.pi ** 0.25
+                                   * mp.mpf(scale) * mp.airyai(scale * d))
+                             for d in delta])
+            assert np.max(np.abs(got - want) / want) <= 1e-13, s
 
     def test_gamma_zero_at_tiny_s(self):
         """Below s ~ 1e-162, 2 s^2 underflows to 0; the Gaussian exponent is
@@ -180,8 +221,9 @@ class TestAddedFactor:
             assert repr(unnorm[i].tolist()) == repr(one[0].tolist())
 
     def test_gamma_zero_routed_to_special_case(self):
-        with pytest.raises(DomainError):
-            added_factor(0.0, GateParams(gamma=0.0, s=1.0, y_m=0.0))
+        """gamma = 0 is the Gaussian limit of the one factor formula."""
+        assert added_factor(0.0, GateParams(gamma=0.0, s=1.0, y_m=0.0)) \
+            == math.pi ** -0.25
 
 
 class TestApplyGate:
@@ -236,13 +278,17 @@ class TestApplyGate:
             outcome_probability_density(doubled, 0.1, 1.0, 3.0)
 
     def test_overflowing_probability_is_named(self):
-        # at s = 1e3 the factor is finite but |psi~|^2 overflows
+        # at s = 1e-310 the Gaussian factor is finite, 1/sqrt(s) ~ 1e155 at
+        # the grid point x = y_m = 0, but |psi~|^2 overflows
+        vac = vacuum(GridSpec(-10.0, 10.0, 2049))
         named = re.escape("outcome probability density is not finite at "
-                          "gamma=0.1, s=1000.0, y_m=3.0")
+                          "gamma=0.0, s=1e-310, y_m=0.0")
+        params = GateParams(gamma=0.0, s=1e-310, y_m=0.0)
+        assert np.isfinite(added_factor_grid(vac.x, params)).all()
         with pytest.raises(DomainError, match=named):
-            outcome_probability_density(vacuum(), 0.1, 1e3, 3.0)
+            outcome_probability_density(vac, 0.0, 1e-310, 0.0)
         with pytest.raises(DomainError, match=named):
-            apply_gate(vacuum(), GateParams(gamma=0.1, s=1e3, y_m=3.0))
+            apply_gate(vac, params)
 
     def test_probability_density_consistency(self):
         params = GateParams(gamma=0.2, s=0.8, y_m=4.0)

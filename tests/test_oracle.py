@@ -5,7 +5,7 @@ import pytest
 
 from cvcat.analysis import phase_aligned_l2
 from cvcat.errors import DomainError
-from cvcat.gate import added_factor, apply_gate
+from cvcat.gate import added_factor, added_factor_grid, apply_gate
 from cvcat.oracle import ancilla_grid_for, oracle_added_factor, \
     oracle_two_mode
 from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
@@ -39,9 +39,14 @@ class TestOracleAddedFactor:
                 a = added_factor(x, params)
                 assert abs(a - o) <= max(1e-8 * abs(o), 1e-12)
 
-    def test_rejects_gamma_zero(self):
-        with pytest.raises(DomainError):
-            oracle_added_factor(0.0, GateParams(gamma=0.0, s=1.0, y_m=0.0))
+    def test_gamma_zero_matches_closed_form(self):
+        """gamma = 0 under verify's rule, from squeezed to anti-squeezed."""
+        x = np.linspace(-7.0, 13.0, 41)
+        for s in (0.2, 1.0, 3.0):
+            params = GateParams(gamma=0.0, s=s, y_m=3.0)
+            o = oracle_added_factor(x, params)
+            a = added_factor_grid(x, params)
+            assert np.all(np.abs(a - o) <= np.maximum(1e-8 * np.abs(o), 1e-12))
 
 
 class TestTwoModeGrid:

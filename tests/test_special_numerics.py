@@ -212,6 +212,16 @@ class TestIntegrateOscillatoryGaussian:
                     assert abs(got - want) <= 1e-10 * abs(want) + floor, \
                         (delta, gamma, s)
 
+    def test_anti_squeezed_matches_reference(self, reference_integral):
+        """s > 1 moves the path no further than Im x = 1/s on delta <= 0, so
+        the peak e^k0 stays of order 1: within 1e-14 of the reference up
+        to s = 1000, not NaN."""
+        deltas = np.arange(-10.0, 10.5, 0.5)
+        for s in (5.0, 10.0, 1000.0):
+            want = np.array([reference_integral(d, 0.1, s) for d in deltas])
+            got = integrate_oscillatory_gaussian(deltas, 0.1, s)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, s
+
     def test_rejects_bad_input(self):
         for delta, gamma, s in ((0.0, 0.1, 0.0), (0.0, 0.1, -1.0),
                                 (0.0, 0.1, math.nan), (0.0, 0.1, math.inf),

@@ -8,7 +8,7 @@ import pytest
 from cvcat.analysis import SweepRow, SweepSpec, efficiency_score, fidelity, \
     run_sweep
 from cvcat.errors import CvcatError
-from cvcat.gate import apply_gate
+from cvcat.gate import apply_gate, gate_rows
 from cvcat.phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
 from cvcat.states import GateParams, cat_params_from_gate, default_grid, \
@@ -51,9 +51,8 @@ def per_row_reference(spec, value):
 
 @st.composite
 def sweep_specs(draw):
-    # gamma stays >= 1e-3 (y_m >= 0.03 under y_m/30): below about 1e-11 the
-    # closed form's exponent cancels into garbage that overflows; that
-    # region has its own test below
+    # gamma stays >= 1e-3 (y_m >= 0.03 under y_m/30); the factor at smaller
+    # gammas has its own tests in test_gate
     return SweepSpec(
         values=tuple(sorted(draw(st.lists(st.floats(0.5, 12.0), min_size=1,
                                           max_size=9, unique=True)))),
@@ -86,18 +85,30 @@ class TestRowBatchedEngine:
         assert list(map(repr, got)) == list(map(repr, want))
 
     def test_rows_that_are_not_finite_fail_by_name(self):
-        """One block of four rows. At 1/s = 1e-100, s^4 overflows, so the
-        factor is not finite; at 1/s = 1e-3 the factor is finite but P
-        overflows. Each row fails with an error naming gamma, s and y_m, and
-        no RuntimeWarning, and leaves the other rows untouched."""
+        """One block of four rows. At 1/s = 1e-100, s^4 overflows, and at
+        1/s = 1e-3 the resource is anti-squeezed; both factors are the
+        Gaussian limit to well within 1e-5, so P = pi^(-1/2)/s there. A row
+        whose factor is not finite, y_m = 1e206, fails with an error naming
+        gamma, s and y_m, and no RuntimeWarning, and leaves the other rows
+        of its gate_rows block untouched."""
         spec = SweepSpec(values=(1e-100, 1e-3, 0.5, 1.0), y_m=3.0,
                          outputs=frozenset({"infidelity", "probability"}),
                          n_grid_points=64)
         got = run_sweep(spec)
         want = [per_row_reference(spec, v) for v in spec.values]
         assert list(map(repr, got)) == list(map(repr, want))
-        assert [r.error for r in got] == [
-            "DomainError: added factor is not finite at "
-            "gamma=0.1, s=1e+100, y_m=3.0",
-            "DomainError: outcome probability density is not finite at "
-            "gamma=0.1, s=1000.0, y_m=3.0", "", ""]
+        assert [r.error for r in got] == [""] * 4
+        for row in got[:2]:
+            gaussian = row.variable_value / math.sqrt(math.pi)
+            assert abs(row.probability_density - gaussian) <= 1e-5 * gaussian
+        vacuum = make_squeezed_vacuum(1.0, default_grid(3.0, 64))
+        rows = [GateParams(0.1, 1.0, 3.0), GateParams(0.1, 1.0, 1e206),
+                GateParams(0.2, 0.5, -2.0)]
+        unnorm, prob, errors = gate_rows(vacuum, rows)
+        assert str(errors[1]) == ("added factor is not finite at "
+                                  "gamma=0.1, s=1.0, y_m=1e+206")
+        for i in (0, 2):
+            one, [p], [error] = gate_rows(vacuum, [rows[i]])
+            assert errors[i] is None and error is None
+            assert repr(prob[i]) == repr(p)
+            assert repr(unnorm[i].tolist()) == repr(one[0].tolist())
