@@ -12,7 +12,7 @@ from .errors import CvcatError, DomainError
 from .gate import PROBABILITY_FLOOR, apply_gate, gate_rows
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
-from .states import NORM_TOLERANCE, GateParams, GridSpec, WaveFunction, \
+from .states import GateParams, GridSpec, WaveFunction, \
     cat_params_from_gate, default_grid, make_ideal_cat, make_squeezed_vacuum
 
 __all__ = [
@@ -28,29 +28,34 @@ __all__ = [
 ]
 
 
+def _sinc_samples(wf: WaveFunction, grid: GridSpec) -> np.ndarray:
+    """wf's amplitudes sinc-interpolated onto the points of grid."""
+    kernel = np.sinc((grid.x[:, None] - wf.x[None, :]) / wf.dx)
+    return kernel @ wf.amplitudes
+
+
 def resample(wf: WaveFunction, grid: GridSpec) -> WaveFunction:
-    """Band-limited (sinc) interpolation of a wavefunction onto a new grid.
+    """Band-limited (sinc) interpolation of a wavefunction onto a new grid;
+    a grid that cuts off part of the state leaves no normalized state there.
 
     The states here are Gaussian-enveloped, hence effectively band-limited;
     linear interpolation would bias overlap integrals at the 1e-4 level.
     """
-    kernel = np.sinc((grid.x[:, None] - wf.x[None, :]) / wf.dx)
-    return WaveFunction(grid, kernel @ wf.amplitudes, label=wf.label)
+    return WaveFunction(grid, _sinc_samples(wf, grid), label=wf.label)
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:
     """|<a|b>|^2 by trapezoidal overlap; mismatched grids are reconciled by
-    sinc-resampling the coarser state onto the finer grid."""
-    for wf in (a, b):
-        if abs(wf.norm_squared() - 1.0) > NORM_TOLERANCE:
-            raise DomainError("fidelity requires normalized states")
+    sinc-interpolating the coarser state onto the finer grid. The samples
+    are overlapped as they are: where the finer grid cuts off part of the
+    coarser state they are not a normalized WaveFunction."""
+    amp_a, amp_b, dx = a.amplitudes, b.amplitudes, a.dx
     if a.grid != b.grid:
         if a.dx <= b.dx:
-            b = resample(b, a.grid)
+            amp_b = _sinc_samples(b, a.grid)
         else:
-            a = resample(a, b.grid)
-    return _squared_overlap(np.trapezoid(np.conj(a.amplitudes) * b.amplitudes,
-                                         dx=a.dx))
+            amp_a, dx = _sinc_samples(a, b.grid), b.dx
+    return _squared_overlap(np.trapezoid(np.conj(amp_a) * amp_b, dx=dx))
 
 
 def _squared_overlap(ov) -> float:
@@ -71,12 +76,14 @@ def phase_aligned_l2(a: WaveFunction, b: WaveFunction) -> float:
 
 
 def db_to_s(db: float) -> float:
-    """Squeezing in dB to the momentum squeeze factor: s = 10^(-dB/20)."""
+    """Squeezing in dB to the momentum squeeze factor: s = 10^(-dB/20);
+    a negative dB is anti-squeezing, s > 1."""
     if not math.isfinite(db):
         raise DomainError("squeezing in dB must be finite")
-    if db < 0:
-        raise DomainError("squeezing in dB must be >= 0")
-    s = 10.0 ** (-db / 20.0)
+    try:
+        s = 10.0 ** (-db / 20.0)
+    except OverflowError:
+        raise DomainError(f"squeezing of {db!r} dB overflows s") from None
     if s == 0.0:
         raise DomainError(f"squeezing of {db!r} dB underflows s to 0")
     return s
@@ -192,7 +199,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 if "efficiency" in spec.outputs:
                     fields["efficiency"] = efficiency_score(f_cat, p)
                 if "wln" in spec.outputs:
-                    state = WaveFunction(grid, state, normalized=True)
+                    state = WaveFunction(grid, state)
                     bounds = suggest_wigner_bounds(state)
                     n_p = max(256, int((bounds[3] - bounds[2]) / 0.08))
                     w = wigner_transform(state, bounds, 256, n_p)

@@ -16,7 +16,7 @@ from .errors import DomainError, ZeroProbabilityOutcomeError
 # airy_ai_scaled stays bound: perfbench/tracing.py patches it here
 from .special_numerics import ASYMP_EDGE, _positive_sum, _zeta, airy_ai, \
     airy_ai_scaled
-from .states import NORM_TOLERANCE, GateParams, WaveFunction
+from .states import GateParams, WaveFunction
 
 __all__ = [
     "ConditionalOutput",
@@ -139,12 +139,10 @@ def norm_squared(amplitudes: np.ndarray, dx: float):
 
 
 def gate_rows(input: WaveFunction, rows) -> tuple:
-    """The gate on one normalized input for each GateParams in rows: the
-    unnormalized outputs (rows, n), P(y_m) per row, and per row None or the
-    error that leaves its state undefined. A lone row is one
-    added_factor_grid call, a block one _factor call over constant columns."""
-    if abs(input.norm_squared() - 1.0) > NORM_TOLERANCE:
-        raise DomainError("the gate expects a normalized input state")
+    """The gate on one input for each GateParams in rows: the unnormalized
+    outputs (rows, n), P(y_m) per row, and per row None or the error that
+    leaves its state undefined. A lone row is one added_factor_grid call, a
+    block one _factor call over constant columns."""
     if len(rows) == 1:
         try:
             factor = added_factor_grid(input.x, rows[0])[None]
@@ -175,8 +173,7 @@ def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:
     prob = float(prob[0])
     state = WaveFunction(input.grid, unnorm[0] / math.sqrt(prob),
                          label=f"gate_output(gamma={params.gamma}, s={params.s}, "
-                               f"y_m={params.y_m})",
-                         normalized=True)
+                               f"y_m={params.y_m})")
     return ConditionalOutput(state=state, probability_density=prob)
 
 

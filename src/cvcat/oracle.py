@@ -15,8 +15,7 @@ import numpy as np
 from .errors import DomainError, ZeroProbabilityOutcomeError
 from .gate import ConditionalOutput
 from .special_numerics import _cis, integrate_oscillatory_gaussian
-from .states import MAX_ENTRIES, NORM_TOLERANCE, GateParams, GridSpec, \
-    WaveFunction
+from .states import MAX_ENTRIES, GateParams, GridSpec, WaveFunction
 
 __all__ = [
     "ancilla_grid_for",
@@ -78,8 +77,6 @@ def oracle_two_mode(input: WaveFunction, params: GateParams,
     taken from one tangent of the half phase (special_numerics._cis), which
     costs a fraction of numpy's complex exp.
     """
-    if abs(input.norm_squared() - 1.0) > NORM_TOLERANCE:
-        raise DomainError("oracle_two_mode expects a normalized input state")
     if grid_2 is None:
         grid_2 = ancilla_grid_for(params, input.n_points)
     if input.n_points * grid_2.n_points > MAX_ENTRIES:
@@ -115,6 +112,5 @@ def oracle_two_mode(input: WaveFunction, params: GateParams,
             f"outcome y_m={params.y_m} has probability density {prob}")
     state = WaveFunction(input.grid, out / math.sqrt(prob),
                          label=f"oracle_output(gamma={params.gamma}, s={s}, "
-                               f"y_m={params.y_m})",
-                         normalized=True)
+                               f"y_m={params.y_m})")
     return ConditionalOutput(state=state, probability_density=prob)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import MAX_ENTRIES, MAX_GRID_POINTS, NORM_TOLERANCE, WaveFunction
+from .states import MAX_ENTRIES, MAX_GRID_POINTS, WaveFunction
 
 __all__ = [
     "WignerGrid",
@@ -125,8 +125,6 @@ def wigner_transform(state: WaveFunction,
     when the x bounds truncate the state or when the resulting grid fails
     the unit-mass check (few points or tight bounds).
     """
-    if abs(state.norm_squared() - 1.0) > NORM_TOLERANCE:
-        raise DomainError("wigner_transform expects a normalized state")
     if not all(math.isfinite(b) for b in bounds):
         raise DomainError("phase-space bounds must be finite")
     x_min, x_max, p_min, p_max = bounds

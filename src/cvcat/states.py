@@ -33,7 +33,7 @@ _EDGE_ENVELOPE = 1e-12
 MAX_ENTRIES = 2 ** 26   # largest work array: a two-mode oracle or Wigner matrix
 # the largest grid: the two-mode oracle's ancilla grid reaches 2^26 / 16
 MAX_GRID_POINTS = MAX_ENTRIES // 16
-NORM_TOLERANCE = 1e-6   # the |norm^2 - 1| a state taken as normalized may have
+NORM_TOLERANCE = 1e-6   # the |norm^2 - 1| a WaveFunction may have
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,16 @@ def default_grid(p_plus: float = 0.0, n_points: int = 2048) -> GridSpec:
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex amplitude samples over a uniform coordinate grid."""
+    """A normalized state: complex amplitude samples over a uniform
+    coordinate grid whose trapezoid norm^2 is 1 within NORM_TOLERANCE."""
 
     grid: GridSpec
     amplitudes: np.ndarray
     label: str = ""
-    normalized: bool = False
 
     def __post_init__(self):
         # a private copy: freezing the caller's buffer would leave its other
-        # views able to write into this state behind the cached norm
+        # views able to write into this state behind the cached density
         amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (self.n_points,):
             raise DomainError("amplitudes length must equal n_points")
@@ -90,15 +90,16 @@ class WaveFunction:
             raise DomainError("amplitudes must be finite")
         density = np.abs(amp) ** 2
         n2 = float(np.trapezoid(density, dx=self.dx))
-        if not math.isfinite(n2):
-            raise DomainError("norm^2 must be finite")
-        if self.normalized and abs(n2 - 1.0) > NORM_TOLERANCE:
-            raise DomainError(f"normalized flag set but norm^2 = {n2}")
+        if not abs(n2 - 1.0) <= NORM_TOLERANCE:   # an inf norm^2 fails too
+            raise DomainError(
+                f"norm^2 = {n2!r} is not 1 on the grid [{self.x_min!r}, "
+                f"{self.x_max!r}] with n_points={self.n_points}: the grid is "
+                "too coarse or too narrow for the state, or the amplitudes "
+                "are not normalized")
         amp.setflags(write=False)
         density.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "_density", density)
-        object.__setattr__(self, "_norm_squared", n2)
 
     @property
     def x_min(self) -> float:
@@ -119,10 +120,6 @@ class WaveFunction:
     @property
     def dx(self) -> float:
         return self.grid.dx
-
-    def norm_squared(self) -> float:
-        """Trapezoid integral of density(), computed once at construction."""
-        return self._norm_squared
 
     def density(self) -> np.ndarray:
         """|amplitudes|^2, computed once at construction; read-only."""
@@ -181,7 +178,7 @@ def make_squeezed_vacuum(s: float, grid: GridSpec | None = None) -> WaveFunction
     with np.errstate(under="ignore", over="ignore"):   # an inf square gives 0
         amp = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x) ** 2)
     return WaveFunction(grid, amp.astype(complex),
-                        label=f"squeezed_vacuum(s={s})", normalized=True)
+                        label=f"squeezed_vacuum(s={s})")
 
 
 def make_cubic_phase_state(gamma: float, s: float,
@@ -226,8 +223,7 @@ def make_ideal_cat(cat: CatParams, grid: GridSpec | None = None) -> WaveFunction
     minus = envelope * np.exp(-1j * cat.p_plus * x)
     amp = (np.exp(1j * cat.theta) * plus + np.exp(-1j * cat.theta) * minus) / math.sqrt(denom)
     return WaveFunction(grid, amp,
-                        label=f"ideal_cat(p_plus={cat.p_plus}, theta={cat.theta})",
-                        normalized=True)
+                        label=f"ideal_cat(p_plus={cat.p_plus}, theta={cat.theta})")
 
 
 def cat_params_from_gate(params: GateParams) -> CatParams:

@@ -17,7 +17,7 @@ def vacuum(grid=None):
 def momentum_displaced_vacuum(p_shift, grid):
     x = grid.x
     amp = math.pi ** -0.25 * np.exp(-0.5 * x ** 2 + 1j * p_shift * x)
-    return WaveFunction(grid, amp, normalized=True)
+    return WaveFunction(grid, amp)
 
 
 class TestFidelity:
@@ -43,8 +43,7 @@ class TestFidelity:
         grid = GridSpec(-12.0, 12.0, 1024)
         a = momentum_displaced_vacuum(0.7, grid)
         b = momentum_displaced_vacuum(-0.4, grid)
-        rotated = WaveFunction(grid, np.exp(1.1j) * b.amplitudes,
-                               normalized=True)
+        rotated = WaveFunction(grid, np.exp(1.1j) * b.amplitudes)
         assert abs(fidelity(a, b) - fidelity(a, rotated)) <= 1e-12
 
     def test_mismatched_grids_resampled(self):
@@ -53,10 +52,19 @@ class TestFidelity:
         assert abs(fidelity(a, b) - 1.0) < 1e-8
 
     def test_rejects_unnormalized(self):
+        # the state fidelity would refuse can no longer be built
         vac = vacuum()
-        bad = WaveFunction(vac.grid, 2.0 * vac.amplitudes)
-        with pytest.raises(DomainError):
-            fidelity(vac, bad)
+        with pytest.raises(DomainError, match="n_points=2048"):
+            WaveFunction(vac.grid, 2.0 * vac.amplitudes)
+
+    def test_overlaps_a_truncating_resample(self):
+        # a's sinc samples on b's grid keep only ~0.99998 of its norm, so
+        # they are no WaveFunction; fidelity still gives the exact
+        # |<vacuum|s=4 vacuum>|^2 = 2s/(1+s^2) = 8/17
+        a = vacuum(GridSpec(-10.0, 10.0, 200))
+        b = make_squeezed_vacuum(4.0, GridSpec(-3.0, 3.0, 2048))
+        assert abs(fidelity(a, b) - 8.0 / 17.0) <= 1e-12
+        assert abs(fidelity(b, a) - 8.0 / 17.0) <= 1e-12
 
 
 class TestResample:
@@ -66,12 +74,18 @@ class TestResample:
         want = math.pi ** -0.25 * np.exp(-0.5 * dst.x ** 2)
         assert np.max(np.abs(dst.amplitudes - want)) < 1e-6
 
+    def test_refuses_a_grid_that_cuts_off_the_state(self):
+        src = vacuum(GridSpec(-10.0, 10.0, 200))
+        with pytest.raises(DomainError,
+                           match=r"\[-3\.0, 3\.0\] with n_points=2048"):
+            resample(src, GridSpec(-3.0, 3.0, 2048))
+
 
 class TestPhaseAlignedL2:
     def test_pure_phase_is_zero(self):
         grid = GridSpec(-10.0, 10.0, 512)
         a = vacuum(grid)
-        b = WaveFunction(grid, np.exp(-0.9j) * a.amplitudes, normalized=True)
+        b = WaveFunction(grid, np.exp(-0.9j) * a.amplitudes)
         assert phase_aligned_l2(a, b) <= 1e-10
 
     def test_requires_common_grid(self):
@@ -93,9 +107,13 @@ class TestDbToS:
         for db in (0.0, 3.3, 14.0, 20.0):
             assert abs(20.0 * math.log10(1.0 / db_to_s(db)) - db) <= 1e-12
 
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            db_to_s(-1.0)
+    def test_negative_is_anti_squeezing(self):
+        assert db_to_s(-3.0) == 10.0 ** 0.15
+
+    def test_rejects_overflow(self):
+        # below about -6,165 dB, 10^(-dB/20) passes the largest float
+        with pytest.raises(DomainError, match="overflows"):
+            db_to_s(-6200.0)
 
     def test_rejects_non_finite(self):
         for db in (math.nan, math.inf, -math.inf):

@@ -11,7 +11,7 @@ from cvcat.analysis import SweepRow, SweepSpec, db_to_s, rows_to_csv, \
     run_sweep
 from cvcat.cli import VERIFY_ABS_FLOOR, VERIFY_GRID, VERIFY_TOLERANCE, main, \
     run_verification
-from cvcat.gate import added_factor
+from cvcat.gate import added_factor, apply_gate
 from cvcat.oracle import oracle_added_factor
 from cvcat.phase_space import build_support_region
 from cvcat.states import MAX_GRID_POINTS, GateParams, GridSpec, \
@@ -50,7 +50,7 @@ class TestStateCommand:
                      "--db", "5", "--out", str(out)]) == 0
         capsys.readouterr()
         wf = wavefunction_from_json(out.read_text())
-        assert abs(wf.norm_squared() - 1.0) < 1e-6
+        assert abs(np.trapezoid(wf.density(), dx=wf.dx) - 1.0) < 1e-6
 
     def test_csv_columns(self, tmp_path, capsys):
         out = tmp_path / "vac.csv"
@@ -89,6 +89,15 @@ class TestStateCommand:
                        for x, a in zip(wf.x, wf.amplitudes))
         assert out.read_text() == "x,re,im\n" + want
 
+    def test_coarse_grid_is_named(self, capsys):
+        # 16 points on [-8, 8] keep 0.99966 of the vacuum's norm
+        assert main(["state", "--kind", "vacuum", "--grid-points", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: norm^2 = 0.99965")
+        assert "on the grid [-8.0, 8.0] with n_points=16" in captured.err
+        assert "too coarse or too narrow" in captured.err
+
 
 class TestGateCommand:
     def test_csv_stdout_is_the_state_and_p_goes_to_stderr(self, tmp_path,
@@ -106,6 +115,14 @@ class TestGateCommand:
             for x, a in zip(wf.x, wf.amplitudes))
         assert captured.err == (
             f"probability_density {rec['probability_density']:.17g}\n")
+
+    def test_negative_db_is_anti_squeezing(self, capsys):
+        assert main(["gate", "--db", "-3", "--format", "csv"]) == 0
+        params = GateParams(gamma=0.1, s=10.0 ** 0.15, y_m=3.0)
+        grid = default_grid(cat_params_from_gate(params).p_plus, 2048)
+        want = apply_gate(make_squeezed_vacuum(1.0, grid), params)
+        assert capsys.readouterr().err == (
+            f"probability_density {want.probability_density:.17g}\n")
 
 
 class TestSupportRegionCommand:
@@ -185,6 +202,22 @@ class TestWignerCommand:
         assert "more points" in err and "wider bounds" in err
         assert main(["wigner", "--nx", "256", "--np", "32"]) == 0
         capsys.readouterr()
+
+    def test_json_holds_the_csv_values(self, capsys):
+        argv = ["wigner", "--source", "vacuum", "--nx", "32", "--np", "40"]
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc)[:7] == ["x_min", "x_max", "p_min", "p_max", "n_x",
+                                 "n_p", "version"]
+        assert len(doc["values"]) == 32
+        assert all(len(row) == 40 for row in doc["values"])
+        assert main(argv) == 0
+        head, *rows = capsys.readouterr().out.splitlines()
+        assert head.split(",") == [repr(doc[k]) for k in
+                                   ("x_min", "x_max", "p_min", "p_max",
+                                    "n_x", "n_p")]
+        assert [[float(v) for v in row.split(",")] for row in rows] \
+            == doc["values"]
 
     def test_axis_points_below_two_from_config_is_domain_error(self, tmp_path,
                                                                capsys):
@@ -345,6 +378,24 @@ class TestSweepCommands:
             want = np.trapezoid(np.abs(vacuum.amplitudes * factor) ** 2,
                                 dx=grid.dx)
             assert abs(float(r[2]) - want) <= 1e-12 * want, s
+
+    def test_coarse_grid_rows_name_the_grid(self, tmp_path, capsys):
+        # +-(p_plus + 8) = +-44.5 in 64 points under-resolves the vacuum;
+        # the CSV writes the message's commas as ";"
+        out = tmp_path / "prob.csv"
+        assert main(["sweep-probability", "--ym", "40", "--gamma", "0.01",
+                     "--db-range=0:20:3", "--grid-points", "64",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "sweep: 0 rows ok, 3 failed (DomainError 3)\n"
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            error = row.split(",")[5]
+            assert error.startswith("DomainError: norm^2 = 0.98572")
+            assert "[-44.51483716701107; 44.51483716701107] with " \
+                "n_points=64" in error
+            assert "too coarse or too narrow" in error
 
     def test_gamma_rule_flag_is_a_usage_error(self, capsys):
         assert main(["sweep-infidelity", "--ym", "3",

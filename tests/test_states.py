@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ class TestSqueezedVacuum:
     def test_norm(self):
         for s in (1.0, 0.5, 0.1995262314968879):
             wf = make_squeezed_vacuum(s)
-            assert abs(wf.norm_squared() - 1.0) < 1e-9
+            assert abs(moment(wf, 0) - 1.0) < 1e-9
 
     def test_variance(self):
         wf = make_squeezed_vacuum(0.5)
@@ -63,7 +64,7 @@ class TestIdealCat:
     def test_norm(self):
         for p_plus, theta in ((3.1623, 0.7854), (1.0, -2.0), (0.3, 0.0)):
             wf = make_ideal_cat(CatParams(p_plus, theta))
-            assert abs(wf.norm_squared() - 1.0) < 1e-9
+            assert abs(moment(wf, 0) - 1.0) < 1e-9
 
     def test_momentum_peaks(self):
         cat = make_ideal_cat(CatParams(3.162, 0.7854),
@@ -132,9 +133,15 @@ class TestWaveFunction:
         assert np.array_equal(back.amplitudes, wf.amplitudes)
 
     def test_normalized_flag_checked(self):
-        with pytest.raises(DomainError):
-            WaveFunction(GridSpec(-1.0, 1.0, 32), np.ones(32, dtype=complex),
-                         normalized=True)
+        with pytest.raises(DomainError,
+                           match=r"\[-1\.0, 1\.0\] with n_points=32"):
+            WaveFunction(GridSpec(-1.0, 1.0, 32), np.ones(32, dtype=complex))
+
+    def test_json_record_must_be_normalized(self):
+        rec = json.loads(wavefunction_to_json(make_squeezed_vacuum(1.0)))
+        rec["re"] = [2.0 * v for v in rec["re"]]
+        with pytest.raises(DomainError, match="is not 1 on the grid"):
+            wavefunction_from_json(json.dumps(rec))
 
     def test_rejects_non_finite_amplitudes(self):
         amp = np.ones(32, dtype=complex)
@@ -145,14 +152,11 @@ class TestWaveFunction:
     def test_copies_the_callers_array(self):
         buf = np.full(32, 0.5 ** 0.5, dtype=complex)
         view = buf[:]
-        wf = WaveFunction(GridSpec(0.0, 2.0, 32), buf, normalized=True)
-        n2 = wf.norm_squared()
+        wf = WaveFunction(GridSpec(0.0, 2.0, 32), buf)
         assert buf.flags.writeable
         buf[0] = 5.0
         view[:] = 5.0
         assert np.all(wf.amplitudes == 0.5 ** 0.5)
-        assert wf.norm_squared() == n2 == float(
-            np.trapezoid(np.abs(wf.amplitudes) ** 2, dx=wf.dx))
 
     def test_cached_arrays_are_read_only(self):
         wf = make_squeezed_vacuum(1.0, GridSpec(-10.0, 10.0, 64))
