@@ -9,7 +9,7 @@ fidelity/probability trade-off.
 """
 
 from .analysis import SweepRow, SweepSpec, db_to_s, efficiency_score, \
-    fidelity, phase_aligned_l2, resample, rows_to_csv, run_sweep
+    fidelity, phase_aligned_l2, resample, run_sweep
 from .errors import CvcatError, DegenerateSuperpositionError, DomainError, \
     ZeroProbabilityOutcomeError
 from .gate import ConditionalOutput, added_factor, added_factor_grid, \
@@ -22,7 +22,7 @@ from .special_numerics import airy_ai, airy_ai_scaled, \
     integrate_oscillatory_gaussian
 from .states import CatParams, GateParams, GridSpec, WaveFunction, \
     cat_params_from_gate, default_grid, make_cubic_phase_state, make_ideal_cat, \
-    make_squeezed_vacuum, wavefunction_from_json, wavefunction_to_json
+    make_squeezed_vacuum
 
 __version__ = "1.0.0"
 
@@ -33,12 +33,12 @@ __all__ = [
     "airy_ai", "airy_ai_scaled", "integrate_oscillatory_gaussian",
     "GridSpec", "WaveFunction", "GateParams", "CatParams", "default_grid",
     "make_squeezed_vacuum", "make_cubic_phase_state", "make_ideal_cat",
-    "cat_params_from_gate", "wavefunction_to_json", "wavefunction_from_json",
+    "cat_params_from_gate",
     "ConditionalOutput", "added_factor", "added_factor_grid", "apply_gate",
     "outcome_probability_density",
     "ancilla_grid_for", "oracle_added_factor", "oracle_two_mode",
     "WignerGrid", "SupportRegion", "wigner_transform", "wigner_log_negativity",
     "semiclassical_shear", "build_support_region", "suggest_wigner_bounds",
     "fidelity", "phase_aligned_l2", "resample", "db_to_s", "efficiency_score",
-    "SweepSpec", "SweepRow", "run_sweep", "rows_to_csv",
+    "SweepSpec", "SweepRow", "run_sweep",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "run_sweep",
-    "rows_to_csv",
 ]
 
 
@@ -209,15 +208,3 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 rows[i] = _failed(value, exc)
     return rows
 
-
-def rows_to_csv(rows) -> str:
-    """Header: variable_value,infidelity,probability_density,wln,efficiency,error"""
-    lines = ["variable_value,infidelity,probability_density,wln,efficiency,error"]
-    for r in rows:
-        def fmt(v):
-            return "" if (isinstance(v, float) and math.isnan(v)) else f"{v:.17g}"
-        lines.append(",".join([
-            fmt(r.variable_value), fmt(r.infidelity), fmt(r.probability_density),
-            fmt(r.wln), fmt(r.efficiency), r.error.replace(",", ";"),
-        ]))
-    return "\n".join(lines) + "\n"

@@ -17,16 +17,16 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .analysis import SweepSpec, db_to_s, rows_to_csv, run_sweep
+from .analysis import SweepSpec, db_to_s, run_sweep
 from .errors import CvcatError, DomainError
 # added_factor stays bound: perfbench/tracing.py patches cvcat.cli.added_factor
 from .gate import added_factor, added_factor_grid, apply_gate
 from .oracle import oracle_added_factor
-from .phase_space import _csv_matrix, build_support_region, \
-    suggest_wigner_bounds, wigner_transform
-from .states import GateParams, GridSpec, cat_params_from_gate, default_grid, \
-    make_cubic_phase_state, make_ideal_cat, make_squeezed_vacuum, \
-    wavefunction_to_json
+from .phase_space import build_support_region, suggest_wigner_bounds, \
+    wigner_transform
+from .states import MAX_GRID_POINTS, GateParams, GridSpec, \
+    cat_params_from_gate, default_grid, make_cubic_phase_state, \
+    make_ideal_cat, make_squeezed_vacuum
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -179,9 +179,40 @@ def _json(head: dict, **bulk) -> str:
                       default=float) + "\n"
 
 
+def _csv(head: str, values: np.ndarray) -> str:
+    """The head line, then one line per row of comma-separated %.17g values:
+    the bytes of np.savetxt(..., delimiter=",", fmt="%.17g"), from one
+    format string."""
+    n_rows, n_cols = values.shape
+    row = ",".join(["%.17g"] * n_cols) + "\n"
+    return head + "\n" + (row * n_rows) % tuple(values.ravel().tolist())
+
+
 def _state_csv(wf) -> str:
     amp = wf.amplitudes
-    return "x,re,im\n" + _csv_matrix(np.column_stack([wf.x, amp.real, amp.imag]))
+    return _csv("x,re,im", np.column_stack([wf.x, amp.real, amp.imag]))
+
+
+def _state_record(wf) -> dict:
+    """The JSON state record {x_min, x_max, n_points, re[], im[], label}."""
+    return {"x_min": wf.x_min, "x_max": wf.x_max, "n_points": wf.n_points,
+            "re": wf.amplitudes.real.tolist(),
+            "im": wf.amplitudes.imag.tolist(), "label": wf.label}
+
+
+def _rows_csv(rows) -> str:
+    """Header variable_value,infidelity,probability_density,wln,efficiency,
+    error; an unrequested (NaN) output is an empty cell and the error's
+    commas are written as ';'."""
+    lines = ["variable_value,infidelity,probability_density,wln,efficiency,error"]
+    for r in rows:
+        def fmt(v):
+            return "" if (isinstance(v, float) and math.isnan(v)) else f"{v:.17g}"
+        lines.append(",".join([
+            fmt(r.variable_value), fmt(r.infidelity), fmt(r.probability_density),
+            fmt(r.wln), fmt(r.efficiency), r.error.replace(",", ";"),
+        ]))
+    return "\n".join(lines) + "\n"
 
 
 # each _cmd_* returns its output document, which main writes, and exit code
@@ -189,7 +220,7 @@ def _cmd_state(cfg) -> tuple[str, int]:
     wf = _build_state(cfg)
     if cfg["format"] == "csv":
         return _state_csv(wf), EXIT_OK
-    return wavefunction_to_json(wf) + "\n", EXIT_OK
+    return json.dumps(_state_record(wf)) + "\n", EXIT_OK
 
 
 def _cmd_gate(cfg) -> tuple[str, int]:
@@ -200,7 +231,7 @@ def _cmd_gate(cfg) -> tuple[str, int]:
         return _state_csv(out.state), EXIT_OK
     return _json({"probability_density": out.probability_density,
                   "gamma": params.gamma, "s": params.s, "y_m": params.y_m},
-                 state=json.loads(wavefunction_to_json(out.state))), EXIT_OK
+                 state=_state_record(out.state)), EXIT_OK
 
 
 def _cmd_wigner(cfg) -> tuple[str, int]:
@@ -220,7 +251,8 @@ def _cmd_wigner(cfg) -> tuple[str, int]:
         bounds = suggest_wigner_bounds(state)
     w = wigner_transform(state, bounds, cfg["nx"], cfg["np"])
     if cfg["format"] == "csv":
-        return w.to_csv(), EXIT_OK
+        return _csv(f"{w.x_min!r},{w.x_max!r},{w.p_min!r},{w.p_max!r},"
+                    f"{w.n_x},{w.n_p}", w.values), EXIT_OK
     return _json({"x_min": w.x_min, "x_max": w.x_max, "p_min": w.p_min,
                   "p_max": w.p_max, "n_x": w.n_x, "n_p": w.n_p},
                  values=[list(row) for row in w.values]), EXIT_OK
@@ -252,7 +284,7 @@ def _cmd_sweep(cfg) -> tuple[str, int]:
     rows = run_sweep(spec)
     code = _report_failed_rows(rows)
     if cfg["format"] == "csv":
-        return rows_to_csv(rows), code
+        return _rows_csv(rows), code
     rule = "fixed" if spec.gamma is not None else "ym/30"
     return _json({"spec": {"variable": "inverse_s", "db_range": [lo, hi, n],
                            "gamma_rule": rule, "y_m": cfg["ym"],
@@ -278,7 +310,7 @@ def _cmd_support_region(cfg) -> tuple[str, int]:
     region = build_support_region(db_to_s(cfg["db"]), cfg["gamma"],
                                   cfg["sigma_level"], cfg["n_boundary"])
     if cfg["format"] == "csv":
-        return region.to_csv(), EXIT_OK
+        return _csv("x,p", region.boundary), EXIT_OK
     return _json({"sigma_level": region.sigma_level},
                  boundary=[list(pt) for pt in region.boundary]), EXIT_OK
 

@@ -22,14 +22,6 @@ __all__ = [
 ]
 
 
-def _csv_matrix(values: np.ndarray) -> str:
-    """One line per row of comma-separated %.17g values: the bytes of
-    np.savetxt(..., delimiter=",", fmt="%.17g"), from one format string."""
-    n_rows, n_cols = values.shape
-    row = ",".join(["%.17g"] * n_cols) + "\n"
-    return (row * n_rows) % tuple(values.ravel().tolist())
-
-
 @dataclass(frozen=True)
 class WignerGrid:
     """Real quasiprobability samples over an (x, p) rectangle."""
@@ -74,12 +66,6 @@ class WignerGrid:
 
     def mass(self) -> float:
         return float(np.sum(self.values) * self.dx * self.dp)
-
-    def to_csv(self) -> str:
-        """CSV matrix with a one-line header 'x_min,x_max,p_min,p_max,n_x,n_p'."""
-        return (f"{self.x_min!r},{self.x_max!r},{self.p_min!r},"
-                f"{self.p_max!r},{self.n_x},{self.n_p}\n"
-                + _csv_matrix(self.values))
 
 
 # columns per batched inverse FFT: bounds the (block, pad) temporaries
@@ -193,9 +179,6 @@ class SupportRegion:
             raise DomainError("boundary must be closed (first point = last)")
         b.setflags(write=False)
         object.__setattr__(self, "boundary", b)
-
-    def to_csv(self) -> str:
-        return "x,p\n" + _csv_matrix(self.boundary)
 
 
 def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,

@@ -7,7 +7,6 @@ values. Canonical units, hbar = 1; the vacuum has Var(x) = Var(p) = 1/2.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -25,8 +24,6 @@ __all__ = [
     "make_cubic_phase_state",
     "make_ideal_cat",
     "cat_params_from_gate",
-    "wavefunction_to_json",
-    "wavefunction_from_json",
 ]
 
 _EDGE_ENVELOPE = 1e-12
@@ -252,21 +249,3 @@ def cat_params_from_gate(params: GateParams) -> CatParams:
         theta = math.pi
     return CatParams(p_plus=p_plus, theta=theta)
 
-
-def wavefunction_to_json(wf: WaveFunction) -> str:
-    """JSON record {x_min, x_max, n_points, re[], im[], label}."""
-    return json.dumps({
-        "x_min": wf.x_min,
-        "x_max": wf.x_max,
-        "n_points": wf.n_points,
-        "re": wf.amplitudes.real.tolist(),
-        "im": wf.amplitudes.imag.tolist(),
-        "label": wf.label,
-    })
-
-
-def wavefunction_from_json(text: str) -> WaveFunction:
-    rec = json.loads(text)
-    amp = np.asarray(rec["re"], dtype=float) + 1j * np.asarray(rec["im"], dtype=float)
-    return WaveFunction(GridSpec(rec["x_min"], rec["x_max"], rec["n_points"]),
-                        amp, label=rec.get("label", ""))

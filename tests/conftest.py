@@ -1,6 +1,9 @@
 import sys
 
+import numpy as np
 import pytest
+
+from cvcat.states import GridSpec, WaveFunction
 
 try:
     from hypothesis import settings
@@ -23,6 +26,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def state_from_record():
+    """The state in a `cvcat state`/`gate` JSON record, rebuilt the way the
+    README shows; the WaveFunction constructor checks its norm."""
+    def rebuild(rec):
+        return WaveFunction(GridSpec(rec["x_min"], rec["x_max"], rec["n_points"]),
+                            np.array(rec["re"]) + 1j * np.array(rec["im"]),
+                            label=rec["label"])
+    return rebuild
 
 
 @pytest.fixture(scope="module")

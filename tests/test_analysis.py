@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cvcat.analysis import SweepRow, SweepSpec, db_to_s, efficiency_score, \
-    fidelity, phase_aligned_l2, resample, rows_to_csv, run_sweep
+    fidelity, phase_aligned_l2, resample, run_sweep
+from cvcat.cli import _rows_csv
 from cvcat.errors import DomainError
 from cvcat.states import GateParams, GridSpec, WaveFunction, \
     make_squeezed_vacuum
@@ -180,7 +181,7 @@ class TestSweep:
     def test_deterministic(self):
         a = run_sweep(self.spec())
         b = run_sweep(self.spec())
-        assert rows_to_csv(a) == rows_to_csv(b)
+        assert _rows_csv(a) == _rows_csv(b)
 
     def test_row_fields(self):
         rows = run_sweep(self.spec())
@@ -226,8 +227,8 @@ class TestSweep:
             assert "dx=" in failed.error and "n_points=2048" in failed.error
 
     def test_csv_format(self):
-        text = rows_to_csv([SweepRow(variable_value=1.5, infidelity=0.25,
-                                     error="DomainError: a, b")])
+        text = _rows_csv([SweepRow(variable_value=1.5, infidelity=0.25,
+                                   error="DomainError: a, b")])
         lines = text.strip().split("\n")
         assert lines[0] == ("variable_value,infidelity,probability_density,"
                             "wln,efficiency,error")

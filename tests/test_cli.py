@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 import cvcat.gate
-from cvcat.analysis import SweepRow, SweepSpec, db_to_s, rows_to_csv, \
-    run_sweep
-from cvcat.cli import VERIFY_ABS_FLOOR, VERIFY_GRID, VERIFY_TOLERANCE, main, \
-    run_verification
+from cvcat.analysis import SweepRow, SweepSpec, db_to_s, run_sweep
+from cvcat.cli import VERIFY_ABS_FLOOR, VERIFY_GRID, VERIFY_TOLERANCE, \
+    _rows_csv, main, run_verification
 from cvcat.gate import added_factor, apply_gate
 from cvcat.oracle import oracle_added_factor
 from cvcat.phase_space import build_support_region
 from cvcat.states import MAX_GRID_POINTS, GateParams, GridSpec, \
     cat_params_from_gate, default_grid, make_cubic_phase_state, \
-    make_squeezed_vacuum, wavefunction_from_json
+    make_squeezed_vacuum
 
 
 class TestExitCodes:
@@ -44,12 +43,16 @@ class TestExitCodes:
 
 
 class TestStateCommand:
-    def test_json_round_trip(self, tmp_path, capsys):
+    def test_json_round_trip(self, tmp_path, capsys, state_from_record):
         out = tmp_path / "cubic.json"
         assert main(["state", "--kind", "cubic", "--gamma", "0.1",
                      "--db", "5", "--out", str(out)]) == 0
         capsys.readouterr()
-        wf = wavefunction_from_json(out.read_text())
+        wf = state_from_record(json.loads(out.read_text()))
+        s = db_to_s(5.0)
+        want = make_cubic_phase_state(0.1, s, GridSpec(-10.0 / s, 10.0 / s))
+        assert wf.grid == want.grid and wf.label == want.label
+        assert np.array_equal(wf.amplitudes, want.amplitudes)
         assert abs(np.trapezoid(wf.density(), dx=wf.dx) - 1.0) < 1e-6
 
     def test_csv_columns(self, tmp_path, capsys):
@@ -100,14 +103,14 @@ class TestStateCommand:
 
 
 class TestGateCommand:
-    def test_csv_stdout_is_the_state_and_p_goes_to_stderr(self, tmp_path,
-                                                          capsys):
+    def test_csv_stdout_is_the_state_and_p_goes_to_stderr(
+            self, tmp_path, capsys, state_from_record):
         argv = ["gate", "--gamma", "0.2", "--grid-points", "256"]
         out = tmp_path / "gate.json"
         assert main(argv + ["--out", str(out)]) == 0
         capsys.readouterr()
         rec = json.loads(out.read_text())
-        wf = wavefunction_from_json(json.dumps(rec["state"]))
+        wf = state_from_record(rec["state"])
         assert main(argv + ["--format", "csv"]) == 0
         captured = capsys.readouterr()
         assert captured.out == "x,re,im\n" + "".join(
@@ -339,7 +342,7 @@ class TestSweepCommands:
         monkeypatch.setattr(cli_mod, "run_sweep", lambda spec: rows)
         assert main(["sweep-probability", "--ym", "3"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == rows_to_csv(rows)
+        assert captured.out == _rows_csv(rows)
         assert captured.err == ("sweep: 1 rows ok, 3 failed "
                                 "(DomainError 2, ZeroProbabilityOutcomeError 1)\n")
 

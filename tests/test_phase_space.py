@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import cvcat.cli
+from cvcat.cli import main
 from cvcat.errors import DomainError
 from cvcat.gate import apply_gate
 from cvcat.phase_space import SupportRegion, WignerGrid, \
@@ -110,17 +112,22 @@ class TestWignerGrid:
             WignerGrid(-1.0, 1.0, -1.0, 1.0, np.zeros(4))
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 2), (5, 3)])
-    def test_csv_matches_savetxt(self, shape):
+    def test_csv_matches_savetxt(self, shape, monkeypatch, capsys):
         special = [-0.0, 5e-324, 2.2e-310, 1e300, -1e300, -1.0 / 3.0,
                    math.pi, 0.1, -7.0, 1e-17, 123456789.0, -2.5e-5,
                    0.0, 1.0, -0.5]
         values = np.array(special[:shape[0] * shape[1]]).reshape(shape)
         grid = WignerGrid(-1.5, 2.0, -3.25, 4.0, values)
         assert (grid.n_x, grid.n_p) == shape
+        # `cvcat wigner` writes whatever grid the transform returns
+        monkeypatch.setattr(cvcat.cli, "wigner_transform",
+                            lambda *args: grid)
+        assert main(["wigner", "--source", "vacuum", "--grid-points", "64",
+                     "--bounds=-1.5:2:-3.25:4"]) == 0
         buf = io.StringIO()
         np.savetxt(buf, values, delimiter=",", fmt="%.17g")
-        assert grid.to_csv() == f"-1.5,2.0,-3.25,4.0,{shape[0]},{shape[1]}\n" \
-            + buf.getvalue()
+        assert capsys.readouterr().out == \
+            f"-1.5,2.0,-3.25,4.0,{shape[0]},{shape[1]}\n" + buf.getvalue()
 
 
 class TestWignerLogNegativity:
@@ -203,14 +210,18 @@ class TestSupportRegion:
         (a0, a1), (b0, b1) = intervals
         assert a1 < b0
 
-    def test_csv_matches_savetxt(self):
+    def test_csv_matches_savetxt(self, monkeypatch, capsys):
         region = build_support_region(0.3, 0.2, sigma_level=1.5, n_boundary=32)
         boundary = region.boundary.copy()
         boundary[1:4] = [[-0.0, 5e-324], [1e300, -1e-17], [-1.0 / 3.0, 0.0]]
         region = SupportRegion(boundary=boundary, sigma_level=1.5)
+        # `cvcat support-region` writes whatever region the builder returns
+        monkeypatch.setattr(cvcat.cli, "build_support_region",
+                            lambda *args: region)
+        assert main(["support-region"]) == 0
         buf = io.StringIO()
         np.savetxt(buf, boundary, delimiter=",", fmt="%.17g")
-        assert region.to_csv() == "x,p\n" + buf.getvalue()
+        assert capsys.readouterr().out == "x,p\n" + buf.getvalue()
 
     def test_validation(self):
         with pytest.raises(DomainError):

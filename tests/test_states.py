@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,8 +6,7 @@ import pytest
 from cvcat.errors import DegenerateSuperpositionError, DomainError
 from cvcat.states import MAX_GRID_POINTS, CatParams, GateParams, GridSpec, \
     WaveFunction, cat_params_from_gate, default_grid, make_cubic_phase_state, \
-    make_ideal_cat, make_squeezed_vacuum, wavefunction_from_json, \
-    wavefunction_to_json
+    make_ideal_cat, make_squeezed_vacuum
 
 
 def moment(wf, k):
@@ -125,23 +123,10 @@ class TestWaveFunction:
         for k in (0, 2, 4):
             assert abs(moment(coarse, k) - moment(fine, k)) < 1e-8
 
-    def test_json_round_trip(self):
-        wf = make_cubic_phase_state(0.1, 0.5, GridSpec(-20.0, 20.0, 512))
-        back = wavefunction_from_json(wavefunction_to_json(wf))
-        assert back.grid == wf.grid
-        assert back.label == wf.label
-        assert np.array_equal(back.amplitudes, wf.amplitudes)
-
     def test_normalized_flag_checked(self):
         with pytest.raises(DomainError,
                            match=r"\[-1\.0, 1\.0\] with n_points=32"):
             WaveFunction(GridSpec(-1.0, 1.0, 32), np.ones(32, dtype=complex))
-
-    def test_json_record_must_be_normalized(self):
-        rec = json.loads(wavefunction_to_json(make_squeezed_vacuum(1.0)))
-        rec["re"] = [2.0 * v for v in rec["re"]]
-        with pytest.raises(DomainError, match="is not 1 on the grid"):
-            wavefunction_from_json(json.dumps(rec))
 
     def test_rejects_non_finite_amplitudes(self):
         amp = np.ones(32, dtype=complex)
