@@ -12,7 +12,7 @@ from .errors import CvcatError, DomainError
 from .gate import PROBABILITY_FLOOR, apply_gate, gate_rows
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
-from .states import GateParams, GridSpec, WaveFunction, \
+from .states import MAX_ENTRIES, GateParams, GridSpec, WaveFunction, \
     cat_params_from_gate, default_grid, make_ideal_cat, make_squeezed_vacuum
 
 __all__ = [
@@ -29,6 +29,9 @@ __all__ = [
 
 def _sinc_samples(wf: WaveFunction, grid: GridSpec) -> np.ndarray:
     """wf's amplitudes sinc-interpolated onto the points of grid."""
+    if grid.n_points * wf.n_points > MAX_ENTRIES:   # before the kernel allocates
+        raise DomainError(f"sinc kernel onto {grid.n_points} points from "
+                          f"{wf.n_points} points exceeds the 2^26 entry cap")
     kernel = np.sinc((grid.x[:, None] - wf.x[None, :]) / wf.dx)
     return kernel @ wf.amplitudes
 
@@ -207,4 +210,3 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             except CvcatError as exc:
                 rows[i] = _failed(value, exc)
     return rows
-

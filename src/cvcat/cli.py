@@ -2,7 +2,8 @@
 
 Squeezing is specified in dB (s = 10^(-dB/20)); CSV is the default output
 format, JSON carries full metadata. Identical argv and config produce
-byte-identical output files.
+byte-identical output files. The library returns values; this module
+writes every CSV and JSON document.
 """
 
 from __future__ import annotations
@@ -268,16 +269,20 @@ def _parse_db_range(text: str):
     except ValueError:
         raise DomainError("--db-range must be lo:hi or lo:hi:n, got "
                           f"{text!r}") from None
+    if math.isinf(lo) or math.isinf(hi):   # before linspace multiplies by inf
+        raise DomainError(f"--db-range needs finite lo and hi, got {text!r}")
     if not (hi > lo and n >= 2):
         raise DomainError("--db-range needs hi > lo and n >= 2")
+    if n > MAX_GRID_POINTS:   # before linspace allocates
+        raise DomainError(f"--db-range n must be at most {MAX_GRID_POINTS}, "
+                          f"got {n}")
     return lo, hi, n
 
 
 def _cmd_sweep(cfg) -> tuple[str, int]:
     lo, hi, n = _parse_db_range(cfg["db_range"])
-    with np.errstate(over="ignore", invalid="ignore"):   # SweepSpec rejects inf
-        inverse_s = tuple(float(v) for v in
-                          np.round(10.0 ** (np.linspace(lo, hi, n) / 20.0), 15))
+    # each dB converts as --db does, so a sweep has the same domain
+    inverse_s = tuple(1.0 / db_to_s(db) for db in np.linspace(lo, hi, n).tolist())
     outputs = frozenset(v.strip() for v in cfg["outputs"].split(",") if v.strip())
     spec = SweepSpec(values=inverse_s, y_m=cfg["ym"], gamma=cfg["gamma"],
                      outputs=outputs, n_grid_points=cfg["grid_points"])

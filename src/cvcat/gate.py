@@ -8,6 +8,7 @@ unnormalized product, and normalizes to obtain the conditional output state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,8 @@ __all__ = [
     "outcome_probability_density",
 ]
 
-PROBABILITY_FLOOR = 1e-300
+# the smallest normal double: below it P is subnormal and has lost bits
+PROBABILITY_FLOOR = sys.float_info.min
 
 
 @dataclass(frozen=True)

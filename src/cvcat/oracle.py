@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ZeroProbabilityOutcomeError
-from .gate import ConditionalOutput
+from .gate import PROBABILITY_FLOOR, ConditionalOutput
 from .special_numerics import _cis, integrate_oscillatory_gaussian
 from .states import MAX_ENTRIES, GateParams, GridSpec, WaveFunction
 
@@ -107,7 +107,7 @@ def oracle_two_mode(input: WaveFunction, params: GateParams,
     out = np.sum(coarse * (fine @ weights.T), axis=1)
     out *= input.amplitudes / math.sqrt(2.0 * math.pi)
     prob = float(np.trapezoid(np.abs(out) ** 2, dx=input.dx))
-    if prob < 1e-300:
+    if prob < PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(
             f"outcome y_m={params.y_m} has probability density {prob}")
     state = WaveFunction(input.grid, out / math.sqrt(prob),

@@ -201,6 +201,10 @@ def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,
         x = sigma_level / (math.sqrt(2.0) * s) * np.cos(t)
         p = sigma_level * s / math.sqrt(2.0) * np.sin(t)
         x, p = semiclassical_shear(x, p, gamma)
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise DomainError(f"support region overflows at s={s!r}, "
+                          f"gamma={gamma!r}, sigma_level={sigma_level!r}: "
+                          "its boundary is not finite")
     x[-1], p[-1] = x[0], p[0]
     return SupportRegion(boundary=np.column_stack([x, p]), sigma_level=sigma_level)
 

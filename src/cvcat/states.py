@@ -248,4 +248,3 @@ def cat_params_from_gate(params: GateParams) -> CatParams:
     if theta <= -math.pi:
         theta = math.pi
     return CatParams(p_plus=p_plus, theta=theta)
-

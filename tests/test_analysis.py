@@ -67,6 +67,15 @@ class TestFidelity:
         assert abs(fidelity(a, b) - 8.0 / 17.0) <= 1e-12
         assert abs(fidelity(b, a) - 8.0 / 17.0) <= 1e-12
 
+    def test_refuses_an_oversized_sinc_kernel(self):
+        # 8,193^2 kernel entries pass the 2^26 cap: refused before allocating
+        a = vacuum(GridSpec(-10.0, 10.0, 8193))
+        b = vacuum(GridSpec(-11.0, 11.0, 8193))
+        for call in (lambda: fidelity(a, b), lambda: resample(a, b.grid)):
+            with pytest.raises(DomainError,
+                               match="onto 8193 points from 8193 points"):
+                call()
+
 
 class TestResample:
     def test_gaussian_reconstruction(self):

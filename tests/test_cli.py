@@ -127,6 +127,24 @@ class TestGateCommand:
         assert capsys.readouterr().err == (
             f"probability_density {want.probability_density:.17g}\n")
 
+    def test_small_normal_probability_is_a_state(self, capsys):
+        # at s = 1e305 the wide vacuum gives the exact P = pi^(-1/2) / s,
+        # 5.6e-306: small but normal, so the output state is defined
+        assert main(["gate", "--db", "-6100", "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        p = float(captured.err.removeprefix("probability_density "))
+        want = math.pi ** -0.5 / db_to_s(-6100.0)
+        assert abs(p - want) <= 1e-12 * want
+        assert len(captured.out.splitlines()) == 2049
+
+    def test_subnormal_probability_is_refused(self, capsys):
+        assert main(["gate", "--db", "-6150", "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: outcome y_m=3.0 has probability density "
+            "1.784124116152771e-308; the conditional state is undefined\n")
+
 
 class TestSupportRegionCommand:
     def test_json_carries_the_boundary(self, tmp_path, capsys):
@@ -158,6 +176,15 @@ class TestSupportRegionCommand:
         assert capsys.readouterr().err == (
             f"error: n_boundary must be 32 to {MAX_GRID_POINTS}, "
             "got 2000000000\n")
+
+    # -6160 dB: the p semi-axis sigma s / sqrt(2) overflows; 3100 dB: the
+    # shear 3 gamma x^2 overflows on the x semi-axis of about 1.4e155
+    @pytest.mark.parametrize("db", ["-6160", "3100"])
+    def test_overflow_names_the_setting(self, db, capsys):
+        assert main(["support-region", "--db", db]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: support region overflows at s={db_to_s(float(db))!r}, "
+            "gamma=0.1, sigma_level=2.0: its boundary is not finite\n"))
 
 
 class TestWignerCommand:
@@ -321,6 +348,33 @@ class TestSweepCommands:
         assert main(["sweep-infidelity", "--ym", "3",
                      "--db-range", "20:0"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("db_range", ["-400:0:3", "-310:-300:3"])
+    def test_sweep_shares_the_db_domain(self, db_range, tmp_path, capsys):
+        # 1/s below 5e-16 is no longer rounded to 0 or onto its neighbour
+        out = tmp_path / "prob.csv"
+        assert main(["sweep-probability", f"--db-range={db_range}",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        lo, hi, n = map(float, db_range.split(":"))
+        assert [float(r[0]) for r in rows] == [
+            1.0 / db_to_s(db) for db in np.linspace(lo, hi, int(n)).tolist()]
+        assert all(float(r[2]) > 0 and r[5] == "" for r in rows)
+
+    @pytest.mark.parametrize("db_range", ["0:inf:2", "-inf:0:3"])
+    def test_db_range_bounds_must_be_finite(self, db_range, capsys):
+        assert main(["sweep-probability", f"--db-range={db_range}"]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: --db-range needs finite lo and hi, got {db_range!r}\n"))
+
+    def test_db_range_n_over_the_cap(self, capsys):
+        # refused before np.linspace allocates the values
+        n = MAX_GRID_POINTS + 1
+        assert main(["sweep-probability", f"--db-range=0:20:{n}"]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: --db-range n must be at most {MAX_GRID_POINTS}, "
+            f"got {n}\n"))
 
     def test_all_rows_failed_exits_domain(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
