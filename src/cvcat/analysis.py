@@ -18,7 +18,6 @@ from .states import MAX_ENTRIES, GateParams, GridSpec, WaveFunction, \
 __all__ = [
     "fidelity",
     "phase_aligned_l2",
-    "resample",
     "db_to_s",
     "efficiency_score",
     "SweepSpec",
@@ -28,22 +27,14 @@ __all__ = [
 
 
 def _sinc_samples(wf: WaveFunction, grid: GridSpec) -> np.ndarray:
-    """wf's amplitudes sinc-interpolated onto the points of grid."""
+    """wf's amplitudes sinc-interpolated onto the points of grid. The states
+    here are Gaussian-enveloped, hence effectively band-limited; linear
+    interpolation would bias overlap integrals at the 1e-4 level."""
     if grid.n_points * wf.n_points > MAX_ENTRIES:   # before the kernel allocates
         raise DomainError(f"sinc kernel onto {grid.n_points} points from "
                           f"{wf.n_points} points exceeds the 2^26 entry cap")
     kernel = np.sinc((grid.x[:, None] - wf.x[None, :]) / wf.dx)
     return kernel @ wf.amplitudes
-
-
-def resample(wf: WaveFunction, grid: GridSpec) -> WaveFunction:
-    """Band-limited (sinc) interpolation of a wavefunction onto a new grid;
-    a grid that cuts off part of the state leaves no normalized state there.
-
-    The states here are Gaussian-enveloped, hence effectively band-limited;
-    linear interpolation would bias overlap integrals at the 1e-4 level.
-    """
-    return WaveFunction(grid, _sinc_samples(wf, grid), label=wf.label)
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:

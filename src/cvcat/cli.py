@@ -281,7 +281,11 @@ def _parse_db_range(text: str):
 
 def _cmd_sweep(cfg) -> tuple[str, int]:
     lo, hi, n = _parse_db_range(cfg["db_range"])
-    # each dB converts as --db does, so a sweep has the same domain
+    # each dB converts as --db does; a sweep scans 1/s, which overflows
+    # first at the top, where s is subnormal
+    if not math.isfinite(1.0 / db_to_s(hi)):
+        raise DomainError(f"--db-range top {hi!r} dB overflows 1/s; "
+                          "a sweep reaches about 6,165 dB")
     inverse_s = tuple(1.0 / db_to_s(db) for db in np.linspace(lo, hi, n).tolist())
     outputs = frozenset(v.strip() for v in cfg["outputs"].split(",") if v.strip())
     spec = SweepSpec(values=inverse_s, y_m=cfg["ym"], gamma=cfg["gamma"],

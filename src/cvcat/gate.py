@@ -24,7 +24,6 @@ __all__ = [
     "added_factor",
     "added_factor_grid",
     "apply_gate",
-    "gate_rows",
     "outcome_probability_density",
 ]
 

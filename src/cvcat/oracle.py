@@ -64,9 +64,9 @@ def ancilla_grid_for(params: GateParams, n_target: int) -> GridSpec:
     return GridSpec(-w, w, max(n2, 16))
 
 
-def oracle_two_mode(input: WaveFunction, params: GateParams,
-                    grid_2: GridSpec | None = None) -> ConditionalOutput:
-    """End-to-end grid simulation: entangle, project on y_m, normalize.
+def oracle_two_mode(input: WaveFunction, params: GateParams) -> ConditionalOutput:
+    """End-to-end grid simulation: entangle, project on y_m, normalize, on
+    the ancilla grid of ancilla_grid_for(params, input.n_points).
 
     The projected amplitude is the trapezoid sum over x2_j of
     exp(i x1 x2_j) times the ancilla column. Both grids are uniform, so with
@@ -77,22 +77,15 @@ def oracle_two_mode(input: WaveFunction, params: GateParams,
     taken from one tangent of the half phase (special_numerics._cis), which
     costs a fraction of numpy's complex exp.
     """
-    if grid_2 is None:
-        grid_2 = ancilla_grid_for(params, input.n_points)
-    if input.n_points * grid_2.n_points > MAX_ENTRIES:
-        raise DomainError("two-mode grid exceeds the 2^26 entry cap")
-    x2 = grid_2.x
+    ancilla = ancilla_grid_for(params, input.n_points)
+    x2 = ancilla.x
     s = params.s
-    edge_density = math.exp(-((s * max(abs(grid_2.x_min), abs(grid_2.x_max))) ** 2))
-    if edge_density > 1e-10:
-        raise DomainError("ancilla grid too narrow: edge density "
-                          f"{edge_density:.3e} > 1e-10")
     with np.errstate(under="ignore"):
         sq = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x2) ** 2)
         # cubic resource phase and homodyne projection phase, fused per column
         column = sq * _cis(params.gamma * x2 * x2 * x2 - params.y_m * x2)
     x1 = input.x
-    n2, dx2 = grid_2.n_points, grid_2.dx
+    n2, dx2 = ancilla.n_points, ancilla.dx
     big_j = math.isqrt(n2 - 1) + 1          # ceil(sqrt(n2))
     big_m = -(-n2 // big_j)                 # ceil(n2 / J)
     # trapezoid weights over x2 (endpoints carry half weight), zero-padded
@@ -102,7 +95,7 @@ def oracle_two_mode(input: WaveFunction, params: GateParams,
     weights[0] *= 0.5
     weights[n2 - 1] *= 0.5
     weights = weights.reshape(big_m, big_j)
-    fine = _cis(np.outer(x1, grid_2.x_min + dx2 * np.arange(big_j)))
+    fine = _cis(np.outer(x1, ancilla.x_min + dx2 * np.arange(big_j)))
     coarse = _cis(np.outer(x1, (big_j * dx2) * np.arange(big_m)))
     out = np.sum(coarse * (fine @ weights.T), axis=1)
     out *= input.amplitudes / math.sqrt(2.0 * math.pi)

@@ -33,7 +33,7 @@ class WignerGrid:
     values: np.ndarray   # (n_x, n_p): one row per x, one column per p
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float, order="C")   # a private copy
         if v.ndim != 2 or min(v.shape) < 2:
             raise DomainError("WignerGrid needs an (n_x, n_p) matrix with "
                               "n_x, n_p >= 2")
@@ -170,7 +170,7 @@ class SupportRegion:
     sigma_level: float
 
     def __post_init__(self):
-        b = np.ascontiguousarray(self.boundary, dtype=float)
+        b = np.array(self.boundary, dtype=float, order="C")   # a private copy
         if b.ndim != 2 or b.shape[1] != 2 or b.shape[0] < 4:
             raise DomainError("boundary must be an (n, 2) polyline")
         if not np.isfinite(b).all():

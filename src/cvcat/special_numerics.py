@@ -348,8 +348,8 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
 
     Each delta takes its own c, a, beta, h and node count, and its sum is
     reduced alone, so a value does not depend on the array it is evaluated
-    in. A delta that needs more than MAX_ENTRIES nodes raises DomainError
-    before any node is built.
+    in. A gamma < 0, or a delta that needs more than MAX_ENTRIES nodes,
+    raises DomainError before any node is built.
     """
     d = np.asarray(delta, dtype=float)
     if not (np.isfinite(d).all() and math.isfinite(gamma) and math.isfinite(s)):
@@ -357,8 +357,7 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
     if not s > 0:
         raise DomainError("squeeze factor s must be positive")
     if gamma < 0:
-        # integrand(delta, -gamma) = conj(integrand(delta, gamma))
-        return np.conj(integrate_oscillatory_gaussian(d, -gamma, s))
+        raise DomainError("cubic coefficient gamma must be >= 0")
     flat = d.ravel()
     s2 = s * s
     # overflow or a vanishing a leaves a node count that is not finite,

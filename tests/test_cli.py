@@ -368,6 +368,31 @@ class TestSweepCommands:
         assert capsys.readouterr() == ("", (
             f"error: --db-range needs finite lo and hi, got {db_range!r}\n"))
 
+    def test_db_range_top_past_the_1_over_s_overflow(self, capsys):
+        # s at 6,170 dB is subnormal, so 1/s is inf: refused by the top dB
+        assert main(["sweep-probability", "--db-range=6100:6170:3"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: --db-range top 6170.0 dB overflows 1/s; "
+            "a sweep reaches about 6,165 dB\n"))
+
+    def test_db_range_top_under_the_1_over_s_overflow(self, tmp_path, capsys):
+        # 6,160 dB keeps 1/s = 1e308; that row alone meets the probability floor
+        out = tmp_path / "prob.csv"
+        assert main(["sweep-probability", "--db-range=6100:6160:3",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", (
+            "sweep: 2 rows ok, 1 failed (ZeroProbabilityOutcomeError 1)\n"))
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [
+            1.0 / db_to_s(db) for db in (6100.0, 6130.0, 6160.0)]
+        assert [r[5] != "" for r in rows] == [False, False, True]
+
+    def test_db_range_top_past_the_s_underflow(self, capsys):
+        # s itself underflows to 0 before 1/s is formed: db_to_s names the dB
+        assert main(["sweep-probability", "--db-range=6100:6500:3"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: squeezing of 6500.0 dB underflows s to 0\n"))
+
     def test_db_range_n_over_the_cap(self, capsys):
         # refused before np.linspace allocates the values
         n = MAX_GRID_POINTS + 1

@@ -97,23 +97,17 @@ class TestOracleTwoMode:
             assert np.max(np.abs(oracle.state.amplitudes
                                  - projected / math.sqrt(prob))) <= 1e-11
 
-    def test_entry_cap(self):
-        vac = make_squeezed_vacuum(1.0, GridSpec(-8.0, 8.0, 4096))
-        with pytest.raises(DomainError, match="2\\^26 entry cap"):
-            oracle_two_mode(vac, GateParams(gamma=0.1, s=1.0, y_m=3.0),
-                            grid_2=GridSpec(-12.0, 12.0, 2 ** 15))
-
-    def test_grid_halving_convergence(self):
+    def test_grid_halving_convergence(self, monkeypatch):
+        """On an ancilla grid at half the phase step, doubling the target
+        points leaves the distance to the closed form where it was."""
+        monkeypatch.setattr("cvcat.oracle._PHASE_STEP_LIMIT", 0.25)
         params = GateParams(gamma=0.1, s=10.0 ** (-5.0 / 20.0), y_m=3.0)
         dists = []
         for n1 in (129, 257):
             vac = make_squeezed_vacuum(1.0, GridSpec(-11.0, 11.0, n1))
-            grid_2 = ancilla_grid_for(params, n1)
-            fine_2 = GridSpec(grid_2.x_min, grid_2.x_max,
-                              2 * grid_2.n_points - 1)
-            oracle = oracle_two_mode(vac, params, grid_2=fine_2)
+            out = oracle_two_mode(vac, params)
             closed = apply_gate(vac, params)
-            dists.append(phase_aligned_l2(closed.state, oracle.state))
+            dists.append(phase_aligned_l2(closed.state, out.state))
         assert abs(dists[0] - dists[1]) < 1e-5
 
     def test_gamma_zero_output_stays_gaussian(self):
@@ -134,3 +128,10 @@ class TestOracleTwoMode:
         assert rate * grid.dx <= 0.5 * (1 + 1e-12)
         edge_density = math.exp(-((params.s * grid.x_max) ** 2))
         assert edge_density <= 1e-10
+
+    def test_ancilla_grid_refuses_what_the_entry_cap_cannot_hold(self):
+        # a budget of 2^26 / 2^20 = 64 ancilla points cannot meet the
+        # phase-step rule before the edge density passes 1e-10
+        with pytest.raises(DomainError, match="cannot satisfy both the "
+                                              "phase-step rule and the 2\\^26"):
+            ancilla_grid_for(GateParams(gamma=0.1, s=1.0, y_m=3.0), 2 ** 20)

@@ -1,0 +1,37 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import cvcat
+
+LIBRARY = [m.name for m in pkgutil.iter_modules(cvcat.__path__) if m.name != "cli"]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in cvcat.__all__ if not hasattr(cvcat, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_module_exports_are_package_exports(name):
+    module = importlib.import_module(f"cvcat.{name}")
+    assert set(getattr(module, "__all__", ())) <= set(cvcat.__all__)
+
+
+def _imported_modules(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_the_cli_imports_json():
+    """The library returns values; cvcat.cli writes every document."""
+    sources = sorted(Path(cvcat.__file__).parent.glob("*.py"))
+    assert [p.stem for p in sources if "json" in _imported_modules(p)] == ["cli"]

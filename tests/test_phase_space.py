@@ -129,6 +129,15 @@ class TestWignerGrid:
         assert capsys.readouterr().out == \
             f"-1.5,2.0,-3.25,4.0,{shape[0]},{shape[1]}\n" + buf.getvalue()
 
+    def test_copies_the_callers_array(self):
+        buf = np.ones((4, 4))
+        view = buf[:]
+        grid = WignerGrid(0.0, 1.0, 0.0, 1.0, buf)
+        assert buf.flags.writeable
+        buf[0, 0] = 5.0
+        view[:] = 5.0
+        assert np.all(grid.values == 1.0) and not grid.values.flags.writeable
+
 
 class TestWignerLogNegativity:
     def test_vacuum_near_zero(self):
@@ -222,6 +231,17 @@ class TestSupportRegion:
         buf = io.StringIO()
         np.savetxt(buf, boundary, delimiter=",", fmt="%.17g")
         assert capsys.readouterr().out == "x,p\n" + buf.getvalue()
+
+    def test_copies_the_callers_array(self):
+        buf = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
+        view = buf[:]
+        region = SupportRegion(boundary=buf, sigma_level=1.0)
+        assert buf.flags.writeable
+        buf[0, 0] = 5.0
+        view[1:3] = 5.0
+        assert np.array_equal(region.boundary, [[1.0, 0.0], [0.0, 1.0],
+                                                [-1.0, 0.0], [1.0, 0.0]])
+        assert not region.boundary.flags.writeable
 
     def test_validation(self):
         with pytest.raises(DomainError):
