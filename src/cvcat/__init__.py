@@ -21,8 +21,8 @@ from .phase_space import SupportRegion, WignerGrid, build_support_region, \
 from .special_numerics import airy_ai, airy_ai_scaled, \
     integrate_oscillatory_gaussian
 from .states import CatParams, GateParams, GridSpec, WaveFunction, \
-    cat_params_from_gate, default_grid, make_cubic_phase_state, make_ideal_cat, \
-    make_squeezed_vacuum
+    band_limited_grid, cat_params_from_gate, default_grid, \
+    make_cubic_phase_state, make_ideal_cat, make_squeezed_vacuum
 
 __version__ = "1.0.0"
 
@@ -32,8 +32,8 @@ __all__ = [
     "ZeroProbabilityOutcomeError", "DegenerateSuperpositionError",
     "airy_ai", "airy_ai_scaled", "integrate_oscillatory_gaussian",
     "GridSpec", "WaveFunction", "GateParams", "CatParams", "default_grid",
-    "make_squeezed_vacuum", "make_cubic_phase_state", "make_ideal_cat",
-    "cat_params_from_gate",
+    "band_limited_grid", "make_squeezed_vacuum", "make_cubic_phase_state",
+    "make_ideal_cat", "cat_params_from_gate",
     "ConditionalOutput", "added_factor", "added_factor_grid", "apply_gate",
     "outcome_probability_density",
     "ancilla_grid_for", "oracle_added_factor", "oracle_two_mode",

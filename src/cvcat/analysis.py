@@ -13,7 +13,8 @@ from .gate import PROBABILITY_FLOOR, apply_gate, gate_rows
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
 from .states import MAX_ENTRIES, GateParams, GridSpec, WaveFunction, \
-    cat_params_from_gate, default_grid, make_ideal_cat, make_squeezed_vacuum
+    band_limited_grid, cat_params_from_gate, default_grid, make_ideal_cat, \
+    make_squeezed_vacuum
 
 __all__ = [
     "fidelity",
@@ -97,13 +98,14 @@ def efficiency_score(f_cat: float, probability_density: float) -> float:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A scan over 1/s at one outcome y_m; gamma None means y_m / 30."""
+    """A scan over 1/s at one outcome y_m; gamma None means y_m / 30, and
+    n_grid_points None means the grid of band_limited_grid."""
 
     values: tuple                      # 1/s, strictly increasing
     y_m: float
     gamma: float | None = None
     outputs: frozenset = frozenset({"infidelity", "probability"})
-    n_grid_points: int = 2048
+    n_grid_points: int | None = None
 
     def __post_init__(self):
         self.params   # a non-finite y_m or a bad gamma is a spec error
@@ -162,7 +164,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             rows[i] = _failed(value, exc)
     try:
         cat = cat_params_from_gate(base)
-        grid = default_grid(cat.p_plus, spec.n_grid_points)
+        grid = band_limited_grid(base) if spec.n_grid_points is None \
+            else default_grid(cat.p_plus, spec.n_grid_points)
         vacuum = make_squeezed_vacuum(1.0, grid)
     except CvcatError as exc:
         return [row or _failed(value, exc) for row, value in zip(rows, spec.values)]

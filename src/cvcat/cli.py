@@ -64,11 +64,16 @@ _FLAGS = {
     "out": {"help": "output file path (default: stdout)"},
     "grid_half_width": {"type": float,
                         "help": "coordinate grid half-width override"},
-    "grid_points": {"type": int, "help": "coordinate grid point count"},
-    "bounds": {"help": "xmin:xmax:pmin:pmax (default: automatic)"},
+    "grid_points": {"type": int,
+                    "help": "coordinate grid point count (sweeps: from the "
+                            "band limit if absent)"},
+    "bounds": {"help": "xmin:xmax:pmin:pmax (default: automatic); a list "
+                       "that starts with a minus takes the = form, "
+                       "--bounds=-6:6:-6:6"},
     "nx": {"type": _axis_points},
     "np": {"type": _axis_points},
-    "db_range": {"help": "lo:hi[:n] in dB"},
+    "db_range": {"help": "lo:hi[:n] in dB; a range that starts with a minus "
+                         "takes the = form, --db-range=-10:0:3"},
     "outputs": {"help": "comma list of row outputs"},
     "sigma_level": {"type": float},
     "n_boundary": {"type": int},
@@ -353,7 +358,8 @@ def run_verification():
                 closed = added_factor_grid(
                     y_m + deltas, GateParams(gamma=gamma, s=s, y_m=y_m))
                 dev = np.hypot(closed - oracle.real, oracle.imag) / scale
-                worst = max(worst, float(dev.max()))
+                # np.maximum keeps a NaN, which fails the tolerance
+                worst = float(np.maximum(worst, dev.max()))
     return worst
 
 
@@ -368,7 +374,7 @@ def _cmd_verify(_cfg) -> tuple[str, int]:
 # its defaults name, plus --config and --dump-config
 _GRID = {"grid_half_width": None, "grid_points": 2048}
 _SWEEP = {"gamma": None, "ym": 3.0, "db_range": "0:20:60", "format": "csv",
-          "out": None, "grid_points": 2048}
+          "out": None, "grid_points": None}
 _COMMANDS = {
     "state": (_cmd_state, "dump a constructed state",
               {"kind": "cubic", "gamma": 0.1, "ym": 3.0, "db": 5.0,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import MAX_ENTRIES, MAX_GRID_POINTS, WaveFunction
+from .states import _PAD, MAX_ENTRIES, MAX_GRID_POINTS, WaveFunction
 
 __all__ = [
     "WignerGrid",
@@ -210,7 +210,6 @@ def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,
 
 
 _SUPPORT_FLOOR = 1e-6   # share of its peak from which a density is support
-_PAD = 6.0               # margin of the suggested bounds past the support
 
 
 def suggest_wigner_bounds(state: WaveFunction):

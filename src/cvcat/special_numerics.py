@@ -339,8 +339,10 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
 
     and the trapezoid rule converges geometrically (Trefethen & Weideman,
     SIAM Review 56(3), 2014). For delta > 0, c is the saddle point, where
-    beta = 0; for delta <= 0, c = 1/max(|delta|, 1, s) keeps the integrand's
-    peak e^k0 below e^(3/2 + gamma), anti-squeezed s > 1 included. With
+    beta = 0; for delta <= 0, c = 1/max(|delta|, 1, s, gamma^(1/3)) holds
+    -delta c and gamma c^3 to at most 1 and (s c)^2/2 to at most 1/2, so the
+    integrand's peak e^k0 stays below e^(5/2), anti-squeezed s > 1 and large
+    gamma included. With
     L = _TAIL_EXPONENT = 40, the half-width T meets
     e^(-a T^2) <= e^(-L - delta c) and the step h = pi/(omega_max + sqrt(L a))
     resolves the largest local angular frequency on |t| <= T with the
@@ -366,9 +368,10 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
         if gamma == 0:
             c = np.zeros_like(flat)
         else:
+            c_cap = max(1.0, s, gamma ** (1.0 / 3.0))
             c = np.where(flat > 0.0, (np.sqrt(s2 * s2 + 12.0 * gamma
                                               * np.maximum(flat, 0.0)) - s2)
-                         / (6.0 * gamma), 1.0 / np.maximum(-flat, max(1.0, s)))
+                         / (6.0 * gamma), 1.0 / np.maximum(-flat, c_cap))
         a = 3.0 * gamma * c + 0.5 * s2
         beta = flat - 3.0 * gamma * c * c - s2 * c
         k0 = -flat * c + gamma * c ** 3 + 0.5 * s2 * c * c

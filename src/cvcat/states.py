@@ -20,6 +20,7 @@ __all__ = [
     "GateParams",
     "CatParams",
     "default_grid",
+    "band_limited_grid",
     "make_squeezed_vacuum",
     "make_cubic_phase_state",
     "make_ideal_cat",
@@ -31,6 +32,9 @@ MAX_ENTRIES = 2 ** 26   # largest work array: a two-mode oracle or Wigner matrix
 # the largest grid: the two-mode oracle's ancilla grid reaches 2^26 / 16
 MAX_GRID_POINTS = MAX_ENTRIES // 16
 NORM_TOLERANCE = 1e-6   # the |norm^2 - 1| a WaveFunction may have
+# beyond this, in x and in p, the vacuum amplitude exp(-k^2/2) is below 2^-53
+_K_VACUUM = math.sqrt(2.0 * 53.0 * math.log(2.0))
+_PAD = 6.0   # margin of phase_space's suggested Wigner bounds past the support
 
 
 @dataclass(frozen=True)
@@ -248,3 +252,27 @@ def cat_params_from_gate(params: GateParams) -> CatParams:
     if theta <= -math.pi:
         theta = math.pi
     return CatParams(p_plus=p_plus, theta=theta)
+
+
+def band_limited_grid(params: GateParams) -> GridSpec:
+    """default_grid's half-width p_plus + 8, sampled as finely as the gate
+    output and target cat of a vacuum input need: dx = (pi/2)/(k_max + _PAD).
+
+    With k_in = _K_VACUUM, the factor's largest stationary-phase frequency
+    over |x| <= k_in is k_F = sqrt(max(0, y_m + k_in)/(3 gamma)) at every s,
+    so the output's band is k_in + k_F and the cat's p_plus + k_in; k_max is
+    the larger. The _PAD keeps the suggested Wigner p bound of either state
+    within the Nyquist limit pi/(2 dx) of its Wigner transform. A grid of
+    more than MAX_GRID_POINTS raises DomainError before anything allocates.
+    """
+    gamma, y_m = params.gamma, params.y_m
+    p_plus = cat_params_from_gate(params).p_plus
+    k_factor = math.sqrt(max(0.0, y_m + _K_VACUUM) / (3.0 * gamma))
+    k_max = max(_K_VACUUM + k_factor, p_plus + _K_VACUUM)
+    half = p_plus + 8.0
+    steps = 2.0 * half * (k_max + _PAD) / (math.pi / 2.0)   # 2 half / dx
+    if not steps <= MAX_GRID_POINTS - 1:   # an inf fails too
+        raise DomainError(
+            f"band-limited grid at gamma={gamma!r}, y_m={y_m!r} needs "
+            f"n_points={steps + 1.0:.3g}, over the {MAX_GRID_POINTS} cap")
+    return GridSpec(-half, half, math.ceil(steps) + 1)

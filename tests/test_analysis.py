@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cvcat import states
 from cvcat.analysis import SweepRow, SweepSpec, _sinc_samples, db_to_s, \
     efficiency_score, fidelity, phase_aligned_l2, run_sweep
 from cvcat.cli import _rows_csv
@@ -196,12 +197,12 @@ class TestSweep:
 
     def test_infidelity_complements_fidelity(self):
         from cvcat.gate import apply_gate
-        from cvcat.states import cat_params_from_gate, default_grid, \
+        from cvcat.states import band_limited_grid, cat_params_from_gate, \
             make_ideal_cat
         rows = run_sweep(self.spec(values=(2.0,)))
         params = GateParams(gamma=0.1, s=0.5, y_m=3.0)
         cat = cat_params_from_gate(params)
-        grid = default_grid(cat.p_plus)
+        grid = band_limited_grid(params)
         out = apply_gate(make_squeezed_vacuum(1.0, grid), params)
         f = fidelity(out.state, make_ideal_cat(cat, grid))
         assert rows[0].infidelity == 1.0 - f
@@ -214,19 +215,35 @@ class TestSweep:
             repr, run_sweep(self.spec(y_m=6.0, gamma=0.2))))
 
     def test_small_fixed_gamma_rows_name_the_coarse_grid(self):
-        # p_plus = sqrt(y_m / 3 gamma) outgrows the 2,048-point default grid:
-        # p_plus*dx is 1.22 at gamma = 1e-3, 10.5 at 1e-4 and 37 at 1e-5
-        def row(gamma):
-            return run_sweep(self.spec(values=(1.0,), gamma=gamma))[0]
+        # p_plus = sqrt(y_m / 3 gamma) outgrows a fixed 2,048-point grid:
+        # p_plus*dx is 1.22 at gamma = 1e-3, 10.5 at 1e-4 and 37 at 1e-5.
+        # The band-limited grid, a sweep's default, resolves every cat.
+        def row(gamma, n_grid_points=None):
+            return run_sweep(self.spec(values=(1.0,), gamma=gamma,
+                                       n_grid_points=n_grid_points))[0]
 
-        ok = row(1e-3)
-        assert ok.error == "" and 0.0 <= ok.infidelity <= 1.0
+        for ok in (row(1e-3), row(1e-4), row(1e-5), row(1e-3, 2048)):
+            assert ok.error == "" and 0.0 <= ok.infidelity <= 1.0
         for gamma in (1e-4, 1e-5):
-            failed = row(gamma)
+            failed = row(gamma, 2048)
             assert math.isnan(failed.infidelity)
             assert failed.error.startswith(
                 "DomainError: grid too coarse for the cat: p_plus=")
             assert "dx=" in failed.error and "n_points=2048" in failed.error
+
+    def test_band_limited_grid_past_the_cap_fails_every_row(self,
+                                                            monkeypatch):
+        """gamma = 1e-7 at y_m = 3 needs about 2.5e7 points, over
+        MAX_GRID_POINTS: every row fails with the one error that names
+        gamma, y_m and that n, and no grid is built."""
+        def no_grid(*args):
+            raise AssertionError("grid built past the cap")
+
+        monkeypatch.setattr(states, "GridSpec", no_grid)
+        rows = run_sweep(self.spec(gamma=1e-7))
+        assert {r.error for r in rows} == {
+            f"DomainError: band-limited grid at gamma=1e-07, y_m=3.0 needs "
+            f"n_points=2.51e+07, over the {states.MAX_GRID_POINTS} cap"}
 
     def test_csv_format(self):
         text = _rows_csv([SweepRow(variable_value=1.5, infidelity=0.25,

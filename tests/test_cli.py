@@ -14,8 +14,8 @@ from cvcat.gate import added_factor, apply_gate
 from cvcat.oracle import oracle_added_factor
 from cvcat.phase_space import build_support_region
 from cvcat.states import MAX_GRID_POINTS, GateParams, GridSpec, \
-    cat_params_from_gate, default_grid, make_cubic_phase_state, \
-    make_squeezed_vacuum
+    band_limited_grid, cat_params_from_gate, default_grid, \
+    make_cubic_phase_state, make_squeezed_vacuum
 
 
 class TestExitCodes:
@@ -450,8 +450,7 @@ class TestSweepCommands:
         assert capsys.readouterr().err == ""
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
         assert len(rows) == 7 and all(r[5] == "" for r in rows)
-        params = GateParams(gamma=0.1, s=1.0, y_m=3.0)
-        grid = default_grid(cat_params_from_gate(params).p_plus, 2048)
+        grid = band_limited_grid(GateParams(gamma=0.1, s=1.0, y_m=3.0))
         vacuum = make_squeezed_vacuum(1.0, grid)
         for r in rows:
             s = 1.0 / float(r[0])
@@ -623,6 +622,20 @@ class TestConfigHandling:
         assert by_config.read_bytes() == by_flags.read_bytes()
 
 
+@pytest.mark.parametrize("command, example", [
+    ("wigner", "--bounds=-6:6:-6:6"),
+    ("sweep-probability", "--db-range=-10:0:3")])
+def test_help_names_the_equals_form_of_a_leading_minus(
+        command, example, monkeypatch, capsys):
+    """argparse reads a value that starts with a minus as a flag, so such a
+    colon list is a usage error in the space form; --help shows the = form."""
+    monkeypatch.setenv("COLUMNS", "1000")   # no line breaks in the help
+    assert main([command, "--help"]) == 0
+    assert example in capsys.readouterr().out
+    assert main([command, *example.split("=", 1)]) == 64
+    assert "expected one argument" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_verification_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -675,6 +688,23 @@ class TestVerifyCommand:
         assert len(factor_calls) == blocks == 36
         assert sum(factor_calls) == blocks * len(deltas) == 1476
         assert len(airy_calls) <= blocks
+
+    def test_a_nan_deviation_fails(self, monkeypatch, capsys):
+        """A NaN anywhere, here one oracle value of the first block, fails
+        verify and is printed, though every later block passes."""
+        def first_block_nan(x, params, fn=cvcat.cli.oracle_added_factor):
+            out = fn(x, params)
+            if not calls:
+                out[3] = math.nan
+            calls.append(params)
+            return out
+
+        calls = []
+        monkeypatch.setattr(cvcat.cli, "oracle_added_factor", first_block_nan)
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().out == \
+            "max relative deviation nan (tolerance 1e-08)\n"
+        assert len(calls) == 12
 
     @pytest.mark.parametrize("flag", [["--gamma", "5"], ["--ym", "3"],
                                       ["--db", "99"], ["--format", "json"]])

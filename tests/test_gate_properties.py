@@ -132,3 +132,31 @@ def test_factor_depends_on_x_minus_y_only(gamma, s, y, shift):
     padded = np.pad(np.abs(a), 2)
     local = np.max([padded[k:k + a.size] for k in range(5)], axis=0)
     assert np.all(np.abs(a - b) <= 1e-10 * local)
+
+
+# the covariance deviation, as a share of the block maximum, measured at
+# most 1.3e-13 over 16,000 uniform draws from the ranges below and 6.3e-14
+# over 5,000 hypothesis examples; the bound leaves about 8x of that
+COVARIANCE_TOLERANCE = 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(st.just(0.0), st.floats(-12.0, 8.0).map(lambda e: 10.0 ** e)),
+       s=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+       lam=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+       shift=st.floats(0.0, 0.5))
+def test_factor_scaling_covariance(g, s, lam, shift):
+    """x = lam u maps the resource at (gamma, s) to (gamma lam^3, s lam), so
+    F(delta; gamma lam^3, s lam) = lam^(-1/2) F(delta/lam; gamma, s). The
+    Airy argument is invariant, so this checks the exponent algebra of every
+    regime with no oracle. gamma = g s^3 over g = gamma/s^3 in [1e-12, 1e8]
+    and 0; delta/s spans m [-10, 10] with m = max(1, (12 g)^(1/4)), the
+    factor's width. Deviations are scaled by the block's maximum."""
+    gamma = g * s ** 3
+    delta = s * max(1.0, (12.0 * g) ** 0.25) * (np.linspace(-10.0, 10.0, 41)
+                                                + shift)
+    scaled = added_factor_grid(delta, GateParams(gamma * lam ** 3, s * lam, 0.0))
+    plain = added_factor_grid(delta / lam, GateParams(gamma, s, 0.0))
+    plain /= math.sqrt(lam)
+    assert np.max(np.abs(scaled - plain)) \
+        <= COVARIANCE_TOLERANCE * np.max(np.abs(plain))

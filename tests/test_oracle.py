@@ -32,7 +32,8 @@ class TestOracleAddedFactor:
             assert abs(v.imag) <= 1e-8 * abs(v)
 
     def test_matches_closed_form(self):
-        for gamma, s in ((0.1, 1.0), (0.5, 0.5623413251903491)):
+        for gamma, s in ((0.1, 1.0), (0.5, 0.5623413251903491), (50.0, 0.03),
+                         (1e3, 1.0), (1e4, 3.0)):
             params = GateParams(gamma=gamma, s=s, y_m=3.0)
             for x in (0.0, 2.0, 3.0, 7.5):
                 o = oracle_added_factor(x, params)

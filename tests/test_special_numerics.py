@@ -216,6 +216,20 @@ class TestIntegrateOscillatoryGaussian:
             got = integrate_oscillatory_gaussian(deltas, 0.1, s)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, s
 
+    def test_large_gamma_matches_reference(self, reference_integral):
+        """gamma > 1 moves the path on delta <= 0 no further than
+        Im x = gamma^(-1/3), so gamma c^3 stays at most 1 and the peak e^k0
+        of order 1: within 2e-15 of the reference at gamma = 50, 500 and
+        1e4, where a path at Im x = 1 gave values 1e4 too large, then NaN."""
+        deltas = np.arange(-10.0, 10.5, 0.5)
+        for gamma in (50.0, 500.0, 1e4):
+            for s in (0.03, 1.0, 3.0):
+                want = np.array([reference_integral(d, gamma, s)
+                                 for d in deltas])
+                got = integrate_oscillatory_gaussian(deltas, gamma, s)
+                assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15, \
+                    (gamma, s)
+
     def test_rejects_bad_input(self):
         for delta, gamma, s in ((0.0, 0.1, 0.0), (0.0, 0.1, -1.0),
                                 (0.0, 0.1, math.nan), (0.0, 0.1, math.inf),

@@ -2,6 +2,7 @@
 alone: a fresh vacuum, apply_gate, a fresh ideal cat and fidelity."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,11 +12,11 @@ from cvcat.errors import CvcatError
 from cvcat.gate import apply_gate, gate_rows
 from cvcat.phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
-from cvcat.states import GateParams, cat_params_from_gate, default_grid, \
-    make_ideal_cat, make_squeezed_vacuum
+from cvcat.states import GateParams, band_limited_grid, \
+    cat_params_from_gate, default_grid, make_ideal_cat, make_squeezed_vacuum
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -25,7 +26,8 @@ def per_row_reference(spec, value):
         gamma = spec.y_m / 30.0 if spec.gamma is None else spec.gamma
         params = GateParams(gamma=gamma, s=1.0 / value, y_m=spec.y_m)
         cat = cat_params_from_gate(params)
-        grid = default_grid(cat.p_plus, spec.n_grid_points)
+        grid = band_limited_grid(params) if spec.n_grid_points is None \
+            else default_grid(cat.p_plus, spec.n_grid_points)
         out = apply_gate(make_squeezed_vacuum(1.0, grid), params)
         fields = {}
         f_cat = math.nan
@@ -50,7 +52,7 @@ def per_row_reference(spec, value):
 
 
 @st.composite
-def sweep_specs(draw):
+def sweep_specs(draw, grid_points=st.sampled_from([None, 64, 2048, 3000])):
     # gamma stays >= 1e-3 (y_m >= 0.03 under y_m/30); the factor at smaller
     # gammas has its own tests in test_gate
     return SweepSpec(
@@ -60,13 +62,14 @@ def sweep_specs(draw):
         gamma=draw(st.one_of(st.none(), st.floats(1e-3, 1.0))),
         outputs=draw(st.frozensets(st.sampled_from(
             ["infidelity", "probability", "efficiency"]))),
-        n_grid_points=draw(st.sampled_from([64, 2048, 3000])))
+        n_grid_points=draw(grid_points))
 
 
 class TestRowBatchedEngine:
     """run_sweep's blocks give every row the per-row route's exact floats
     and error text. 64, 2048 and 3000 points put 128, 4 and 2 rows in a
-    block, so multi-row sweeps cross block edges."""
+    block, and the band-limited grid (167 to about 25,000 points here) 49
+    to 1, so multi-row sweeps cross block edges."""
 
     @settings(max_examples=40, deadline=None)
     @given(spec=sweep_specs())
@@ -112,3 +115,21 @@ class TestRowBatchedEngine:
             assert errors[i] is None and error is None
             assert repr(prob[i]) == repr(p)
             assert repr(unnorm[i].tolist()) == repr(one[0].tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=sweep_specs(st.none()))
+def test_band_limited_grid_matches_its_halving(spec):
+    """A sweep on band_limited_grid and on a grid with half its dx (2n - 1
+    points, the same bounds) agree to 1e-12 in infidelity and in relative P,
+    and a row that fails on one fails with the same error type on the other."""
+    assume(spec.params.gamma > 0)
+    spec = replace(spec, outputs=frozenset({"infidelity", "probability"}))
+    n = band_limited_grid(spec.params).n_points
+    halved = run_sweep(replace(spec, n_grid_points=2 * n - 1))
+    for a, b in zip(run_sweep(spec), halved):
+        assert a.error.split(":")[0] == b.error.split(":")[0]
+        if not a.error:
+            assert abs(a.infidelity - b.infidelity) <= 1e-12
+            assert abs(a.probability_density - b.probability_density) \
+                <= 1e-12 * b.probability_density
