@@ -33,10 +33,18 @@ class WignerGrid:
     values: np.ndarray   # (n_x, n_p): one row per x, one column per p
 
     def __post_init__(self):
+        bounds = (self.x_min, self.x_max, self.p_min, self.p_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise DomainError(f"WignerGrid bounds must be finite, got {bounds}")
+        if not (self.x_min < self.x_max and self.p_min < self.p_max):
+            raise DomainError("WignerGrid needs x_min < x_max and "
+                              f"p_min < p_max, got {bounds}")
         v = np.array(self.values, dtype=float, order="C")   # a private copy
         if v.ndim != 2 or min(v.shape) < 2:
             raise DomainError("WignerGrid needs an (n_x, n_p) matrix with "
                               "n_x, n_p >= 2")
+        if not np.isfinite(v).all():
+            raise DomainError("WignerGrid values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -101,15 +109,43 @@ def _correlation_block(spectrum: np.ndarray, rel: np.ndarray, n: int,
     return np.conj(a) * a[:, ::-1]   # x - y reads the x + y samples reversed
 
 
+def _momentum_support(state: WaveFunction, floor: float) -> np.ndarray:
+    """Momenta where |FFT(psi)|^2 exceeds ``floor`` times its peak."""
+    p_dens = np.abs(np.fft.fft(state.amplitudes)) ** 2
+    p_axis = 2.0 * math.pi * np.fft.fftfreq(state.n_points, d=state.dx)
+    return p_axis[p_dens > floor * float(p_dens.max())]
+
+
+# share of its peak above which the momentum density counts as the band
+_BAND_FLOOR = 2.0 ** -53
+
+
+def _y_stride(state: WaveFunction, p_bound: float) -> int:
+    """Stride r of the y quadrature over the state's grid: r dy <= h.
+
+    K is the largest |k| where |FFT(psi)|^2 exceeds _BAND_FLOOR of its peak
+    and p_bound the largest |p| of the map, so psi*(x+y) psi(x-y) exp(2ipy)
+    has band 2K + 2 p_bound and the trapezoid rule is exact to rounding for
+    h < pi/(K + p_bound); h = (pi/2)/(K + p_bound) keeps band_limited_grid's
+    half-Nyquist margin.
+    """
+    k_band = float(np.max(np.abs(_momentum_support(state, _BAND_FLOOR))))
+    h = (math.pi / 2.0) / (k_band + p_bound)
+    return max(1, int(h // state.dx))
+
+
 def wigner_transform(state: WaveFunction,
                      bounds: tuple[float, float, float, float],
                      n_x: int = 256, n_p: int = 256) -> WignerGrid:
     """W(x, p) = (1/pi) integral of psi*(x+y) psi(x-y) exp(2ipy) dy.
 
-    The y quadrature runs on the state's own grid spacing over the state's
-    half-width. Raises DomainError when a work array would pass MAX_ENTRIES,
-    when the x bounds truncate the state or when the resulting grid fails
-    the unit-mass check (few points or tight bounds).
+    The y quadrature is the trapezoid rule over the state's half-width, on
+    every r-th grid point, with the stride r of _y_stride: the largest step
+    within half the Nyquist limit of the integrand's band, which the state's
+    momentum support and max(|p_min|, |p_max|) set. Raises DomainError when
+    a work array would pass MAX_ENTRIES, when the x bounds truncate the
+    state or when the resulting grid fails the unit-mass check (few points
+    or tight bounds).
     """
     if not all(math.isfinite(b) for b in bounds):
         raise DomainError("phase-space bounds must be finite")
@@ -118,7 +154,7 @@ def wigner_transform(state: WaveFunction,
         raise DomainError("invalid phase-space bounds")
     if n_x < 2 or n_p < 2:
         raise DomainError("wigner_transform needs n_x, n_p >= 2")
-    n, dy = state.n_points, state.dx
+    n = state.n_points
     if max(n_x, n_p) * n > MAX_ENTRIES or n_x * n_p > MAX_ENTRIES:
         raise DomainError(f"Wigner map of n_x={n_x}, n_p={n_p} on n_points={n} "
                           "exceeds the 2^26 entry cap")
@@ -129,9 +165,12 @@ def wigner_transform(state: WaveFunction,
             if val > 1e-10:
                 raise DomainError(
                     f"x bounds too tight: density {val:.3e} at x={edge}")
+    stride = _y_stride(state, max(abs(p_min), abs(p_max)))
+    amplitudes = state.amplitudes[::stride]
+    n, dy = len(amplitudes), stride * state.dx
     k_half = (n - 1) // 2
     rel = (np.linspace(x_min, x_max, n_x) - state.x_min) / dy
-    spectrum = np.fft.fft(state.amplitudes, 1 << int(math.ceil(math.log2(2 * n))))
+    spectrum = np.fft.fft(amplitudes, 1 << int(math.ceil(math.log2(2 * n))))
     corr = np.empty((n_x, 2 * k_half + 1), dtype=complex)
     for i in range(0, n_x, _COLUMN_BLOCK):
         corr[i:i + _COLUMN_BLOCK] = _correlation_block(
@@ -153,8 +192,15 @@ def wigner_transform(state: WaveFunction,
 
 
 def wigner_log_negativity(w: WignerGrid) -> float:
-    """log of the total absolute integral of W; 0 for nonnegative W."""
-    return float(math.log(np.sum(np.abs(w.values)) * w.dx * w.dp))
+    """log of the total absolute integral of W; 0 for nonnegative W.
+
+    Raises DomainError when that integral is 0, where the log is undefined.
+    """
+    total = float(np.sum(np.abs(w.values)) * w.dx * w.dp)
+    if not total > 0:
+        raise DomainError("Wigner logarithmic negativity of a grid whose "
+                          "absolute integral is 0 is undefined")
+    return math.log(total)
 
 
 def semiclassical_shear(x: float, y: float, gamma: float):
@@ -221,11 +267,6 @@ def suggest_wigner_bounds(state: WaveFunction):
     dens = state.density()
     sig = np.flatnonzero(dens > _SUPPORT_FLOOR * float(dens.max()))
     xs = state.x[sig]
-    spec = np.fft.fftshift(np.fft.fft(state.amplitudes))
-    p_axis = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(state.n_points,
-                                                            d=state.dx))
-    p_dens = np.abs(spec) ** 2
-    sig_p = np.flatnonzero(p_dens > _SUPPORT_FLOOR * float(p_dens.max()))
-    ps = p_axis[sig_p]
+    ps = _momentum_support(state, _SUPPORT_FLOOR)
     return (float(xs.min() - _PAD), float(xs.max() + _PAD),
             float(ps.min() - _PAD), float(ps.max() + _PAD))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cvcat.cli
+import cvcat.phase_space
 from cvcat.cli import main
 from cvcat.errors import DomainError
 from cvcat.gate import apply_gate
@@ -12,8 +13,8 @@ from cvcat.phase_space import SupportRegion, WignerGrid, \
     build_support_region, semiclassical_shear, suggest_wigner_bounds, \
     wigner_log_negativity, wigner_transform
 from cvcat.states import MAX_GRID_POINTS, CatParams, GateParams, GridSpec, \
-    cat_params_from_gate, make_cubic_phase_state, make_ideal_cat, \
-    make_squeezed_vacuum
+    band_limited_grid, cat_params_from_gate, default_grid, \
+    make_cubic_phase_state, make_ideal_cat, make_squeezed_vacuum
 
 
 def vacuum_wigner(n=241):
@@ -102,6 +103,102 @@ class TestWignerTransform:
         assert "2^26 entry cap" in str(info.value)
 
 
+def gate_output(gamma, db, y_m, grid=None):
+    """The gate's output for a vacuum input, on `cvcat wigner`'s default grid."""
+    params = GateParams(gamma=gamma, s=10.0 ** (-db / 20.0), y_m=y_m)
+    if grid is None:
+        grid = default_grid(cat_params_from_gate(params).p_plus)
+    return apply_gate(make_squeezed_vacuum(1.0, grid), params).state
+
+
+def cubic_state(db):
+    """`cvcat wigner --source cubic`'s state: gamma 0.1 on 2,048 points."""
+    s = 10.0 ** (-db / 20.0)
+    return make_cubic_phase_state(0.1, s, GridSpec(-10.0 / s, 10.0 / s, 2048))
+
+
+REFERENCE_STATES = {
+    "output(0.5, 14, 15)": lambda: gate_output(0.5, 14.0, 15.0),
+    "output(0.1, 14, 3)": lambda: gate_output(0.1, 14.0, 3.0),
+    "output(0.1, 5, 3)": lambda: gate_output(0.1, 5.0, 3.0),
+    "cubic 5 dB": lambda: cubic_state(5.0),
+    "cat": lambda: make_ideal_cat(CatParams(math.sqrt(10.0), math.pi / 4.0)),
+    "vacuum": lambda: make_squeezed_vacuum(1.0, default_grid()),
+}
+
+
+def grid_aligned_bounds(state, n_x):
+    """The suggested bounds with x_min, x_max moved onto state grid points
+    an integer number of steps per map column apart, inside the grid."""
+    x_min, x_max, p_min, p_max = suggest_wigner_bounds(state)
+    last = state.n_points - 1
+    lo = max(0, math.floor((x_min - state.x_min) / state.dx))
+    hi = min(last, math.ceil((x_max - state.x_min) / state.dx))
+    step = min(-(-(hi - lo) // (n_x - 1)), last // (n_x - 1))
+    lo = min(lo, last - step * (n_x - 1))
+    return (float(state.x[lo]), float(state.x[lo + step * (n_x - 1)]),
+            p_min, p_max)
+
+
+def brute_force_wigner(state, bounds, n_x, n_p):
+    """(dy/pi) sum over every k of psi*(x + k dy) psi(x - k dy) exp(2ipk dy)
+    at x on state grid points, one term per pair of samples."""
+    a, dy, n = state.amplitudes, state.dx, state.n_points
+    cols = np.rint((np.linspace(bounds[0], bounds[1], n_x) - state.x_min)
+                   / dy).astype(int)
+    k = np.arange(-(n - 1), n)
+    corr = np.zeros((n_x, len(k)), dtype=complex)
+    for i, j in enumerate(cols):
+        both = (j + k >= 0) & (j + k < n) & (j - k >= 0) & (j - k < n)
+        corr[i, both] = np.conj(a[j + k[both]]) * a[j - k[both]]
+    p = np.linspace(bounds[2], bounds[3], n_p)
+    return (corr @ np.exp(2j * np.outer(k * dy, p))).real * dy / math.pi
+
+
+def p_bound(bounds):
+    return max(abs(bounds[2]), abs(bounds[3]))
+
+
+class TestYStride:
+    # 65 columns: at 33 the gate outputs and the cat fail the mass check
+    N_X, N_P = 65, 65
+
+    def deviation(self, state):
+        bounds = grid_aligned_bounds(state, self.N_X)
+        want = brute_force_wigner(state, bounds, self.N_X, self.N_P)
+        w = wigner_transform(state, bounds, self.N_X, self.N_P)
+        return float(np.max(np.abs(w.values - want)))
+
+    @pytest.mark.parametrize("name", REFERENCE_STATES)
+    def test_matches_the_brute_force_sum(self, name):
+        assert self.deviation(REFERENCE_STATES[name]()) <= 1e-12
+
+    @pytest.mark.parametrize("name", REFERENCE_STATES)
+    def test_a_coarser_rule_fails_the_brute_force_sum(self, name, monkeypatch):
+        # a 1e-6 density floor and no half-Nyquist margin: strides of 5 to
+        # 30 where the rule takes 1 to 13, off by 5e-11 to 1e-7
+        def coarse(state, p_max):
+            k_band = np.max(np.abs(
+                cvcat.phase_space._momentum_support(state, 1e-6)))
+            return max(1, int((math.pi / (k_band + p_max)) // state.dx))
+
+        monkeypatch.setattr(cvcat.phase_space, "_y_stride", coarse)
+        assert self.deviation(REFERENCE_STATES[name]()) > 1e-12
+
+    def test_a_2048_point_output_takes_a_stride(self):
+        out = gate_output(0.1, 14.0, 3.0)
+        stride = cvcat.phase_space._y_stride(
+            out, p_bound(suggest_wigner_bounds(out)))
+        assert stride >= 2
+
+    def test_a_band_limited_output_keeps_every_point(self):
+        # a sweep's wln row sits on this grid; stride 1 keeps its bytes
+        params = GateParams(gamma=0.1, s=10.0 ** (-14.0 / 20.0), y_m=3.0)
+        out = gate_output(0.1, 14.0, 3.0, band_limited_grid(params))
+        assert cvcat.phase_space._y_stride(
+            out, p_bound(suggest_wigner_bounds(out))) == 1
+
+
 class TestWignerGrid:
     def test_fewer_than_two_points_rejected(self):
         with pytest.raises(DomainError):
@@ -129,6 +226,28 @@ class TestWignerGrid:
         assert capsys.readouterr().out == \
             f"-1.5,2.0,-3.25,4.0,{shape[0]},{shape[1]}\n" + buf.getvalue()
 
+    @pytest.mark.parametrize("bounds", [
+        (math.nan, 1.0, -1.0, 1.0), (-1.0, math.inf, -1.0, 1.0),
+        (-1.0, 1.0, -math.inf, 1.0), (-1.0, 1.0, -1.0, math.nan)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(DomainError, match="bounds must be finite"):
+            WignerGrid(*bounds, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("bounds", [
+        (1.0, -1.0, -1.0, 1.0), (1.0, 1.0, -1.0, 1.0),
+        (-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 2.0, 2.0)])
+    def test_empty_or_reversed_bounds_rejected(self, bounds):
+        # reversed x bounds gave dx = -1 and a mass of -9
+        with pytest.raises(DomainError, match="x_min < x_max"):
+            WignerGrid(*bounds, np.ones((4, 4)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.zeros((4, 4))
+        values[2, 1] = bad
+        with pytest.raises(DomainError, match="values must be finite"):
+            WignerGrid(-1.0, 1.0, -1.0, 1.0, values)
+
     def test_copies_the_callers_array(self):
         buf = np.ones((4, 4))
         view = buf[:]
@@ -142,6 +261,12 @@ class TestWignerGrid:
 class TestWignerLogNegativity:
     def test_vacuum_near_zero(self):
         assert abs(wigner_log_negativity(vacuum_wigner(241))) <= 1e-3
+
+    def test_zero_grid_is_refused(self):
+        # the log of 0 had raised a bare ValueError
+        with pytest.raises(DomainError, match="absolute integral is 0"):
+            wigner_log_negativity(WignerGrid(-1.0, 1.0, -1.0, 1.0,
+                                             np.zeros((4, 4))))
 
     def test_cat_value_stable_under_grid_doubling(self):
         cat = make_ideal_cat(CatParams(math.sqrt(10.0), math.pi / 4.0))
