@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, ZeroProbabilityOutcomeError
 from .gate import PROBABILITY_FLOOR, ConditionalOutput
-from .special_numerics import _cis, integrate_oscillatory_gaussian
+from .special_numerics import _TAIL_EXPONENT, _cis, integrate_oscillatory_gaussian
 from .states import MAX_ENTRIES, GateParams, GridSpec, WaveFunction
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "oracle_added_factor",
     "oracle_two_mode",
 ]
-
-_PHASE_STEP_LIMIT = 0.5     # rad of entangling/cubic phase per ancilla step
 
 
 def oracle_added_factor(x, params: GateParams):
@@ -34,39 +32,40 @@ def oracle_added_factor(x, params: GateParams):
     return math.sqrt(params.s) / (math.pi ** 0.75 * math.sqrt(2.0)) * integral
 
 
-def ancilla_grid_for(params: GateParams, n_target: int) -> GridSpec:
-    """Ancilla grid satisfying the edge phase-step rule within the entry cap.
+def ancilla_grid_for(params: GateParams, n_target: int,
+                     x1_max: float = 0.0) -> GridSpec:
+    """Ancilla grid for a target with |x1| <= x1_max, sized from the column's
+    band limit within the n_target * n_ancilla <= 2^26 entry cap.
 
-    The cubic phase oscillates fastest at the grid edge, so the step must
-    satisfy (|y_m| + 3 gamma w^2) dx <= 0.5 there. If the resulting point
-    count would blow the n_target * n_ancilla <= 2^26 budget, the half-width
-    is shrunk (the Gaussian envelope makes the far wings negligible) as long
-    as the edge density stays below 1e-10.
+    With L = _TAIL_EXPONENT, the half-width w = sqrt(2L)/s cuts the envelope
+    exp(-(s x)^2 / 2) at e^-L. The column's band is B = |y_m| + 3 gamma w^2
+    + s sqrt(2L), its largest instantaneous frequency plus its Gaussian
+    bandwidth; the trapezoid sum repeats that band every 2 pi / dx, so the
+    step dx = 2 pi / (B + max(x1_max, B)) keeps every alias off every target
+    point. Over the cap, the half-width (and B with it) shrinks as long as
+    the edge density stays below 1e-10.
     """
     s = params.s
-    w = 12.0 / s
-    budget = MAX_ENTRIES // n_target
+    tail = math.sqrt(2.0 * _TAIL_EXPONENT)
+    w = tail / s
 
     def n_for(width: float) -> int:
-        rate = abs(params.y_m) + 3.0 * params.gamma * width ** 2
-        dx = _PHASE_STEP_LIMIT / max(rate, s)
+        band = abs(params.y_m) + 3.0 * params.gamma * width ** 2 + s * tail
+        dx = 2.0 * math.pi / (band + max(x1_max, band))
         return int(math.ceil(2.0 * width / dx)) + 1
 
-    while n_for(w) > budget:
+    while n_for(w) > MAX_ENTRIES // n_target:
         w *= 0.95
         if math.exp(-((s * w) ** 2)) > 1e-10:
             raise DomainError(
                 "cannot satisfy both the phase-step rule and the 2^26 entry cap "
                 f"for gamma={params.gamma}, s={s}: reduce the target grid size")
-    n2 = n_for(w)
-    assert (abs(params.y_m) + 3.0 * params.gamma * w ** 2) * (2 * w / (n2 - 1)) \
-        <= _PHASE_STEP_LIMIT * (1 + 1e-12)
-    return GridSpec(-w, w, max(n2, 16))
+    return GridSpec(-w, w, max(n_for(w), 16))
 
 
 def oracle_two_mode(input: WaveFunction, params: GateParams) -> ConditionalOutput:
     """End-to-end grid simulation: entangle, project on y_m, normalize, on
-    the ancilla grid of ancilla_grid_for(params, input.n_points).
+    the ancilla grid that ancilla_grid_for sizes for the input's x range.
 
     The projected amplitude is the trapezoid sum over x2_j of
     exp(i x1 x2_j) times the ancilla column. Both grids are uniform, so with
@@ -77,7 +76,8 @@ def oracle_two_mode(input: WaveFunction, params: GateParams) -> ConditionalOutpu
     taken from one tangent of the half phase (special_numerics._cis), which
     costs a fraction of numpy's complex exp.
     """
-    ancilla = ancilla_grid_for(params, input.n_points)
+    ancilla = ancilla_grid_for(params, input.n_points,
+                               max(abs(input.x_min), abs(input.x_max)))
     x2 = ancilla.x
     s = params.s
     with np.errstate(under="ignore"):

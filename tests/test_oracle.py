@@ -3,19 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from cvcat.analysis import phase_aligned_l2
+from cvcat.analysis import db_to_s, phase_aligned_l2
 from cvcat.errors import DomainError
 from cvcat.gate import added_factor, added_factor_grid, apply_gate
 from cvcat.oracle import ancilla_grid_for, oracle_added_factor, \
     oracle_two_mode
-from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
+from cvcat.special_numerics import _TAIL_EXPONENT
+from cvcat.states import GateParams, GridSpec, default_grid, \
+    make_squeezed_vacuum
+
+# the verify benchmark's two-mode target and its cases, (gamma, dB, y_m)
+VERIFY_TARGET = default_grid(math.sqrt(10.0), 256)
+VERIFY_CASES = ((0.1, 5.0, 3.0), (0.5, 14.0, 15.0))
+
+
+def gate_distance(vac, params):
+    """L2 between the oracle's and apply_gate's states, and the relative
+    gap between their P."""
+    oracle = oracle_two_mode(vac, params)
+    closed = apply_gate(vac, params)
+    rel = abs(closed.probability_density - oracle.probability_density) \
+        / oracle.probability_density
+    return phase_aligned_l2(closed.state, oracle.state), rel
 
 
 def build_two_mode_grid(input, params):
     """Reference for oracle_two_mode, which factorises its sum: the ancilla
     grid and the entangled target x ancilla amplitude matrix
     psi(x1) psi_sq(x2) exp(i gamma x2^3) exp(i x1 x2)."""
-    grid_2 = ancilla_grid_for(params, input.n_points)
+    grid_2 = ancilla_grid_for(params, input.n_points,
+                              max(abs(input.x_min), abs(input.x_max)))
     x2 = grid_2.x
     s = params.s
     sq = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x2) ** 2)
@@ -74,12 +91,9 @@ class TestTwoModeGrid:
 class TestOracleTwoMode:
     def test_agrees_with_gate(self):
         vac = make_squeezed_vacuum(1.0, GridSpec(-11.0, 11.0, 129))
-        params = GateParams(gamma=0.1, s=10.0 ** (-5.0 / 20.0), y_m=3.0)
-        oracle = oracle_two_mode(vac, params)
-        closed = apply_gate(vac, params)
-        assert phase_aligned_l2(closed.state, oracle.state) <= 1e-6
-        rel = abs(closed.probability_density - oracle.probability_density) \
-            / oracle.probability_density
+        l2, rel = gate_distance(
+            vac, GateParams(gamma=0.1, s=10.0 ** (-5.0 / 20.0), y_m=3.0))
+        assert l2 <= 1e-6
         assert rel <= 1e-6
 
     def test_factorised_sum_matches_two_mode_matrix(self):
@@ -99,17 +113,24 @@ class TestOracleTwoMode:
                                  - projected / math.sqrt(prob))) <= 1e-11
 
     def test_grid_halving_convergence(self, monkeypatch):
-        """On an ancilla grid at half the phase step, doubling the target
-        points leaves the distance to the closed form where it was."""
-        monkeypatch.setattr("cvcat.oracle._PHASE_STEP_LIMIT", 0.25)
-        params = GateParams(gamma=0.1, s=10.0 ** (-5.0 / 20.0), y_m=3.0)
-        dists = []
-        for n1 in (129, 257):
-            vac = make_squeezed_vacuum(1.0, GridSpec(-11.0, 11.0, n1))
-            out = oracle_two_mode(vac, params)
-            closed = apply_gate(vac, params)
-            dists.append(phase_aligned_l2(closed.state, out.state))
-        assert abs(dists[0] - dists[1]) < 1e-5
+        """Halving the ancilla step on the same width moves neither P nor
+        the state, at the verify cases and at 20 dB: the band-limit rule
+        has already converged."""
+        vac = make_squeezed_vacuum(1.0, VERIFY_TARGET)
+        cases = [GateParams(gamma=gamma, s=db_to_s(db), y_m=y_m)
+                 for gamma, db, y_m in VERIFY_CASES + ((0.1, 20.0, 3.0),)]
+        rules = [oracle_two_mode(vac, params) for params in cases]
+
+        def halved(*args):
+            grid = ancilla_grid_for(*args)
+            return GridSpec(grid.x_min, grid.x_max, 2 * grid.n_points - 1)
+
+        monkeypatch.setattr("cvcat.oracle.ancilla_grid_for", halved)
+        for params, rule in zip(cases, rules):
+            fine = oracle_two_mode(vac, params)
+            assert abs(rule.probability_density - fine.probability_density) \
+                <= 1e-13 * fine.probability_density
+            assert phase_aligned_l2(rule.state, fine.state) <= 1e-12
 
     def test_gamma_zero_output_stays_gaussian(self):
         vac = make_squeezed_vacuum(1.0, GridSpec(-9.0, 9.0, 257))
@@ -123,16 +144,43 @@ class TestOracleTwoMode:
         assert abs(m4 / m2 ** 2 - 3.0) <= 1e-3
 
     def test_ancilla_grid_edge_rule(self):
+        """No alias image of the column's band reaches a target point, and
+        the envelope has fallen to e^-L at the edge."""
         params = GateParams(gamma=0.5, s=0.1995262314968879, y_m=15.0)
-        grid = ancilla_grid_for(params, 256)
-        rate = abs(params.y_m) + 3.0 * params.gamma * grid.x_max ** 2
-        assert rate * grid.dx <= 0.5 * (1 + 1e-12)
-        edge_density = math.exp(-((params.s * grid.x_max) ** 2))
-        assert edge_density <= 1e-10
+        tail = math.sqrt(2.0 * _TAIL_EXPONENT)
+        for x1_max in (0.0, 11.0, 1e4):
+            grid = ancilla_grid_for(params, 256, x1_max)
+            band = abs(params.y_m) + 3.0 * params.gamma * grid.x_max ** 2 \
+                + params.s * tail
+            assert grid.dx * (band + max(x1_max, band)) \
+                <= 2.0 * math.pi * (1 + 1e-12)
+            edge_envelope = math.exp(-0.5 * (params.s * grid.x_max) ** 2)
+            assert edge_envelope <= math.exp(-_TAIL_EXPONENT) * (1 + 1e-12)
 
     def test_ancilla_grid_refuses_what_the_entry_cap_cannot_hold(self):
-        # a budget of 2^26 / 2^20 = 64 ancilla points cannot meet the
-        # phase-step rule before the edge density passes 1e-10
+        # a budget of 2^26 / 2^21 = 32 ancilla points cannot hold the
+        # band-limit rule before the edge density passes 1e-10
         with pytest.raises(DomainError, match="cannot satisfy both the "
                                               "phase-step rule and the 2\\^26"):
-            ancilla_grid_for(GateParams(gamma=0.1, s=1.0, y_m=3.0), 2 ** 20)
+            ancilla_grid_for(GateParams(gamma=0.1, s=1.0, y_m=3.0), 2 ** 21)
+
+    @pytest.mark.parametrize("gamma, db, y_m", VERIFY_CASES + (
+        (0.1, 14.0, 3.0), (0.1, 20.0, 3.0), (0.2, 9.0, 6.0), (0.033, 0.0, 1.0)))
+    def test_matches_gate_on_the_verify_target(self, gamma, db, y_m):
+        """The 20 dB grid fits the entry cap with its envelope uncut; an
+        envelope cut at e^-23 errs by an L2 of 2.0e-11."""
+        vac = make_squeezed_vacuum(1.0, VERIFY_TARGET)
+        l2, rel = gate_distance(vac, GateParams(gamma=gamma, s=db_to_s(db),
+                                                y_m=y_m))
+        assert l2 <= 1e-12
+        assert rel <= 1e-12
+
+    @pytest.mark.parametrize("s_in, half, n1, s", ((0.3, 25.0, 513, 1.0),
+                                                   (0.2, 40.0, 1025, 3.0)))
+    def test_matches_gate_on_a_wide_target(self, s_in, half, n1, s):
+        """The step counts the target's x range; a step blind to it aliases
+        the column's spectrum onto the far points (L2 2.1e-3 and 1.2e-9)."""
+        vac = make_squeezed_vacuum(s_in, GridSpec(-half, half, n1))
+        l2, rel = gate_distance(vac, GateParams(gamma=0.0, s=s, y_m=0.0))
+        assert l2 <= 1e-12
+        assert rel <= 1e-12

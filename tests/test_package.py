@@ -8,6 +8,7 @@ import pytest
 import cvcat
 
 LIBRARY = [m.name for m in pkgutil.iter_modules(cvcat.__path__) if m.name != "cli"]
+SOURCES = sorted(Path(cvcat.__file__).parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -33,5 +34,12 @@ def _imported_modules(path: Path) -> set:
 
 def test_only_the_cli_imports_json():
     """The library returns values; cvcat.cli writes every document."""
-    sources = sorted(Path(cvcat.__file__).parent.glob("*.py"))
-    assert [p.stem for p in sources if "json" in _imported_modules(p)] == ["cli"]
+    assert [p.stem for p in SOURCES if "json" in _imported_modules(p)] == ["cli"]
+
+
+def test_library_has_no_assert():
+    """python -O strips assert statements, so no library check may be one."""
+    found = [f"{p.name}:{node.lineno}" for p in SOURCES
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
