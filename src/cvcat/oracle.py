@@ -58,48 +58,72 @@ def ancilla_grid_for(params: GateParams, n_target: int,
         w *= 0.95
         if math.exp(-((s * w) ** 2)) > 1e-10:
             raise DomainError(
-                "cannot satisfy both the phase-step rule and the 2^26 entry cap "
+                "cannot satisfy both the band-limit rule and the 2^26 entry cap "
                 f"for gamma={params.gamma}, s={s}: reduce the target grid size")
     return GridSpec(-w, w, max(n_for(w), 16))
 
 
+def _projection_step(n1: int, dx1: float, rule_dx: float) -> tuple[int, float]:
+    """The projection's FFT length N, the least 2^a 3^b 5^c >= n1 whose
+    ancilla step 2 pi/(N dx1) is at most rule_dx, and that step."""
+    need = max(n1, math.ceil(2.0 * math.pi / (dx1 * rule_dx)))
+    best = 1 << (need - 1).bit_length()
+    # each odd part p = 3^b 5^c below best, lifted to need by powers of two
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << (-(-need // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best, 2.0 * math.pi / (best * dx1)
+
+
 def oracle_two_mode(input: WaveFunction, params: GateParams) -> ConditionalOutput:
     """End-to-end grid simulation: entangle, project on y_m, normalize, on
-    the ancilla grid that ancilla_grid_for sizes for the input's x range.
+    an ancilla grid of the half-width that ancilla_grid_for sizes for the
+    input's x range and at most its step.
 
     The projected amplitude is the trapezoid sum over x2_j of
-    exp(i x1 x2_j) times the ancilla column. Both grids are uniform, so with
-    j = J m + r the kernel factorises as exp(i x1 (x2_0 + r dx2)) times
-    exp(i x1 J dx2 m): two small phase tables and one matrix product replace
-    the n1 x n2 table of complex exponentials, and the full two-mode matrix
-    is never materialized. Every phase factor, the column's included, is
+    exp(i x1_k x2_j) times the ancilla column. Both grids are uniform, so
+    with the ancilla step dx2 = 2 pi/(N dx1) (_projection_step) the kernel
+    factorises as exp(i x1_min x2_j) exp(i k dx1 x2_0) exp(2 pi i k j / N):
+    the first factor joins the column's phase, the column is folded modulo
+    N, one inverse FFT of length N sums it for every k at once, and its
+    first n1 entries take the second factor. With x2_0 = -h dx2 that factor
+    is exp(-2 pi i k h / N), whose phase is reduced modulo 2 pi in integers:
+    taken as k dx1 x2_0, up to 2e3 rad at 20 dB, its rounding reached an
+    L2 of 4.9e-14. The FFT errs by rounding at the scale of the state's
+    norm, the scale at which the output is judged. Every phase factor is
     taken from one tangent of the half phase (special_numerics._cis), which
     costs a fraction of numpy's complex exp.
     """
-    ancilla = ancilla_grid_for(params, input.n_points,
-                               max(abs(input.x_min), abs(input.x_max)))
-    x2 = ancilla.x
+    n1, dx1 = input.n_points, input.dx
+    rule = ancilla_grid_for(params, n1, max(abs(input.x_min), abs(input.x_max)))
+    n_fft, dx2 = _projection_step(n1, dx1, rule.dx)
+    if n_fft > MAX_ENTRIES:
+        raise DomainError(f"the projection needs an FFT of {n_fft} points, over "
+                          "the 2^26 entry cap: use a coarser target grid")
+    half = math.ceil(rule.x_max / dx2)
+    x2 = dx2 * np.arange(-half, half + 1)
     s = params.s
     with np.errstate(under="ignore"):
         sq = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x2) ** 2)
-        # cubic resource phase and homodyne projection phase, fused per column
-        column = sq * _cis(params.gamma * x2 * x2 * x2 - params.y_m * x2)
-    x1 = input.x
-    n2, dx2 = ancilla.n_points, ancilla.dx
-    big_j = math.isqrt(n2 - 1) + 1          # ceil(sqrt(n2))
-    big_m = -(-n2 // big_j)                 # ceil(n2 / J)
+        # cubic resource phase, homodyne projection phase and the target's
+        # x1_min x2 share one phase per column
+        column = sq * _cis(x2 * (params.gamma * x2 * x2 + input.x_min - params.y_m))
     # trapezoid weights over x2 (endpoints carry half weight), zero-padded
-    # to J*M and laid out as weights[m, r] for column j = J m + r
-    weights = np.zeros(big_j * big_m, dtype=complex)
-    weights[:n2] = column * dx2
+    # to a whole number of periods N and folded onto one
+    n2 = x2.size
+    weights = np.zeros(-(-n2 // n_fft) * n_fft, dtype=complex)
+    weights[:n2] = column
     weights[0] *= 0.5
     weights[n2 - 1] *= 0.5
-    weights = weights.reshape(big_m, big_j)
-    fine = _cis(np.outer(x1, ancilla.x_min + dx2 * np.arange(big_j)))
-    coarse = _cis(np.outer(x1, (big_j * dx2) * np.arange(big_m)))
-    out = np.sum(coarse * (fine @ weights.T), axis=1)
-    out *= input.amplitudes / math.sqrt(2.0 * math.pi)
-    prob = float(np.trapezoid(np.abs(out) ** 2, dx=input.dx))
+    folded = weights.reshape(-1, n_fft).sum(axis=0)
+    out = np.fft.ifft(folded, norm="forward")[:n1]
+    out *= _cis((2.0 * math.pi / n_fft) * (np.arange(n1) * -half % n_fft))
+    out *= input.amplitudes * (dx2 / math.sqrt(2.0 * math.pi))
+    prob = float(np.trapezoid(np.abs(out) ** 2, dx=dx1))
     if prob < PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(
             f"outcome y_m={params.y_m} has probability density {prob}")

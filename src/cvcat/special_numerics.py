@@ -33,9 +33,11 @@ z = 0 would cancel to 1e-5 of its terms by z = 4 and lose 1e-12 there.
 
 The quadrature at the end of the module shares no code with the Airy
 evaluation, so the oracle built on it stays an independent check. It takes
-an array of offsets in one call, and its phases, like the two-mode
-oracle's, come from _cis: exp(i phase) from one tangent of the half phase,
-several times cheaper than numpy's complex exp.
+an array of offsets in one call. Its integrand is an even envelope times
+the exponential of an odd phase, so it sums envelope * cos(phase) over the
+nodes t >= 0 alone and its values are exactly real. _cis, exp(i phase)
+from one tangent of the half phase and several times cheaper than numpy's
+complex exp, serves the two-mode oracle's phases.
 """
 
 from __future__ import annotations
@@ -293,9 +295,10 @@ def airy_ai_scaled(z):
 # The trapezoid sum is cut where the integrand has fallen by e^(-_TAIL_EXPONENT)
 # below its peak; the same exponent sets the Gaussian bandwidth the step resolves.
 _TAIL_EXPONENT = 40.0
-# Nodes evaluated at once. Whole offsets are grouped up to this count, so the
-# work arrays do not grow with the number of offsets; one offset alone may
-# pass it, up to MAX_ENTRIES nodes.
+# Rule nodes (2n + 1 per offset, of which the n + 1 with k >= 0 are evaluated)
+# taken at once. Whole offsets are grouped up to this count, so the work
+# arrays do not grow with the number of offsets; one offset alone may pass
+# it, up to MAX_ENTRIES nodes.
 _QUAD_BLOCK = 2 ** 16
 
 
@@ -316,16 +319,20 @@ def _cis(phase):
 
 def _trapezoid_sums(n, h, a, beta, k0, gamma: float):
     """h times the sum over t = h k, |k| <= n, of
-    exp(k0 - a t^2) cis(t(beta + gamma t^2)), one sum per offset: all nodes
-    are laid out at once and each offset's run of 2n + 1 is reduced alone."""
-    counts = 2 * n + 1
+    exp(k0 - a t^2) cis(t(beta + gamma t^2)), one real sum per offset.
+
+    The envelope is even in t and the phase odd, so the sines cancel in
+    pairs and the sum is h (2 S - f(0)), S summing envelope * cos(phase)
+    over 0 <= k <= n. All n + 1 nodes of every offset are laid out at once
+    and each offset's run is reduced alone."""
+    counts = n + 1
     first = np.cumsum(counts) - counts
     t = np.repeat(h, counts) * (np.arange(counts.sum())
-                                - np.repeat(first + n, counts))
+                                - np.repeat(first, counts))
     with np.errstate(under="ignore"):
-        env = np.exp(np.repeat(k0, counts) - np.repeat(a, counts) * t * t)
-    fv = env * _cis(t * (np.repeat(beta, counts) + gamma * t * t))
-    return h * np.add.reduceat(fv, first)
+        fv = np.exp(np.repeat(k0, counts) - np.repeat(a, counts) * t * t)
+    fv *= np.cos(t * (np.repeat(beta, counts) + gamma * t * t))
+    return h * (2.0 * np.add.reduceat(fv, first) - fv[first])
 
 
 def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
@@ -348,10 +355,14 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
     resolves the largest local angular frequency on |t| <= T with the
     Gaussian bandwidth to spare.
 
-    Each delta takes its own c, a, beta, h and node count, and its sum is
-    reduced alone, so a value does not depend on the array it is evaluated
-    in. A gamma < 0, or a delta that needs more than MAX_ENTRIES nodes,
-    raises DomainError before any node is built.
+    On the nodes t = h k, |k| <= n, the envelope is even and the phase
+    t(beta + gamma t^2) odd, so the sines cancel in pairs: the sum takes
+    the n + 1 nodes k >= 0, and its value is exactly real, returned as
+    complex. Each delta takes its own c, a, beta, h and node count, and its
+    sum is reduced alone, so a value does not depend on the array it is
+    evaluated in. A gamma < 0, or a delta whose rule needs more than
+    MAX_ENTRIES nodes (2n + 1, counted over both signs of k), raises
+    DomainError before any node is built.
     """
     d = np.asarray(delta, dtype=float)
     if not (np.isfinite(d).all() and math.isfinite(gamma) and math.isfinite(s)):

@@ -6,8 +6,8 @@ import pytest
 from cvcat.analysis import db_to_s, phase_aligned_l2
 from cvcat.errors import DomainError
 from cvcat.gate import added_factor, added_factor_grid, apply_gate
-from cvcat.oracle import ancilla_grid_for, oracle_added_factor, \
-    oracle_two_mode
+from cvcat.oracle import _projection_step, ancilla_grid_for, \
+    oracle_added_factor, oracle_two_mode
 from cvcat.special_numerics import _TAIL_EXPONENT
 from cvcat.states import GateParams, GridSpec, default_grid, \
     make_squeezed_vacuum
@@ -15,6 +15,8 @@ from cvcat.states import GateParams, GridSpec, default_grid, \
 # the verify benchmark's two-mode target and its cases, (gamma, dB, y_m)
 VERIFY_TARGET = default_grid(math.sqrt(10.0), 256)
 VERIFY_CASES = ((0.1, 5.0, 3.0), (0.5, 14.0, 15.0))
+# (s_in, half-width, n1, s) of the wide targets, each at gamma = y_m = 0
+WIDE_CASES = ((0.3, 25.0, 513, 1.0), (0.2, 40.0, 1025, 3.0))
 
 
 def gate_distance(vac, params):
@@ -161,8 +163,43 @@ class TestOracleTwoMode:
         # a budget of 2^26 / 2^21 = 32 ancilla points cannot hold the
         # band-limit rule before the edge density passes 1e-10
         with pytest.raises(DomainError, match="cannot satisfy both the "
-                                              "phase-step rule and the 2\\^26"):
+                                              "band-limit rule and the 2\\^26"):
             ancilla_grid_for(GateParams(gamma=0.1, s=1.0, y_m=3.0), 2 ** 21)
+
+    def test_projection_step_rule(self):
+        """The FFT length N is the least 2^a 3^b 5^c >= n1 whose ancilla
+        step 2 pi/(N dx1) is at most ancilla_grid_for's, at the verify
+        cases, 14 and 20 dB on the verify target, and the wide targets."""
+        cases = [(VERIFY_TARGET, GateParams(gamma=gamma, s=db_to_s(db), y_m=y_m))
+                 for gamma, db, y_m in VERIFY_CASES + ((0.1, 14.0, 3.0),
+                                                       (0.1, 20.0, 3.0))]
+        cases += [(GridSpec(-half, half, n1), GateParams(gamma=0.0, s=s, y_m=0.0))
+                  for _, half, n1, s in WIDE_CASES]
+        smooth = {2 ** a * 3 ** b * 5 ** c for a in range(40)
+                  for b in range(26) for c in range(18)}
+        for target, params in cases:
+            n1, dx1 = target.n_points, target.dx
+            rule = ancilla_grid_for(params, n1,
+                                    max(abs(target.x_min), abs(target.x_max)))
+            n_fft, dx2 = _projection_step(n1, dx1, rule.dx)
+            assert abs(n_fft * dx1 * dx2 - 2.0 * math.pi) <= 8e-16 * 2.0 * math.pi
+            assert dx2 <= rule.dx
+            assert n_fft >= n1
+            assert n_fft in smooth
+            assert all(2.0 * math.pi / (m * dx1) > rule.dx
+                       for m in smooth if n1 <= m < n_fft), (target, params)
+
+    def test_refuses_an_fft_over_the_entry_cap(self, monkeypatch):
+        """A target grid this fine would need an FFT of 1.5e8 points; it is
+        refused before the column is built."""
+        def no_column(*args):
+            raise AssertionError("column built for an oversized FFT")
+
+        monkeypatch.setattr("cvcat.oracle._cis", no_column)
+        vac = make_squeezed_vacuum(1e4, GridSpec(-1e-3, 1e-3, 4096))
+        with pytest.raises(DomainError, match="FFT of 147456000 points, over "
+                                              "the 2\\^26 entry cap"):
+            oracle_two_mode(vac, GateParams(gamma=0.1, s=1.0, y_m=3.0))
 
     @pytest.mark.parametrize("gamma, db, y_m", VERIFY_CASES + (
         (0.1, 14.0, 3.0), (0.1, 20.0, 3.0), (0.2, 9.0, 6.0), (0.033, 0.0, 1.0)))
@@ -175,8 +212,7 @@ class TestOracleTwoMode:
         assert l2 <= 1e-12
         assert rel <= 1e-12
 
-    @pytest.mark.parametrize("s_in, half, n1, s", ((0.3, 25.0, 513, 1.0),
-                                                   (0.2, 40.0, 1025, 3.0)))
+    @pytest.mark.parametrize("s_in, half, n1, s", WIDE_CASES)
     def test_matches_gate_on_a_wide_target(self, s_in, half, n1, s):
         """The step counts the target's x range; a step blind to it aliases
         the column's spectrum onto the far points (L2 2.1e-3 and 1.2e-9)."""

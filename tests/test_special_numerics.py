@@ -254,6 +254,19 @@ class TestIntegrateOscillatoryGaussian:
                 self.DELTAS[:120].reshape(12, 10), gamma, s)
             assert np.array_equal(square.ravel(), batch[:120])
 
+    def test_values_are_exactly_real(self):
+        """The nodes are symmetric about t = 0, where the envelope is even
+        and the phase odd, so the sines cancel in pairs and every value's
+        imaginary part is exactly 0: scalars and arrays, offsets on both
+        sides of the saddle-point switch, and gamma = 0."""
+        for gamma, s in ((0.1, 1.0), (0.5, 0.2), (0.02, 0.1), (0.0, 0.7)):
+            batch = integrate_oscillatory_gaussian(self.DELTAS, gamma, s)
+            assert np.all(batch.imag == 0.0), (gamma, s)
+            for delta in (-7.5, -1e-9, 0.0, 1e-9, 2.5):
+                value = integrate_oscillatory_gaussian(delta, gamma, s)
+                assert isinstance(value, complex) and value.imag == 0.0, \
+                    (delta, gamma, s)
+
     def test_blocks_bound_the_work_arrays(self, monkeypatch):
         """Offsets are evaluated in blocks of at most _QUAD_BLOCK nodes, an
         offset that alone needs more being its own block, and the block
