@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, ZeroProbabilityOutcomeError
 from .gate import PROBABILITY_FLOOR, ConditionalOutput
 from .special_numerics import _TAIL_EXPONENT, _cis, integrate_oscillatory_gaussian
-from .states import MAX_ENTRIES, GateParams, GridSpec, WaveFunction
+from .states import MAX_ENTRIES, MAX_GRID_POINTS, GateParams, GridSpec, WaveFunction
 
 __all__ = [
     "ancilla_grid_for",
@@ -35,32 +35,28 @@ def oracle_added_factor(x, params: GateParams):
 def ancilla_grid_for(params: GateParams, n_target: int,
                      x1_max: float = 0.0) -> GridSpec:
     """Ancilla grid for a target with |x1| <= x1_max, sized from the column's
-    band limit within the n_target * n_ancilla <= 2^26 entry cap.
+    band limit alone: the FFT projection holds no n_target x n_ancilla
+    matrix, so n_target does not enter the rule.
 
     With L = _TAIL_EXPONENT, the half-width w = sqrt(2L)/s cuts the envelope
     exp(-(s x)^2 / 2) at e^-L. The column's band is B = |y_m| + 3 gamma w^2
     + s sqrt(2L), its largest instantaneous frequency plus its Gaussian
     bandwidth; the trapezoid sum repeats that band every 2 pi / dx, so the
     step dx = 2 pi / (B + max(x1_max, B)) keeps every alias off every target
-    point. Over the cap, the half-width (and B with it) shrinks as long as
-    the edge density stays below 1e-10.
+    point. A grid of more than MAX_GRID_POINTS raises DomainError, naming
+    gamma, s and the count, before anything allocates.
     """
     s = params.s
     tail = math.sqrt(2.0 * _TAIL_EXPONENT)
     w = tail / s
-
-    def n_for(width: float) -> int:
-        band = abs(params.y_m) + 3.0 * params.gamma * width ** 2 + s * tail
-        dx = 2.0 * math.pi / (band + max(x1_max, band))
-        return int(math.ceil(2.0 * width / dx)) + 1
-
-    while n_for(w) > MAX_ENTRIES // n_target:
-        w *= 0.95
-        if math.exp(-((s * w) ** 2)) > 1e-10:
-            raise DomainError(
-                "cannot satisfy both the band-limit rule and the 2^26 entry cap "
-                f"for gamma={params.gamma}, s={s}: reduce the target grid size")
-    return GridSpec(-w, w, max(n_for(w), 16))
+    band = abs(params.y_m) + 3.0 * params.gamma * w * w + s * tail
+    dx = 2.0 * math.pi / (band + max(x1_max, band))
+    steps = 2.0 * w / dx if dx > 0.0 else math.inf
+    if not steps <= MAX_GRID_POINTS - 1:   # a nan or inf fails too
+        raise DomainError(
+            f"the ancilla grid at gamma={params.gamma!r}, s={s!r} needs "
+            f"n_points={steps + 1.0:.3g}, over the {MAX_GRID_POINTS} cap")
+    return GridSpec(-w, w, max(math.ceil(steps) + 1, 16))
 
 
 def _projection_step(n1: int, dx1: float, rule_dx: float) -> tuple[int, float]:

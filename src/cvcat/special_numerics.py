@@ -345,12 +345,14 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
         exp(k0 - a t^2 + i t (beta + gamma t^2)),  a = 3 gamma c + s^2 / 2,
 
     and the trapezoid rule converges geometrically (Trefethen & Weideman,
-    SIAM Review 56(3), 2014). For delta > 0, c is the saddle point, where
-    beta = 0; for delta <= 0, c = 1/max(|delta|, 1, s, gamma^(1/3)) holds
-    -delta c and gamma c^3 to at most 1 and (s c)^2/2 to at most 1/2, so the
-    integrand's peak e^k0 stays below e^(5/2), anti-squeezed s > 1 and large
-    gamma included. With
-    L = _TAIL_EXPONENT = 40, the half-width T meets
+    SIAM Review 56(3), 2014). One height serves every delta and gamma >= 0,
+    c = max(2 delta+ / (s^2 + sqrt(s^4 + 12 gamma delta+)),
+    1/max(-delta, 1, s, gamma^(1/3))) with delta+ = max(delta, 0). The first
+    term is the saddle point, where beta = 0; the second holds -delta c and
+    gamma c^3 to at most 1 and (s c)^2/2 to at most 1/2, so the peak e^k0
+    stays below e^(5/2), anti-squeezed s > 1 and large gamma included, and
+    floors the saddle, whose node count grows without bound as delta -> 0+.
+    With L = _TAIL_EXPONENT = 40, the half-width T meets
     e^(-a T^2) <= e^(-L - delta c) and the step h = pi/(omega_max + sqrt(L a))
     resolves the largest local angular frequency on |t| <= T with the
     Gaussian bandwidth to spare.
@@ -376,13 +378,10 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
     # overflow or a vanishing a leaves a node count that is not finite,
     # which the cap below refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if gamma == 0:
-            c = np.zeros_like(flat)
-        else:
-            c_cap = max(1.0, s, gamma ** (1.0 / 3.0))
-            c = np.where(flat > 0.0, (np.sqrt(s2 * s2 + 12.0 * gamma
-                                              * np.maximum(flat, 0.0)) - s2)
-                         / (6.0 * gamma), 1.0 / np.maximum(-flat, c_cap))
+        pos = np.maximum(flat, 0.0)
+        # fmax, not maximum: the saddle is 0/0 at delta <= 0 once s^2 is 0
+        c = np.fmax(2.0 * pos / (s2 + np.sqrt(s2 * s2 + 12.0 * gamma * pos)),
+                    1.0 / np.maximum(-flat, max(1.0, s, gamma ** (1.0 / 3.0))))
         a = 3.0 * gamma * c + 0.5 * s2
         beta = flat - 3.0 * gamma * c * c - s2 * c
         k0 = -flat * c + gamma * c ** 3 + 0.5 * s2 * c * c

@@ -28,9 +28,8 @@ __all__ = [
 ]
 
 _EDGE_ENVELOPE = 1e-12
-MAX_ENTRIES = 2 ** 26   # largest work array: a two-mode oracle or Wigner matrix
-# the largest grid: the two-mode oracle's ancilla grid reaches 2^26 / 16
-MAX_GRID_POINTS = MAX_ENTRIES // 16
+MAX_ENTRIES = 2 ** 26   # largest work array: a Wigner matrix, an oracle's nodes or FFT
+MAX_GRID_POINTS = MAX_ENTRIES // 16   # the largest grid, 2^22 points
 NORM_TOLERANCE = 1e-6   # the |norm^2 - 1| a WaveFunction may have
 # beyond this, in x and in p, the vacuum amplitude exp(-k^2/2) is below 2^-53
 _K_VACUUM = math.sqrt(2.0 * 53.0 * math.log(2.0))

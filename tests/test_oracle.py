@@ -9,12 +9,15 @@ from cvcat.gate import added_factor, added_factor_grid, apply_gate
 from cvcat.oracle import _projection_step, ancilla_grid_for, \
     oracle_added_factor, oracle_two_mode
 from cvcat.special_numerics import _TAIL_EXPONENT
-from cvcat.states import GateParams, GridSpec, default_grid, \
-    make_squeezed_vacuum
+from cvcat.states import MAX_GRID_POINTS, GateParams, GridSpec, \
+    default_grid, make_squeezed_vacuum
 
 # the verify benchmark's two-mode target and its cases, (gamma, dB, y_m)
 VERIFY_TARGET = default_grid(math.sqrt(10.0), 256)
 VERIFY_CASES = ((0.1, 5.0, 3.0), (0.5, 14.0, 15.0))
+# the CLI's default target and cases, (gamma, dB, y_m), up to 20 dB
+CLI_TARGET = default_grid(math.sqrt(10.0), 2048)
+CLI_CASES = ((0.5, 14.0, 15.0), (0.1, 20.0, 3.0), (0.5, 20.0, 15.0))
 # (s_in, half-width, n1, s) of the wide targets, each at gamma = y_m = 0
 WIDE_CASES = ((0.3, 25.0, 513, 1.0), (0.2, 40.0, 1025, 3.0))
 
@@ -67,6 +70,17 @@ class TestOracleAddedFactor:
             o = oracle_added_factor(x, params)
             a = added_factor_grid(x, params)
             assert np.all(np.abs(a - o) <= np.maximum(1e-8 * np.abs(o), 1e-12))
+
+    def test_matches_closed_form_where_s_squared_is_zero(self):
+        """At s = 1e-170, s^2 is 0 and the saddle height is 0/0 on
+        delta <= 0; the contour's floor still holds, so the values stay
+        finite and equal the closed form."""
+        params = GateParams(gamma=0.1, s=1e-170, y_m=3.0)
+        x = params.y_m + np.array([0.0, -1.0, 1e-3])
+        o = oracle_added_factor(x, params)
+        a = added_factor_grid(x, params)
+        assert np.all(np.isfinite(o))
+        assert np.all(np.abs(a - o) <= 1e-12 * np.abs(a))
 
 
 class TestTwoModeGrid:
@@ -159,12 +173,21 @@ class TestOracleTwoMode:
             edge_envelope = math.exp(-0.5 * (params.s * grid.x_max) ** 2)
             assert edge_envelope <= math.exp(-_TAIL_EXPONENT) * (1 + 1e-12)
 
-    def test_ancilla_grid_refuses_what_the_entry_cap_cannot_hold(self):
-        # a budget of 2^26 / 2^21 = 32 ancilla points cannot hold the
-        # band-limit rule before the edge density passes 1e-10
-        with pytest.raises(DomainError, match="cannot satisfy both the "
-                                              "band-limit rule and the 2\\^26"):
-            ancilla_grid_for(GateParams(gamma=0.1, s=1.0, y_m=3.0), 2 ** 21)
+    def test_ancilla_grid_refuses_past_max_grid_points(self, monkeypatch):
+        """At 30 dB the band-limit rule needs 2.16e7 ancilla points, over
+        MAX_GRID_POINTS: refused by name, before any step or column."""
+        def nothing(*args):
+            raise AssertionError("work done for an oversized ancilla grid")
+
+        monkeypatch.setattr("cvcat.oracle._projection_step", nothing)
+        monkeypatch.setattr("cvcat.oracle._cis", nothing)
+        params = GateParams(gamma=0.5, s=db_to_s(30.0), y_m=15.0)
+        message = (f"ancilla grid at gamma=0.5, s={params.s!r} needs "
+                   f"n_points=2.16e\\+07, over the {MAX_GRID_POINTS} cap")
+        with pytest.raises(DomainError, match=message):
+            ancilla_grid_for(params, 256)
+        with pytest.raises(DomainError, match=message):
+            oracle_two_mode(make_squeezed_vacuum(1.0, VERIFY_TARGET), params)
 
     def test_projection_step_rule(self):
         """The FFT length N is the least 2^a 3^b 5^c >= n1 whose ancilla
@@ -204,9 +227,20 @@ class TestOracleTwoMode:
     @pytest.mark.parametrize("gamma, db, y_m", VERIFY_CASES + (
         (0.1, 14.0, 3.0), (0.1, 20.0, 3.0), (0.2, 9.0, 6.0), (0.033, 0.0, 1.0)))
     def test_matches_gate_on_the_verify_target(self, gamma, db, y_m):
-        """The 20 dB grid fits the entry cap with its envelope uncut; an
-        envelope cut at e^-23 errs by an L2 of 2.0e-11."""
+        """The ancilla grid keeps its envelope uncut at 20 dB; an envelope
+        cut at e^-23 errs by an L2 of 2.0e-11."""
         vac = make_squeezed_vacuum(1.0, VERIFY_TARGET)
+        l2, rel = gate_distance(vac, GateParams(gamma=gamma, s=db_to_s(db),
+                                                y_m=y_m))
+        assert l2 <= 1e-12
+        assert rel <= 1e-12
+
+    @pytest.mark.parametrize("gamma, db, y_m", CLI_CASES)
+    def test_matches_gate_on_the_cli_grid(self, gamma, db, y_m):
+        """On the CLI's 2,048-point grid the ancilla grid is the band rule
+        alone; an ancilla shrunk to fit 2^26 target x ancilla entries erred
+        by an L2 of 2.0e-13 and 1.65e-11, and the third case was refused."""
+        vac = make_squeezed_vacuum(1.0, CLI_TARGET)
         l2, rel = gate_distance(vac, GateParams(gamma=gamma, s=db_to_s(db),
                                                 y_m=y_m))
         assert l2 <= 1e-12

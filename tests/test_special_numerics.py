@@ -216,12 +216,25 @@ class TestIntegrateOscillatoryGaussian:
             got = integrate_oscillatory_gaussian(deltas, 0.1, s)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, s
 
-    def test_large_gamma_matches_reference(self, reference_integral):
+    def test_large_gamma_matches_reference(self, reference_integral,
+                                           monkeypatch):
         """gamma > 1 moves the path on delta <= 0 no further than
         Im x = gamma^(-1/3), so gamma c^3 stays at most 1 and the peak e^k0
         of order 1: within 2e-15 of the reference at gamma = 50, 500 and
-        1e4, where a path at Im x = 1 gave values 1e4 too large, then NaN."""
-        deltas = np.arange(-10.0, 10.5, 0.5)
+        1e4, where a path at Im x = 1 gave values 1e4 too large, then NaN.
+        The same height floors the saddle as delta -> 0+: there the saddle
+        alone took 1.3e4 to 8.9e6 nodes, or was refused, and the floored
+        height takes at most 1,000."""
+        nodes = []
+        trapezoid_sums = special_numerics._trapezoid_sums
+
+        def spy(n, *args):
+            nodes.extend(n + 1)
+            return trapezoid_sums(n, *args)
+
+        monkeypatch.setattr(special_numerics, "_trapezoid_sums", spy)
+        near_zero = np.array([1e-9, 1e-6, 1e-3])
+        deltas = np.concatenate([np.arange(-10.0, 10.5, 0.5), near_zero])
         for gamma in (50.0, 500.0, 1e4):
             for s in (0.03, 1.0, 3.0):
                 want = np.array([reference_integral(d, gamma, s)
@@ -229,6 +242,15 @@ class TestIntegrateOscillatoryGaussian:
                 got = integrate_oscillatory_gaussian(deltas, gamma, s)
                 assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15, \
                     (gamma, s)
+        for gamma, s in ((50.0, 0.03), (0.5, 0.2), (1e4, 1.0)):
+            nodes.clear()
+            want = np.array([reference_integral(d, gamma, s)
+                             for d in near_zero])
+            got = integrate_oscillatory_gaussian(near_zero, gamma, s)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15, \
+                (gamma, s)
+            assert len(nodes) == near_zero.size and max(nodes) <= 1000, \
+                (gamma, s, nodes)
 
     def test_rejects_bad_input(self):
         for delta, gamma, s in ((0.0, 0.1, 0.0), (0.0, 0.1, -1.0),
@@ -258,8 +280,9 @@ class TestIntegrateOscillatoryGaussian:
         """The nodes are symmetric about t = 0, where the envelope is even
         and the phase odd, so the sines cancel in pairs and every value's
         imaginary part is exactly 0: scalars and arrays, offsets on both
-        sides of the saddle-point switch, and gamma = 0."""
-        for gamma, s in ((0.1, 1.0), (0.5, 0.2), (0.02, 0.1), (0.0, 0.7)):
+        sides of the saddle-point switch, gamma = 0 and large gamma."""
+        for gamma, s in ((0.1, 1.0), (0.5, 0.2), (0.02, 0.1), (0.0, 0.7),
+                         (50.0, 0.03), (1e4, 1.0)):
             batch = integrate_oscillatory_gaussian(self.DELTAS, gamma, s)
             assert np.all(batch.imag == 0.0), (gamma, s)
             for delta in (-7.5, -1e-9, 0.0, 1e-9, 2.5):
