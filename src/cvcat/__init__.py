@@ -8,8 +8,8 @@ two-component superpositions, renders Wigner functions, and sweeps the
 fidelity/probability trade-off.
 """
 
-from .analysis import SweepRow, SweepSpec, db_to_s, efficiency_score, \
-    fidelity, phase_aligned_l2, run_sweep
+from .analysis import SweepRow, SweepSpec, db_to_s, fidelity, \
+    phase_aligned_l2, run_sweep
 from .errors import CvcatError, DegenerateSuperpositionError, DomainError, \
     ZeroProbabilityOutcomeError
 from .gate import ConditionalOutput, added_factor, added_factor_grid, \
@@ -39,6 +39,6 @@ __all__ = [
     "ancilla_grid_for", "oracle_added_factor", "oracle_two_mode",
     "WignerGrid", "SupportRegion", "wigner_transform", "wigner_log_negativity",
     "semiclassical_shear", "build_support_region", "suggest_wigner_bounds",
-    "fidelity", "phase_aligned_l2", "db_to_s", "efficiency_score",
+    "fidelity", "phase_aligned_l2", "db_to_s",
     "SweepSpec", "SweepRow", "run_sweep",
 ]

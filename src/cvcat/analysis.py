@@ -1,4 +1,4 @@
-"""Fidelity, dB conversion, efficiency score, and the figure-data sweeps."""
+"""Fidelity, dB conversion, and the figure-data sweeps."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ __all__ = [
     "fidelity",
     "phase_aligned_l2",
     "db_to_s",
-    "efficiency_score",
     "SweepSpec",
     "SweepRow",
     "run_sweep",
@@ -83,19 +82,6 @@ def db_to_s(db: float) -> float:
     return s
 
 
-def efficiency_score(f_cat: float, probability_density: float) -> float:
-    """Probability-weighted quality: f_cat * P(y_m).
-
-    One admissible weighting of output quality by the success probability;
-    the product form is a choice of this artifact, not a published formula.
-    """
-    if not (-1e-9 <= f_cat <= 1.0 + 1e-9):
-        raise DomainError("f_cat must lie in [0, 1]")
-    if probability_density < 0:
-        raise DomainError("probability_density must be >= 0")
-    return f_cat * probability_density
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A scan over 1/s at one outcome y_m; gamma None means y_m / 30, and
@@ -133,7 +119,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One scan point; NaN marks outputs that were not requested."""
+    """One scan point; NaN marks outputs that were not requested. efficiency
+    is f_cat * P(y_m), f_cat = 1 - infidelity: quality weighted by success
+    probability, a choice of this artifact, not a published formula."""
 
     variable_value: float
     infidelity: float = math.nan
@@ -193,7 +181,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 if {"probability", "efficiency"} & spec.outputs:
                     fields["probability_density"] = p
                 if "efficiency" in spec.outputs:
-                    fields["efficiency"] = efficiency_score(f_cat, p)
+                    fields["efficiency"] = f_cat * p
                 if "wln" in spec.outputs:
                     state = WaveFunction(grid, state)
                     bounds = suggest_wigner_bounds(state)

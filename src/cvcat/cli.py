@@ -62,8 +62,6 @@ _FLAGS = {
     "db": {"type": float, "help": "initial ancilla squeezing in dB"},
     "format": {"choices": ("csv", "json"), "help": "output format"},
     "out": {"help": "output file path (default: stdout)"},
-    "grid_half_width": {"type": float,
-                        "help": "coordinate grid half-width override"},
     "grid_points": {"type": int,
                     "help": "coordinate grid point count (sweeps: from the "
                             "band limit if absent)"},
@@ -144,29 +142,21 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _grid_for(cfg, p_plus: float) -> GridSpec:
-    if cfg["grid_half_width"] is not None:
-        return GridSpec(-cfg["grid_half_width"], cfg["grid_half_width"],
-                        cfg["grid_points"])
-    return default_grid(p_plus, cfg["grid_points"])
-
-
 def _gate_settings(cfg):
     """The gate settings, the cat they herald and the grid for both."""
     params = GateParams(gamma=cfg["gamma"], s=db_to_s(cfg["db"]), y_m=cfg["ym"])
     cat = cat_params_from_gate(params)
-    return params, cat, _grid_for(cfg, cat.p_plus)
+    return params, cat, default_grid(cat.p_plus, cfg["grid_points"])
 
 
 def _build_state(cfg):
     """A constructed state; only the cat reads gamma and y_m as gate settings."""
     kind = cfg["kind"]
     if kind == "vacuum":
-        return make_squeezed_vacuum(1.0, _grid_for(cfg, 0.0))
+        return make_squeezed_vacuum(1.0, default_grid(0.0, cfg["grid_points"]))
     if kind in ("squeezed", "cubic"):
         s = db_to_s(cfg["db"])
-        grid = _grid_for(cfg, 0.0) if cfg["grid_half_width"] is not None \
-            else GridSpec(-10.0 / s, 10.0 / s, cfg["grid_points"])
+        grid = GridSpec(-10.0 / s, 10.0 / s, cfg["grid_points"])
         if kind == "squeezed":
             return make_squeezed_vacuum(s, grid)
         return make_cubic_phase_state(cfg["gamma"], s, grid)
@@ -372,20 +362,19 @@ def _cmd_verify(_cfg) -> tuple[str, int]:
 
 # command -> (handler, help, defaults); a command takes exactly the flags
 # its defaults name, plus --config and --dump-config
-_GRID = {"grid_half_width": None, "grid_points": 2048}
 _SWEEP = {"gamma": None, "ym": 3.0, "db_range": "0:20:60", "format": "csv",
           "out": None, "grid_points": None}
 _COMMANDS = {
     "state": (_cmd_state, "dump a constructed state",
               {"kind": "cubic", "gamma": 0.1, "ym": 3.0, "db": 5.0,
-               "format": "json", **_GRID, "out": None}),
+               "format": "json", "grid_points": 2048, "out": None}),
     "gate": (_cmd_gate, "conditional gate output state",
-             {"gamma": 0.1, "ym": 3.0, "db": 5.0, "format": "json", **_GRID,
-              "out": None}),
+             {"gamma": 0.1, "ym": 3.0, "db": 5.0, "format": "json",
+              "grid_points": 2048, "out": None}),
     "wigner": (_cmd_wigner, "Wigner function as a CSV matrix",
                {"source": "output", "gamma": 0.1, "ym": 3.0, "db": 5.0,
-                "format": "csv", **_GRID, "bounds": None, "nx": 256,
-                "np": 256, "out": None}),
+                "format": "csv", "grid_points": 2048, "bounds": None,
+                "nx": 256, "np": 256, "out": None}),
     "sweep-infidelity": (_cmd_sweep, "infidelity vs squeezing",
                          {**_SWEEP,
                           "outputs": "infidelity,probability,efficiency"}),

@@ -362,9 +362,10 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
     the n + 1 nodes k >= 0, and its value is exactly real, returned as
     complex. Each delta takes its own c, a, beta, h and node count, and its
     sum is reduced alone, so a value does not depend on the array it is
-    evaluated in. A gamma < 0, or a delta whose rule needs more than
-    MAX_ENTRIES nodes (2n + 1, counted over both signs of k), raises
-    DomainError before any node is built.
+    evaluated in. A gamma < 0, gamma = 0 with an s whose s^2 underflows to
+    0 (a = 0), or a delta whose rule needs more than MAX_ENTRIES nodes
+    (2n + 1, counted over both signs of k), raises DomainError before any
+    node is built.
     """
     d = np.asarray(delta, dtype=float)
     if not (np.isfinite(d).all() and math.isfinite(gamma) and math.isfinite(s)):
@@ -375,6 +376,9 @@ def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
         raise DomainError("cubic coefficient gamma must be >= 0")
     flat = d.ravel()
     s2 = s * s
+    if gamma == 0.0 and s2 == 0.0:   # then a = 0: no decay on the path
+        raise DomainError(f"quadrature at gamma=0 needs s^2 > 0, but s={s!r} "
+                          "underflows s^2 to 0")
     # overflow or a vanishing a leaves a node count that is not finite,
     # which the cap below refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -5,7 +5,7 @@ import pytest
 
 from cvcat import states
 from cvcat.analysis import SweepRow, SweepSpec, _sinc_samples, db_to_s, \
-    efficiency_score, fidelity, phase_aligned_l2, run_sweep
+    fidelity, phase_aligned_l2, run_sweep
 from cvcat.cli import _rows_csv
 from cvcat.errors import DomainError
 from cvcat.states import GateParams, GridSpec, WaveFunction, \
@@ -126,16 +126,6 @@ class TestDbToS:
 
 
 class TestEfficiencyScore:
-    def test_zeros(self):
-        assert efficiency_score(0.0, 0.5) == 0.0
-        assert efficiency_score(0.9, 0.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            efficiency_score(1.5, 0.1)
-        with pytest.raises(DomainError):
-            efficiency_score(0.5, -0.1)
-
     def test_interior_maximum_in_inverse_s(self):
         spec = SweepSpec(values=np.geomspace(1.0, 10.0, 15), y_m=3.0,
                          gamma=0.1, outputs=frozenset({"efficiency"}))

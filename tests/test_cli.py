@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -8,8 +9,8 @@ import pytest
 
 import cvcat.gate
 from cvcat.analysis import SweepRow, SweepSpec, db_to_s, run_sweep
-from cvcat.cli import VERIFY_ABS_FLOOR, VERIFY_GRID, VERIFY_TOLERANCE, \
-    _rows_csv, main, run_verification
+from cvcat.cli import _COMMANDS, _FLAGS, VERIFY_ABS_FLOOR, VERIFY_GRID, \
+    VERIFY_TOLERANCE, _rows_csv, build_parser, main, run_verification
 from cvcat.gate import added_factor, apply_gate
 from cvcat.oracle import oracle_added_factor
 from cvcat.phase_space import build_support_region
@@ -287,18 +288,6 @@ class TestMalformedInput:
                      "80", "--grid-points", "256", flag, ""]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
 
-    @pytest.mark.parametrize("command", [["state", "--kind", "vacuum"],
-                                         ["state"], ["gate"], ["wigner"]])
-    @pytest.mark.parametrize("half_width", ["0", "-5"])
-    def test_grid_half_width_must_be_positive(self, command, half_width,
-                                              tmp_path, capsys):
-        # 0 is a half-width like any other, not a request for the default
-        out = tmp_path / "out"
-        assert main(command + ["--grid-half-width=" + half_width,
-                               "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: grid requires x_min < x_max\n"
-        assert not out.exists()
-
     def test_wigner_map_over_the_entry_cap(self, tmp_path, capsys):
         # refused before any array is made; the tight bounds would fail next
         out = tmp_path / "w.csv"
@@ -519,10 +508,25 @@ class TestSweepCommands:
 
 @pytest.mark.parametrize("argv", [
     ["sweep-infidelity", "--db", "99"], ["sweep-probability", "--db", "99"],
-    ["support-region", "--ym", "3"]])
+    ["support-region", "--ym", "3"],
+    # the grid commands build their grids from --grid-points alone
+    ["state", "--kind", "vacuum", "--grid-half-width=0"],
+    ["state", "--grid-half-width=-5"], ["gate", "--grid-half-width", "5"],
+    ["wigner", "--grid-half-width", "5"]])
 def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     assert main(argv) == 64
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["state", "gate", "wigner"])
+def test_grid_half_width_config_key_is_unknown(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_half_width": 5.0}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown config keys: ['grid_half_width']\n")
+    assert not out.exists()
 
 
 # one small run per command; each dumped config must replay it byte for byte
@@ -752,3 +756,30 @@ def test_readme_cli_example_runs(line, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert Path(out).stat().st_size > 0
+
+
+def readme_flag_table():
+    """command -> the flags the README's flag table lists for it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | flags |\n| --- | --- |\n", 1)[1]
+    listed = {}
+    for line in table.split("\n\n", 1)[0].splitlines():
+        commands, flags = line.strip("|").split("|")
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            listed[command] = set(re.findall(r"`(--[a-z-]+)`", flags))
+    return listed
+
+
+def test_readme_flag_table_lists_each_commands_flags():
+    """The table lists every flag a command's parser takes but --out,
+    --config and --dump-config, and no other; every flag spec is read by
+    some command."""
+    subs = next(action.choices for action in build_parser()._actions
+                if action.dest == "command")
+    common = {"-h", "--help", "--out", "--config", "--dump-config"}
+    taken = {name: {flag for action in sub._actions
+                    for flag in action.option_strings} - common
+             for name, sub in subs.items()}
+    assert readme_flag_table() == taken
+    assert set(_FLAGS) == {key for *_, defaults in _COMMANDS.values()
+                           for key in defaults}

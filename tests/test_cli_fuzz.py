@@ -85,7 +85,7 @@ def configs(command):
 @example(("state", {"grid_points": 64.5}), "")
 @example(("state", {"db": 1e300}), "")
 @example(("state", {"gamma": math.inf}), "")
-@example(("state", {"grid_half_width": 1e300}), "")
+@example(("state", {"db": 6000.0}), "")   # the cubic state on +-1e301
 @example(("gate", {"ym": 1e300}), "")
 @example(("support-region", {"sigma_level": 1e300}), "")
 @example(("support-region", {"n_boundary": 10**12}), "")

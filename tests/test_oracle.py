@@ -82,6 +82,14 @@ class TestOracleAddedFactor:
         assert np.all(np.isfinite(o))
         assert np.all(np.abs(a - o) <= 1e-12 * np.abs(a))
 
+    def test_gamma_zero_where_s_squared_underflows_is_refused_by_name(self):
+        """At gamma = 0 the same s leaves the quadrature no decay; the
+        oracle passes on its refusal, which names the underflow."""
+        with pytest.raises(DomainError,
+                           match="s=1e-170 underflows s\\^2 to 0"):
+            oracle_added_factor(np.array([0.0, -1.0, 1e-3]),
+                                GateParams(0.0, 1e-170, 0.0))
+
 
 class TestTwoModeGrid:
     def test_entangling_phases_unimodular(self):

@@ -325,6 +325,21 @@ class TestIntegrateOscillatoryGaussian:
             with pytest.raises(DomainError, match="2\\^26 entry cap"):
                 integrate_oscillatory_gaussian(delta, gamma, s)
 
+    def test_gamma_zero_where_s_squared_underflows_is_refused_by_name(
+            self, monkeypatch):
+        """At gamma = 0 and s = 1e-170, s^2 is 0, so a = 3 gamma c + s^2/2
+        is 0 and the path has no decay. That is refused before the node
+        count, by gamma, s and the underflow, not as an oversized rule."""
+        def no_nodes(*args):
+            raise AssertionError("nodes built where s^2 underflows")
+
+        monkeypatch.setattr(special_numerics, "_trapezoid_sums", no_nodes)
+        for delta in (0.0, np.array([0.0, -1.0, 1e-3])):
+            with pytest.raises(DomainError) as info:
+                integrate_oscillatory_gaussian(delta, 0.0, 1e-170)
+            assert str(info.value) == ("quadrature at gamma=0 needs s^2 > 0, "
+                                       "but s=1e-170 underflows s^2 to 0")
+
     def test_negative_gamma_fails_before_building_nodes(self, monkeypatch):
         """No gate setting has gamma < 0 (GateParams refuses it), so the
         quadrature refuses it too instead of choosing a contour for it."""

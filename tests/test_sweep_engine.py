@@ -6,8 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from cvcat.analysis import SweepRow, SweepSpec, efficiency_score, fidelity, \
-    run_sweep
+from cvcat.analysis import SweepRow, SweepSpec, fidelity, run_sweep
 from cvcat.errors import CvcatError
 from cvcat.gate import apply_gate, gate_rows
 from cvcat.phase_space import suggest_wigner_bounds, wigner_log_negativity, \
@@ -38,8 +37,7 @@ def per_row_reference(spec, value):
         if {"probability", "efficiency"} & spec.outputs:
             fields["probability_density"] = out.probability_density
         if "efficiency" in spec.outputs:
-            fields["efficiency"] = efficiency_score(f_cat,
-                                                    out.probability_density)
+            fields["efficiency"] = f_cat * out.probability_density
         if "wln" in spec.outputs:
             bounds = suggest_wigner_bounds(out.state)
             n_p = max(256, int((bounds[3] - bounds[2]) / 0.08))
