@@ -288,6 +288,19 @@ class TestMalformedInput:
                      "80", "--grid-points", "256", flag, ""]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
 
+    @pytest.mark.parametrize("command", [["state", "--kind", "vacuum"],
+                                         ["state"], ["gate"], ["wigner"]])
+    @pytest.mark.parametrize("half_width", ["0", "-5"])
+    def test_grid_half_width_must_be_positive(self, command, half_width,
+                                              tmp_path, capsys):
+        # the grids are sized from --grid-points alone, so no half-width,
+        # 0 and negative ones included, gets past the parser
+        out = tmp_path / "out"
+        assert main(command + ["--grid-half-width=" + half_width,
+                               "--out", str(out)]) == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wigner_map_over_the_entry_cap(self, tmp_path, capsys):
         # refused before any array is made; the tight bounds would fail next
         out = tmp_path / "w.csv"
@@ -510,9 +523,7 @@ class TestSweepCommands:
     ["sweep-infidelity", "--db", "99"], ["sweep-probability", "--db", "99"],
     ["support-region", "--ym", "3"],
     # the grid commands build their grids from --grid-points alone
-    ["state", "--kind", "vacuum", "--grid-half-width=0"],
-    ["state", "--grid-half-width=-5"], ["gate", "--grid-half-width", "5"],
-    ["wigner", "--grid-half-width", "5"]])
+    ["gate", "--grid-half-width", "5"], ["wigner", "--grid-half-width", "5"]])
 def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     assert main(argv) == 64
     assert "unrecognized arguments" in capsys.readouterr().err
