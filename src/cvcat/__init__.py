@@ -14,12 +14,12 @@ from .errors import CvcatError, DegenerateSuperpositionError, DomainError, \
     ZeroProbabilityOutcomeError
 from .gate import ConditionalOutput, added_factor, added_factor_grid, \
     apply_gate, outcome_probability_density
-from .oracle import ancilla_grid_for, oracle_added_factor, oracle_two_mode
+from .oracle import ancilla_grid_for, integrate_oscillatory_gaussian, \
+    oracle_added_factor, oracle_two_mode
 from .phase_space import SupportRegion, WignerGrid, build_support_region, \
     semiclassical_shear, suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
-from .special_numerics import airy_ai, airy_ai_scaled, \
-    integrate_oscillatory_gaussian
+from .special_numerics import airy_ai, airy_ai_scaled
 from .states import CatParams, GateParams, GridSpec, WaveFunction, \
     band_limited_grid, cat_params_from_gate, default_grid, \
     make_cubic_phase_state, make_ideal_cat, make_squeezed_vacuum

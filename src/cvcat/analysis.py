@@ -14,7 +14,7 @@ from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
 from .states import MAX_ENTRIES, GateParams, GridSpec, WaveFunction, \
     band_limited_grid, cat_params_from_gate, default_grid, make_ideal_cat, \
-    make_squeezed_vacuum
+    make_squeezed_vacuum, require_integer
 
 __all__ = [
     "fidelity",
@@ -107,6 +107,8 @@ class SweepSpec:
         bad = set(self.outputs) - {"infidelity", "probability", "wln", "efficiency"}
         if bad:
             raise DomainError(f"unknown outputs {sorted(bad)}")
+        if self.n_grid_points is not None:
+            require_integer("n_grid_points", self.n_grid_points)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "outputs", frozenset(self.outputs))
 

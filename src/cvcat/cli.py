@@ -340,14 +340,12 @@ def run_verification():
             # values are shared across outcomes
             params = GateParams(gamma=gamma, s=s, y_m=0.0)
             oracle = oracle_added_factor(deltas, params)
-            # np.hypot rounds as abs() of a Python complex does; np.abs can
-            # differ from it in the last bit
-            scale = np.maximum(np.hypot(oracle.real, oracle.imag),
+            scale = np.maximum(np.abs(oracle),
                                VERIFY_ABS_FLOOR / VERIFY_TOLERANCE)
             for y_m in y_ms:
                 closed = added_factor_grid(
                     y_m + deltas, GateParams(gamma=gamma, s=s, y_m=y_m))
-                dev = np.hypot(closed - oracle.real, oracle.imag) / scale
+                dev = np.abs(closed - oracle) / scale
                 # np.maximum keeps a NaN, which fails the tolerance
                 worst = float(np.maximum(worst, dev.max()))
     return worst

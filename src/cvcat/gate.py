@@ -122,9 +122,9 @@ def added_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
     return factor
 
 
-def added_factor(x: float, params: GateParams) -> complex:
-    """Scalar added factor; real-valued, returned as complex by contract."""
-    return complex(float(added_factor_grid(np.asarray([x]), params)[0]))
+def added_factor(x: float, params: GateParams) -> float:
+    """Scalar added factor."""
+    return float(added_factor_grid(np.asarray([x]), params)[0])
 
 
 def norm_squared(amplitudes: np.ndarray, dx: float):

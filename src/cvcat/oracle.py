@@ -14,19 +14,142 @@ import numpy as np
 
 from .errors import DomainError, ZeroProbabilityOutcomeError
 from .gate import PROBABILITY_FLOOR, ConditionalOutput
-from .special_numerics import _TAIL_EXPONENT, _cis, integrate_oscillatory_gaussian
 from .states import MAX_ENTRIES, MAX_GRID_POINTS, GateParams, GridSpec, WaveFunction
 
 __all__ = [
     "ancilla_grid_for",
+    "integrate_oscillatory_gaussian",
     "oracle_added_factor",
     "oracle_two_mode",
 ]
 
+# The trapezoid sum is cut where the integrand has fallen by e^(-_TAIL_EXPONENT)
+# below its peak; the same exponent sets the Gaussian bandwidth the step resolves.
+_TAIL_EXPONENT = 40.0
+# Rule nodes (2n + 1 per offset, of which the n + 1 with k >= 0 are evaluated)
+# taken at once. Whole offsets are grouped up to this count, so the work
+# arrays do not grow with the number of offsets; one offset alone may pass
+# it, up to MAX_ENTRIES nodes.
+_QUAD_BLOCK = 2 ** 16
+
+
+def _cis(phase):
+    """exp(i phase) for a float array, from one tangent t = tan(phase/2):
+    cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2), written into one float
+    buffer that is viewed as complex. Halving is exact, and no double lies
+    nearer than about 2^-61 to an odd multiple of pi/2, so t^2 cannot
+    overflow."""
+    t = np.tan(0.5 * phase)
+    sq = t * t
+    den = 1.0 + sq
+    out = np.empty(t.shape + (2,))
+    out[..., 0] = (1.0 - sq) / den
+    out[..., 1] = (t + t) / den
+    return out.view(complex)[..., 0]
+
+
+def _trapezoid_sums(n, h, a, beta, k0, gamma: float):
+    """h times the sum over t = h k, |k| <= n, of
+    exp(k0 - a t^2) cis(t(beta + gamma t^2)), one real sum per offset.
+
+    The envelope is even in t and the phase odd, so the sines cancel in
+    pairs and the sum is h (2 S - f(0)), S summing envelope * cos(phase)
+    over 0 <= k <= n. All n + 1 nodes of every offset are laid out at once
+    and each offset's run is reduced alone."""
+    counts = n + 1
+    first = np.cumsum(counts) - counts
+    t = np.repeat(h, counts) * (np.arange(counts.sum())
+                                - np.repeat(first, counts))
+    with np.errstate(under="ignore"):
+        fv = np.exp(np.repeat(k0, counts) - np.repeat(a, counts) * t * t)
+    fv *= np.cos(t * (np.repeat(beta, counts) + gamma * t * t))
+    return h * (2.0 * np.add.reduceat(fv, first) - fv[first])
+
+
+def integrate_oscillatory_gaussian(delta, gamma: float, s: float):
+    """Integral over x of exp(i x(delta + gamma x^2)) exp(-(s x)^2 / 2), for
+    a float delta (a float out) or an array of them (a float array out).
+
+    The integrand is entire and decays in the strip 0 <= Im x <= c, so the
+    path moves to Im x = c, where x = t + ic gives
+
+        exp(k0 - a t^2 + i t (beta + gamma t^2)),  a = 3 gamma c + s^2 / 2,
+
+    and the trapezoid rule converges geometrically (Trefethen & Weideman,
+    SIAM Review 56(3), 2014). One height serves every delta and gamma >= 0,
+    c = max(2 delta+ / (s^2 + sqrt(s^4 + 12 gamma delta+)),
+    1/max(-delta, 1, s, gamma^(1/3))) with delta+ = max(delta, 0). The first
+    term is the saddle point, where beta = 0; the second holds -delta c and
+    gamma c^3 to at most 1 and (s c)^2/2 to at most 1/2, so the peak e^k0
+    stays below e^(5/2), anti-squeezed s > 1 and large gamma included, and
+    floors the saddle, whose node count grows without bound as delta -> 0+.
+    With L = _TAIL_EXPONENT = 40, the half-width T meets
+    e^(-a T^2) <= e^(-L - delta c) and the step h = pi/(omega_max + sqrt(L a))
+    resolves the largest local angular frequency on |t| <= T with the
+    Gaussian bandwidth to spare.
+
+    On the nodes t = h k, |k| <= n, the envelope is even and the phase
+    t(beta + gamma t^2) odd, so the sines cancel in pairs: the sum takes
+    the n + 1 nodes k >= 0, and its value is exactly real. Each delta takes
+    its own c, a, beta, h and node count, and its sum is reduced alone, so
+    a value does not depend on the array it is evaluated in. A gamma < 0,
+    gamma = 0 with an s whose s^2 underflows to 0 (a = 0), or a delta whose
+    rule needs more than MAX_ENTRIES nodes (2n + 1, counted over both signs
+    of k), raises DomainError before any node is built.
+    """
+    d = np.asarray(delta, dtype=float)
+    if not (np.isfinite(d).all() and math.isfinite(gamma) and math.isfinite(s)):
+        raise DomainError("delta, gamma and s must be finite")
+    if not s > 0:
+        raise DomainError("squeeze factor s must be positive")
+    if gamma < 0:
+        raise DomainError("cubic coefficient gamma must be >= 0")
+    flat = d.ravel()
+    s2 = s * s
+    if gamma == 0.0 and s2 == 0.0:   # then a = 0: no decay on the path
+        raise DomainError(f"quadrature at gamma=0 needs s^2 > 0, but s={s!r} "
+                          "underflows s^2 to 0")
+    # overflow or a vanishing a leaves a node count that is not finite,
+    # which the cap below refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pos = np.maximum(flat, 0.0)
+        # fmax, not maximum: the saddle is 0/0 at delta <= 0 once s^2 is 0
+        c = np.fmax(2.0 * pos / (s2 + np.sqrt(s2 * s2 + 12.0 * gamma * pos)),
+                    1.0 / np.maximum(-flat, max(1.0, s, gamma ** (1.0 / 3.0))))
+        a = 3.0 * gamma * c + 0.5 * s2
+        beta = flat - 3.0 * gamma * c * c - s2 * c
+        k0 = -flat * c + gamma * c ** 3 + 0.5 * s2 * c * c
+        half = np.sqrt((_TAIL_EXPONENT + flat * c) / a)
+        omega_max = np.maximum(np.abs(beta),
+                               np.abs(beta + 3.0 * gamma * half * half))
+        h = math.pi / (omega_max + np.sqrt(_TAIL_EXPONENT * a))
+        n = np.ceil(half / h)
+    fits = 2.0 * n + 1.0 <= MAX_ENTRIES
+    if not fits.all():
+        bad = int(np.argmin(fits))
+        raise DomainError(f"quadrature at delta={flat[bad]:.6g}, gamma={gamma:.6g}, "
+                          f"s={s:.6g} needs {2.0 * n[bad] + 1.0:.3g} nodes, "
+                          "over the 2^26 entry cap")
+    n = n.astype(np.int64)
+    ends = np.cumsum(2 * n + 1)     # nodes up to and including each offset
+    out = np.empty(flat.size)
+    start = 0
+    while start < flat.size:
+        # the offsets from start on whose nodes fit in one block, at least one
+        limit = (ends[start - 1] if start else 0) + _QUAD_BLOCK
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        block = slice(start, stop)
+        out[block] = _trapezoid_sums(n[block], h[block], a[block],
+                                     beta[block], k0[block], gamma)
+        start = stop
+    if d.ndim == 0:
+        return float(out[0])
+    return out.reshape(d.shape)
+
 
 def oracle_added_factor(x, params: GateParams):
     """Added factor by direct quadrature of its defining integral, at a
-    float x (a complex out) or an array of them (a complex array out)."""
+    float x (a float out) or an array of them (a float array out)."""
     integral = integrate_oscillatory_gaussian(np.subtract(x, params.y_m),
                                               params.gamma, params.s)
     return math.sqrt(params.s) / (math.pi ** 0.75 * math.sqrt(2.0)) * integral
@@ -91,7 +214,7 @@ def oracle_two_mode(input: WaveFunction, params: GateParams) -> ConditionalOutpu
     taken as k dx1 x2_0, up to 2e3 rad at 20 dB, its rounding reached an
     L2 of 4.9e-14. The FFT errs by rounding at the scale of the state's
     norm, the scale at which the output is judged. Every phase factor is
-    taken from one tangent of the half phase (special_numerics._cis), which
+    taken from one tangent of the half phase (_cis), which
     costs a fraction of numpy's complex exp.
     """
     n1, dx1 = input.n_points, input.dx

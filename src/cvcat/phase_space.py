@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import _PAD, MAX_ENTRIES, MAX_GRID_POINTS, WaveFunction
+from .states import _PAD, MAX_ENTRIES, MAX_GRID_POINTS, WaveFunction, \
+    require_integer
 
 __all__ = [
     "WignerGrid",
@@ -55,14 +56,6 @@ class WignerGrid:
     @property
     def n_p(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_x)
-
-    @property
-    def p(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.n_p)
 
     @property
     def dx(self) -> float:
@@ -152,6 +145,8 @@ def wigner_transform(state: WaveFunction,
     x_min, x_max, p_min, p_max = bounds
     if not (x_min < x_max and p_min < p_max):
         raise DomainError("invalid phase-space bounds")
+    require_integer("n_x", n_x)
+    require_integer("n_p", n_p)
     if n_x < 2 or n_p < 2:
         raise DomainError("wigner_transform needs n_x, n_p >= 2")
     n = state.n_points
@@ -239,6 +234,7 @@ def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,
     if not 0 < sigma_level < math.inf:   # nan fails too
         raise DomainError("sigma_level must be finite and > 0, got "
                           f"{sigma_level!r}")
+    require_integer("n_boundary", n_boundary)
     if not 32 <= n_boundary <= MAX_GRID_POINTS:   # before linspace allocates
         raise DomainError(f"n_boundary must be 32 to {MAX_GRID_POINTS}, "
                           f"got {n_boundary}")

@@ -42,13 +42,14 @@ class GridSpec:
 
     x_min: float
     x_max: float
-    n_points: int = 2048
+    n_points: int
 
     def __post_init__(self):
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise DomainError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise DomainError("grid requires x_min < x_max")
+        require_integer("n_points", self.n_points)
         if not 16 <= self.n_points <= MAX_GRID_POINTS:
             raise DomainError(f"grid requires 16 <= n_points <= {MAX_GRID_POINTS}"
                               f", got {self.n_points}")
@@ -65,7 +66,14 @@ class GridSpec:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
 
-def default_grid(p_plus: float = 0.0, n_points: int = 2048) -> GridSpec:
+def require_integer(name: str, count) -> None:
+    """DomainError naming a count that is not an integer, before a range
+    check passes it or np.linspace sizes an array by it."""
+    if not isinstance(count, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {count!r}")
+
+
+def default_grid(p_plus: float, n_points: int) -> GridSpec:
     """Grid covering the cat lobes plus 8 vacuum widths."""
     half = abs(p_plus) + 8.0
     return GridSpec(-half, half, n_points)
@@ -167,22 +175,19 @@ def _check_grid_covers(grid: GridSpec, s: float):
             f"grid too narrow for s={s}: edge envelope {env:.3e} > {_EDGE_ENVELOPE}")
 
 
-def make_squeezed_vacuum(s: float, grid: GridSpec | None = None) -> WaveFunction:
+def make_squeezed_vacuum(s: float, grid: GridSpec) -> WaveFunction:
     """Momentum-squeezed vacuum: (sqrt(s)/pi^(1/4)) exp(-(s x)^2 / 2)."""
     if not s > 0:
         raise DomainError("squeeze factor s must be positive")
-    if grid is None:
-        grid = GridSpec(-10.0 / s, 10.0 / s)
     _check_grid_covers(grid, s)
     x = grid.x
     with np.errstate(under="ignore", over="ignore"):   # an inf square gives 0
         amp = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x) ** 2)
-    return WaveFunction(grid, amp.astype(complex),
-                        label=f"squeezed_vacuum(s={s})")
+    return WaveFunction(grid, amp, label=f"squeezed_vacuum(s={s})")
 
 
 def make_cubic_phase_state(gamma: float, s: float,
-                           grid: GridSpec | None = None) -> WaveFunction:
+                           grid: GridSpec) -> WaveFunction:
     """Squeezed vacuum with the pure cubic phase exp(i gamma x^3) imprinted."""
     base = make_squeezed_vacuum(s, grid)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,16 +199,16 @@ def make_cubic_phase_state(gamma: float, s: float,
                    label=f"cubic_phase(gamma={gamma}, s={s})")
 
 
-def make_ideal_cat(cat: CatParams, grid: GridSpec | None = None) -> WaveFunction:
+def make_ideal_cat(cat: CatParams, grid: GridSpec) -> WaveFunction:
     """Normalized superposition of |alpha> and |-alpha| with alpha = i p_plus.
 
     alpha = i p_plus is read as a vacuum displaced by p_plus along momentum:
     psi_alpha(x) = pi^(-1/4) exp(-x^2/2 + i p_plus x), the reading validated
-    against the gate output. The grid must sample the carrier exp(i p_plus x)
-    at least four times per period (p_plus dx <= pi/2).
+    against the gate output. The weights e^(+-i theta) make the sum one real
+    cosine, 2 pi^(-1/4) exp(-x^2/2) cos(p_plus x + theta). The grid must
+    sample the carrier exp(i p_plus x) at least four times per period
+    (p_plus dx <= pi/2).
     """
-    if grid is None:
-        grid = default_grid(cat.p_plus)
     _check_grid_covers(grid, 1.0)
     if cat.p_plus * grid.dx > math.pi / 2:
         raise DomainError(
@@ -219,9 +224,7 @@ def make_ideal_cat(cat: CatParams, grid: GridSpec | None = None) -> WaveFunction
     x = grid.x
     with np.errstate(under="ignore"):
         envelope = math.pi ** (-0.25) * np.exp(-0.5 * x ** 2)
-    plus = envelope * np.exp(1j * cat.p_plus * x)
-    minus = envelope * np.exp(-1j * cat.p_plus * x)
-    amp = (np.exp(1j * cat.theta) * plus + np.exp(-1j * cat.theta) * minus) / math.sqrt(denom)
+    amp = (2.0 / math.sqrt(denom)) * envelope * np.cos(cat.p_plus * x + cat.theta)
     return WaveFunction(grid, amp,
                         label=f"ideal_cat(p_plus={cat.p_plus}, theta={cat.theta})")
 

@@ -161,8 +161,10 @@ def test_criterion_04_probability_curves():
 def test_criterion_05_fidelity_ordering_and_wigner():
     high, cat_high = gate_output(0.5, 14.0, 15.0)
     low, cat_low = gate_output(0.1, 14.0, 3.0)
-    f_high = fidelity(high.state, make_ideal_cat(cat_high))
-    f_low = fidelity(low.state, make_ideal_cat(cat_low))
+    f_high = fidelity(high.state, make_ideal_cat(
+        cat_high, default_grid(cat_high.p_plus, 2048)))
+    f_low = fidelity(low.state, make_ideal_cat(
+        cat_low, default_grid(cat_low.p_plus, 2048)))
     checks = [f_high > f_low]
     min_high = None
     for out in (high, low):

@@ -161,6 +161,12 @@ class TestSweep:
         with pytest.raises(DomainError):
             self.spec(values=values)
 
+    def test_rejects_a_grid_count_that_is_not_an_integer(self):
+        # at the spec, not as a TypeError that run_sweep's row handler misses
+        with pytest.raises(DomainError,
+                           match="n_grid_points must be an integer, got 300.5"):
+            self.spec(n_grid_points=300.5)
+
     def test_rejects_non_finite_y_m(self):
         for y_m in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):

@@ -51,7 +51,7 @@ class TestStateCommand:
         capsys.readouterr()
         wf = state_from_record(json.loads(out.read_text()))
         s = db_to_s(5.0)
-        want = make_cubic_phase_state(0.1, s, GridSpec(-10.0 / s, 10.0 / s))
+        want = make_cubic_phase_state(0.1, s, GridSpec(-10.0 / s, 10.0 / s, 2048))
         assert wf.grid == want.grid and wf.label == want.label
         assert np.array_equal(wf.amplitudes, want.amplitudes)
         assert abs(np.trapezoid(wf.density(), dx=wf.dx) - 1.0) < 1e-6

@@ -7,7 +7,7 @@ import pytest
 from cvcat.errors import DomainError, ZeroProbabilityOutcomeError
 from cvcat.gate import added_factor, added_factor_grid, apply_gate, \
     gate_rows, outcome_probability_density
-from cvcat.special_numerics import integrate_oscillatory_gaussian
+from cvcat.oracle import integrate_oscillatory_gaussian
 from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
 from cvcat.analysis import SweepSpec, phase_aligned_l2, run_sweep
 

@@ -6,9 +6,8 @@ import pytest
 from cvcat.analysis import db_to_s, phase_aligned_l2
 from cvcat.errors import DomainError
 from cvcat.gate import added_factor, added_factor_grid, apply_gate
-from cvcat.oracle import _projection_step, ancilla_grid_for, \
+from cvcat.oracle import _TAIL_EXPONENT, _projection_step, ancilla_grid_for, \
     oracle_added_factor, oracle_two_mode
-from cvcat.special_numerics import _TAIL_EXPONENT
 from cvcat.states import MAX_GRID_POINTS, GateParams, GridSpec, \
     default_grid, make_squeezed_vacuum
 

@@ -37,6 +37,32 @@ def test_only_the_cli_imports_json():
     assert [p.stem for p in SOURCES if "json" in _imported_modules(p)] == ["cli"]
 
 
+def _package_imports(path: Path) -> set:
+    """The cvcat modules that a source file imports, relatively or not."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("cvcat."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("cvcat."):
+                names.add(module.split(".")[1])
+            elif (node.level == 1 and not module) or module == "cvcat":
+                names.update(alias.name for alias in node.names)
+            elif node.level == 1:
+                names.add(module.split(".")[0])
+    return names
+
+
+def test_oracle_shares_no_code_with_the_airy_kernel():
+    """The quadrature oracle checks the closed form only while it is built
+    without the Airy evaluation, and the Airy kernel stands alone."""
+    source = Path(cvcat.__file__).parent
+    assert "special_numerics" not in _package_imports(source / "oracle.py")
+    assert "states" not in _package_imports(source / "special_numerics.py")
+
+
 def test_library_has_no_assert():
     """python -O strips assert statements, so no library check may be one."""
     found = [f"{p.name}:{node.lineno}" for p in SOURCES

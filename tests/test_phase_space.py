@@ -22,6 +22,12 @@ def vacuum_wigner(n=241):
     return wigner_transform(vac, (-6.0, 6.0, -6.0, 6.0), n, n)
 
 
+def axes(w):
+    """The x and p nodes of a Wigner map."""
+    return (np.linspace(w.x_min, w.x_max, w.n_x),
+            np.linspace(w.p_min, w.p_max, w.n_p))
+
+
 class TestWignerTransform:
     def test_vacuum_peak(self):
         w = vacuum_wigner(241)
@@ -30,7 +36,8 @@ class TestWignerTransform:
 
     def test_vacuum_is_gaussian(self):
         w = vacuum_wigner(121)
-        want = np.exp(-np.add.outer(w.x ** 2, w.p ** 2)) / math.pi
+        x, p = axes(w)
+        want = np.exp(-np.add.outer(x ** 2, p ** 2)) / math.pi
         assert np.max(np.abs(w.values - want)) < 1e-6
 
     def test_mass_and_purity(self):
@@ -47,7 +54,8 @@ class TestWignerTransform:
         assert np.max(np.abs(marginal - state.density())) < 1e-4
 
     def test_wigner_bound(self):
-        cat = make_ideal_cat(CatParams(math.sqrt(10.0), math.pi / 4.0))
+        cat = make_ideal_cat(CatParams(math.sqrt(10.0), math.pi / 4.0),
+                             default_grid(math.sqrt(10.0), 2048))
         w = wigner_transform(cat, suggest_wigner_bounds(cat))
         assert np.max(np.abs(w.values)) <= 1.0 / math.pi + 1e-6
 
@@ -68,12 +76,14 @@ class TestWignerTransform:
         # with c_+- = exp(+-i theta) / sqrt(denom); 31, 33 and 301 columns
         # fill less than one, just over one and many column blocks
         p_plus, theta = math.sqrt(10.0), math.pi / 4.0
-        cat = make_ideal_cat(CatParams(p_plus, theta))
+        cat = make_ideal_cat(CatParams(p_plus, theta),
+                             default_grid(p_plus, 2048))
         w = wigner_transform(cat, (-6.07, 5.93, -9.9, 10.3), n_x, 257)
-        offset = (w.x - cat.x_min) / cat.dx
+        x, p = axes(w)
+        offset = (x - cat.x_min) / cat.dx
         assert np.median(np.abs(offset - np.round(offset))) > 0.1
         denom = 2.0 * (1.0 + math.cos(2.0 * theta) * math.exp(-p_plus ** 2))
-        x, p = w.x[:, None], w.p[None, :]
+        x, p = x[:, None], p[None, :]
         want = np.zeros((n_x, 257), dtype=complex)
         for a in (1, -1):
             for b in (1, -1):
@@ -91,6 +101,13 @@ class TestWignerTransform:
             with pytest.raises(DomainError):
                 wigner_transform(vac, tuple(bounds), 64, 64)
 
+    @pytest.mark.parametrize("n_x, n_p, name", [
+        (64.5, 64, "n_x"), (64, 64.0, "n_p")])
+    def test_counts_that_are_not_integers_are_refused(self, n_x, n_p, name):
+        vac = make_squeezed_vacuum(1.0, GridSpec(-8.0, 8.0, 512))
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            wigner_transform(vac, (-6.0, 6.0, -6.0, 6.0), n_x, n_p)
+
     @pytest.mark.parametrize("n_points, n_x, n_p", [
         (2048, 2 ** 16, 2), (2048, 2, 2 ** 16), (64, 2 ** 13 + 1, 2 ** 13 + 1)])
     def test_maps_over_the_entry_cap_are_refused(self, n_points, n_x, n_p):
@@ -107,7 +124,7 @@ def gate_output(gamma, db, y_m, grid=None):
     """The gate's output for a vacuum input, on `cvcat wigner`'s default grid."""
     params = GateParams(gamma=gamma, s=10.0 ** (-db / 20.0), y_m=y_m)
     if grid is None:
-        grid = default_grid(cat_params_from_gate(params).p_plus)
+        grid = default_grid(cat_params_from_gate(params).p_plus, 2048)
     return apply_gate(make_squeezed_vacuum(1.0, grid), params).state
 
 
@@ -122,8 +139,9 @@ REFERENCE_STATES = {
     "output(0.1, 14, 3)": lambda: gate_output(0.1, 14.0, 3.0),
     "output(0.1, 5, 3)": lambda: gate_output(0.1, 5.0, 3.0),
     "cubic 5 dB": lambda: cubic_state(5.0),
-    "cat": lambda: make_ideal_cat(CatParams(math.sqrt(10.0), math.pi / 4.0)),
-    "vacuum": lambda: make_squeezed_vacuum(1.0, default_grid()),
+    "cat": lambda: make_ideal_cat(CatParams(math.sqrt(10.0), math.pi / 4.0),
+                                  default_grid(math.sqrt(10.0), 2048)),
+    "vacuum": lambda: make_squeezed_vacuum(1.0, default_grid(0.0, 2048)),
 }
 
 
@@ -269,7 +287,8 @@ class TestWignerLogNegativity:
                                              np.zeros((4, 4))))
 
     def test_cat_value_stable_under_grid_doubling(self):
-        cat = make_ideal_cat(CatParams(math.sqrt(10.0), math.pi / 4.0))
+        cat = make_ideal_cat(CatParams(math.sqrt(10.0), math.pi / 4.0),
+                             default_grid(math.sqrt(10.0), 2048))
         bounds = suggest_wigner_bounds(cat)
         a = wigner_log_negativity(wigner_transform(cat, bounds, 256, 256))
         b = wigner_log_negativity(wigner_transform(cat, bounds, 512, 512))
@@ -284,7 +303,7 @@ class TestWignerLogNegativity:
         vac = make_squeezed_vacuum(1.0, GridSpec(-12.0, 12.0, 2048))
         out = apply_gate(vac, params).state
         w = wigner_transform(out, suggest_wigner_bounds(out))
-        ideal = make_ideal_cat(cat)
+        ideal = make_ideal_cat(cat, default_grid(cat.p_plus, 2048))
         wi = wigner_transform(ideal, suggest_wigner_bounds(ideal))
         assert np.min(wi.values) < -0.05
         assert np.min(w.values) < -0.05
@@ -383,6 +402,11 @@ class TestSupportRegion:
         # refused before np.linspace allocates the boundary
         with pytest.raises(DomainError, match=f"32 to {MAX_GRID_POINTS}, "):
             build_support_region(1.0, 0.1, n_boundary=MAX_GRID_POINTS + 1)
+
+    def test_n_boundary_must_be_an_integer(self):
+        with pytest.raises(DomainError,
+                           match="n_boundary must be an integer, got 100.5"):
+            build_support_region(0.5, 0.1, 2.0, 100.5)
 
 
 class TestSuggestWignerBounds:

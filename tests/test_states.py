@@ -21,20 +21,20 @@ class TestSqueezedVacuum:
 
     def test_norm(self):
         for s in (1.0, 0.5, 0.1995262314968879):
-            wf = make_squeezed_vacuum(s)
+            wf = make_squeezed_vacuum(s, GridSpec(-10.0 / s, 10.0 / s, 2048))
             assert abs(moment(wf, 0) - 1.0) < 1e-9
 
     def test_variance(self):
-        wf = make_squeezed_vacuum(0.5)
+        wf = make_squeezed_vacuum(0.5, GridSpec(-20.0, 20.0, 2048))
         assert abs(moment(wf, 2) - 2.0) < 1e-6
 
     def test_grid_too_narrow(self):
         with pytest.raises(DomainError):
-            make_squeezed_vacuum(0.1, GridSpec(-8.0, 8.0))
+            make_squeezed_vacuum(0.1, GridSpec(-8.0, 8.0, 2048))
 
     def test_rejects_nonpositive_s(self):
         with pytest.raises(DomainError):
-            make_squeezed_vacuum(0.0)
+            make_squeezed_vacuum(0.0, GridSpec(-10.0, 10.0, 2048))
 
 
 class TestCubicPhaseState:
@@ -61,7 +61,8 @@ class TestIdealCat:
 
     def test_norm(self):
         for p_plus, theta in ((3.1623, 0.7854), (1.0, -2.0), (0.3, 0.0)):
-            wf = make_ideal_cat(CatParams(p_plus, theta))
+            wf = make_ideal_cat(CatParams(p_plus, theta),
+                                default_grid(p_plus, 2048))
             assert abs(moment(wf, 0) - 1.0) < 1e-9
 
     def test_momentum_peaks(self):
@@ -84,7 +85,8 @@ class TestIdealCat:
 
     def test_degenerate_superposition(self):
         with pytest.raises(DegenerateSuperpositionError):
-            make_ideal_cat(CatParams(0.0, math.pi / 2.0))
+            make_ideal_cat(CatParams(0.0, math.pi / 2.0),
+                           default_grid(0.0, 2048))
 
 
 class TestCatParamsFromGate:
@@ -166,6 +168,13 @@ class TestWaveFunction:
         for n in (15, MAX_GRID_POINTS + 1, 10 ** 11):
             with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
                 GridSpec(-1.0, 1.0, n)
+
+    @pytest.mark.parametrize("n", [20.5, 20.0])
+    def test_grid_spec_refuses_a_count_that_is_not_an_integer(self, n):
+        # at construction, not as a TypeError from np.linspace at the first .x
+        with pytest.raises(DomainError,
+                           match=f"n_points must be an integer, got {n!r}"):
+            GridSpec(-10.0, 10.0, n)
 
     def test_default_grid_covers_lobes(self):
         grid = default_grid(3.0, 512)
