@@ -29,6 +29,7 @@ __all__ = [
 
 # the smallest normal double: below it P is subnormal and has lost bits
 PROBABILITY_FLOOR = sys.float_info.min
+_ENDS = np.array([0, 1, -2, -1])   # norm_squared's end points, float view
 
 
 @dataclass(frozen=True)
@@ -79,30 +80,40 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift, pref, m, c,
     p = w^(-1/2) and W = w (s/m)^4 = (s/m)^4 + 12 gamma delta/m^4, finite
     at a tiny s, the exponent is -(delta/m)^2 (2 + p)/(1.5 (1 + p)^2 W^(1/2)).
 
-    Float constants give an array shaped like x; (rows, 1) columns give one
-    row per setting, gathered one value per point at and above the edge, so
-    every element sees the same operations either way. Nothing raises: the
-    tails underflow, and a NaN or -inf z leaves a NaN that the callers name."""
+    A 1-D x with non-decreasing z is split at z = -inf and at the edge by
+    binary search, lead formed on the low run alone; other x and (rows, 1)
+    columns, one row per setting, by masks, lead formed everywhere and
+    gathered. Each formula is written once for a slice or a mask, so every
+    element sees the same operations either way. Nothing raises: the tails
+    underflow, and a NaN or -inf z leaves a NaN that the callers name."""
     delta = x - y_m
     with np.errstate(all="ignore"):
-        lead = log_pref + rate * (delta + exp_shift)
         z = scale * (delta + z_shift)
         out = np.full_like(z, math.nan)
-        asy = z >= ASYMP_EDGE
-        low = np.isfinite(z) & ~asy
-        if asy.any():
-            if np.ndim(m):   # (rows, 1) columns: each row's points in turn
+        if z.ndim == 1 and (z[1:] >= z[:-1]).all():
+            hi = z.searchsorted(ASYMP_EDGE, "left")
+            low = slice(z.searchsorted(-math.inf, "right"), hi)
+            asy = slice(hi, None)
+            pick, gather = low, ...
+        else:
+            asy = z >= ASYMP_EDGE
+            low = np.isfinite(z) & ~asy
+            pick, gather = ..., low
+            if np.ndim(m) and asy.any():   # one column value per point
                 counts = np.count_nonzero(asy, axis=-1)
                 pref, m, c, ratio = (k[:, 0].repeat(counts)
                                      for k in (pref, m, c, ratio))
+        za, zl = z[asy], z[low]
+        if za.size:
             d = delta[asy]
             root = np.sqrt(ratio * ratio + c * d)   # sqrt(W)
             p = ratio / root
             q = d / m
-            out[asy] = pref / np.sqrt(root) * _positive_sum(_zeta(z[asy])) \
+            out[asy] = pref / np.sqrt(root) * _positive_sum(_zeta(za)) \
                 * np.exp(q * q / root * ((p + 2.0) / (-1.5 * (p + 1.0) ** 2)))
-        if low.any():
-            out[low] = airy_ai(z[low]) * np.exp(lead[low])
+        if zl.size:
+            lead = log_pref + rate * (delta[pick] + exp_shift)
+            out[low] = airy_ai(zl) * np.exp(lead[gather])
     return out
 
 
@@ -134,7 +145,7 @@ def norm_squared(amplitudes: np.ndarray, dx: float):
     is P(y_m), and every route to P uses it, so apply_gate,
     outcome_probability_density and run_sweep agree to the bit."""
     f = amplitudes.view(float)
-    ends = f[..., [0, 1, -2, -1]]
+    ends = f[..., _ENDS]
     with np.errstate(over="ignore", invalid="ignore"):   # gate_rows names it
         return dx * (np.vecdot(f, f) - 0.5 * np.vecdot(ends, ends))
 

@@ -131,6 +131,13 @@ def _asymptotic_scaled_pos(z, zeta):
     return _positive_sum(zeta) / (2.0 * math.sqrt(math.pi) * np.sqrt(np.sqrt(z)))
 
 
+def _asymptotic_pos(z):
+    """Ai for z >= ASYMP_EDGE, underflowing cleanly to 0."""
+    zeta = _zeta(z)
+    with np.errstate(under="ignore"):
+        return _asymptotic_scaled_pos(z, zeta) * np.exp(-zeta)
+
+
 def _asymptotic_neg(z):
     """Ai for z <= -ASYMP_EDGE via the oscillatory expansion
     cos(ph) even + sin(ph) odd / zeta, ph = zeta - pi/4.
@@ -158,7 +165,7 @@ def _edge_pair(z: float):
     zeta = _zeta(w)
     quart = np.sqrt(np.sqrt(w))
     if z > 0:
-        ai = _asymptotic_scaled_pos(w, zeta) * np.exp(-zeta)
+        ai = _asymptotic_pos(w)
         aip = -quart * np.exp(-zeta) * _horner(_V, -1.0 / zeta) \
             / (2.0 * math.sqrt(math.pi))
     else:
@@ -222,20 +229,21 @@ def _bridge(z):
 
 
 def _ai(z):
-    """Ai(z) for a finite float array."""
+    """Ai(z) for a finite float array. A non-decreasing 1-D array is split
+    into its three regime runs by two binary searches, any other array by
+    masks; either way each point takes its regime's one formula."""
     ai = np.empty_like(z)
-    m_pos = z >= ASYMP_EDGE
-    m_neg = z <= -ASYMP_EDGE
-    m_bri = ~(m_pos | m_neg)
-    if m_pos.any():
-        zp = z[m_pos]
-        zeta = _zeta(zp)
-        with np.errstate(under="ignore"):
-            ai[m_pos] = _asymptotic_scaled_pos(zp, zeta) * np.exp(-zeta)
-    if m_neg.any():
-        ai[m_neg] = _asymptotic_neg(z[m_neg])
-    if m_bri.any():
-        ai[m_bri] = _bridge(z[m_bri])
+    if z.ndim == 1 and (z[1:] >= z[:-1]).all():
+        lo = z.searchsorted(-ASYMP_EDGE, "right")
+        hi = z.searchsorted(ASYMP_EDGE, "left")
+        parts = slice(lo), slice(lo, hi), slice(hi, None)
+    else:
+        neg, pos = z <= -ASYMP_EDGE, z >= ASYMP_EDGE
+        parts = neg, ~(neg | pos), pos
+    for part, regime in zip(parts, (_asymptotic_neg, _bridge, _asymptotic_pos)):
+        zp = z[part]
+        if zp.size:
+            ai[part] = regime(zp)
     return ai
 
 

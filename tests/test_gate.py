@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,14 @@ OVERFLOWING = [(0.1, 1e206)]
 # 1e-300
 SMALL_GAMMA = [(1e-12, 3.0), (1e-100, 3.0), (5e-161 / 30.0, 5e-161),
                (1e-300, 3.0)]
+
+# gamma = 1/3, s = 1 and y_m = 0 make z = x + 0.25 exactly. SEAM_Z holds
+# every regime and z exactly on the seams z = +-9 and one ulp either side,
+# in ascending order, the order that takes the binary-search route.
+SEAM_PARAMS = GateParams(gamma=1.0 / 3.0, s=1.0, y_m=0.0)
+SEAM_Z = np.sort(np.concatenate([
+    np.linspace(-30.0, 30.0, 25), [-9.0, 9.0],
+    [np.nextafter(edge, to) for edge in (-9.0, 9.0) for to in (-40.0, 40.0)]]))
 
 
 def vacuum(grid=None):
@@ -85,11 +95,43 @@ class TestAddedFactor:
         seams = [edge + d for edge in (-9.0, -4.0, 0.0, 4.0, 9.0)
                  for d in (-1e-9, 0.0, 1e-9)]
         z = np.concatenate([np.linspace(-30.0, 30.0, 121), seams])
-        x = z / scale - params.s ** 4 / (12.0 * params.gamma) + params.y_m
-        grid = added_factor_grid(x, params)
-        assert np.all(np.isfinite(grid)) and np.all(grid != 0.0)
-        assert all(added_factor(float(v), params) == grid[i]
-                   for i, v in enumerate(x))
+        for z in (z, np.sort(z)):
+            x = z / scale - params.s ** 4 / (12.0 * params.gamma) + params.y_m
+            grid = added_factor_grid(x, params)
+            assert np.all(np.isfinite(grid)) and np.all(grid != 0.0)
+            assert all(added_factor(float(v), params) == grid[i]
+                       for i, v in enumerate(x))
+
+    def test_ordered_and_masked_routes_agree_to_the_bit(self):
+        """An x with ascending z is split by binary search, a reversed or
+        shuffled one by masks; both give the same bits at every point."""
+        x = SEAM_Z - 0.25
+        assert np.array_equal(x + 0.25, SEAM_Z)
+        want = added_factor_grid(x, SEAM_PARAMS).tobytes()
+        shuffle = np.random.default_rng(0).permutation(x.size)
+        for order in (np.arange(x.size), np.arange(x.size)[::-1], shuffle):
+            got = added_factor_grid(x[order], SEAM_PARAMS)[np.argsort(order)]
+            assert got.tobytes() == want
+
+    def test_non_finite_coordinate_is_named(self):
+        """A NaN or infinite coordinate anywhere in an ascending x leaves a
+        NaN factor there, which every entry point names. apply_gate and
+        outcome_probability_density see it through a stand-in input, since
+        a WaveFunction cannot hold such a grid."""
+        named = "^" + re.escape("added factor is not finite at "
+                                "gamma=0.3333333333333333, s=1.0, y_m=0.0") + "$"
+        gamma, s, y_m = 1.0 / 3.0, 1.0, 0.0
+        for bad, at in itertools.product((math.nan, -math.inf, math.inf),
+                                         (0, SEAM_Z.size // 2, SEAM_Z.size)):
+            x = np.insert(SEAM_Z - 0.25, at, bad)
+            wave = SimpleNamespace(x=x, amplitudes=np.full(x.size, 0.1 + 0j),
+                                   dx=0.5, n_points=x.size)
+            with pytest.raises(DomainError, match=named):
+                added_factor_grid(x, SEAM_PARAMS)
+            with pytest.raises(DomainError, match=named):
+                apply_gate(wave, SEAM_PARAMS)
+            with pytest.raises(DomainError, match=named):
+                outcome_probability_density(wave, gamma, s, y_m)
 
     def test_matches_closed_form(self, mp, reference_integral):
         """Against the 30-digit closed form on z = -75..120 at step 0.5, to

@@ -13,6 +13,19 @@ AI_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 # and points 1e-9 either side of them.
 SEAMS = np.array([sign * edge + d for edge in (4.0, 9.0) for sign in (-1.0, 1.0)
                   for d in (-1e-9, 0.0, 1e-9)])
+# Every regime, z exactly on the seams |z| = 9 and one ulp either side, in
+# ascending order, the order that takes the binary-search route.
+ORDERED = np.sort(np.concatenate([
+    np.linspace(-30.0, 30.0, 61),
+    [np.nextafter(edge, to) for edge in (-9.0, 9.0) for to in (-40.0, 40.0)]]))
+
+
+def copies(z):
+    """Ascending, reversed and shuffled copies of z, each with the
+    permutation that restores the ascending order."""
+    shuffle = np.random.default_rng(0).permutation(z.size)
+    for order in (np.arange(z.size), np.arange(z.size)[::-1], shuffle):
+        yield z[order], np.argsort(order)
 
 
 class TestAiryAi:
@@ -55,11 +68,33 @@ class TestAiryAi:
         """A point's value does not depend on the batch it is evaluated in,
         so a scalar added_factor equals its element of the grid."""
         z = np.concatenate([np.linspace(-40.0, 40.0, 97), SEAMS])
-        batch = airy_ai(z)
-        assert all(batch[i] == airy_ai(float(v)) for i, v in enumerate(z))
+        for zs in (z, np.sort(z)):
+            batch = airy_ai(zs)
+            assert all(batch[i] == airy_ai(float(v)) for i, v in enumerate(zs))
         z = z[z >= 0.0]
         batch = airy_ai_scaled(z)
         assert all(batch[i] == airy_ai_scaled(float(v)) for i, v in enumerate(z))
+
+    def test_ordered_and_masked_routes_agree_to_the_bit(self):
+        """An ascending array is split by binary search, a reversed or
+        shuffled one by masks; both give the same bits at every point."""
+        want = airy_ai(ORDERED).tobytes()
+        for z, restore in copies(ORDERED):
+            assert airy_ai(z)[restore].tobytes() == want
+
+    def test_seams_take_the_documented_regime(self, monkeypatch):
+        """By either route the bridge sees exactly the points with |z| < 9.
+        Its values at the anchors z = +-9 equal the asymptotic ones to the
+        bit, so only the routing itself shows a seam on the wrong side."""
+        bridge = special_numerics._bridge
+        seen = []
+        monkeypatch.setattr(special_numerics, "_bridge",
+                            lambda z: seen.append(z.copy()) or bridge(z))
+        inside = ORDERED[np.abs(ORDERED) < 9.0]
+        for z, _ in copies(ORDERED):
+            seen.clear()
+            airy_ai(z)
+            assert np.array_equal(np.sort(np.concatenate(seen)), inside)
 
     def test_ode_residual(self):
         h = 1e-3
