@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DomainError, ZeroProbabilityOutcomeError
 # airy_ai_scaled stays bound: perfbench/tracing.py patches it here
-from .special_numerics import ASYMP_EDGE, _positive_sum, _zeta, airy_ai, \
-    airy_ai_scaled
+from .special_numerics import ASYMP_EDGE, _ordered, _positive_sum, _zeta, \
+    airy_ai, airy_ai_scaled
 from .states import GateParams, WaveFunction
 
 __all__ = [
@@ -30,6 +30,9 @@ __all__ = [
 # the smallest normal double: below it P is subnormal and has lost bits
 PROBABILITY_FLOOR = sys.float_info.min
 _ENDS = np.array([0, 1, -2, -1])   # norm_squared's end points, float view
+# z > -inf is z >= -DBL_MAX, so one left-side binary search finds both run
+# edges of an ordered z: the first finite point and the first at or above 9
+_EDGES = np.array([-sys.float_info.max, ASYMP_EDGE])
 
 
 @dataclass(frozen=True)
@@ -81,21 +84,25 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift, pref, m, c,
     at a tiny s, the exponent is -(delta/m)^2 (2 + p)/(1.5 (1 + p)^2 W^(1/2)).
 
     A 1-D x with non-decreasing z is split at z = -inf and at the edge by
-    binary search, lead formed on the low run alone; other x and (rows, 1)
-    columns, one row per setting, by masks, lead formed everywhere and
-    gathered. Each formula is written once for a slice or a mask, so every
-    element sees the same operations either way. Nothing raises: the tails
-    underflow, and a NaN or -inf z leaves a NaN that the callers name."""
+    one binary search, lead formed on the low run alone and only the -inf
+    run filled with NaN; other x and (rows, 1) columns, one row per setting,
+    by masks, lead formed everywhere and gathered. Each formula is written
+    once for a slice or a mask, in place on temporaries of its own, so every
+    element sees the same operations either way and x is never written.
+    Nothing raises: the tails underflow, and a NaN or -inf z leaves a NaN
+    that the callers name."""
     delta = x - y_m
     with np.errstate(all="ignore"):
-        z = scale * (delta + z_shift)
-        out = np.full_like(z, math.nan)
-        if z.ndim == 1 and (z[1:] >= z[:-1]).all():
-            hi = z.searchsorted(ASYMP_EDGE, "left")
-            low = slice(z.searchsorted(-math.inf, "right"), hi)
-            asy = slice(hi, None)
+        z = delta + z_shift
+        z *= scale
+        if _ordered(z):
+            lo, hi = z.searchsorted(_EDGES)
+            out = np.empty_like(z)
+            out[:lo] = math.nan
+            low, asy = slice(lo, hi), slice(hi, None)
             pick, gather = low, ...
         else:
+            out = np.full_like(z, math.nan)
             asy = z >= ASYMP_EDGE
             low = np.isfinite(z) & ~asy
             pick, gather = ..., low
@@ -105,15 +112,37 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift, pref, m, c,
                                      for k in (pref, m, c, ratio))
         za, zl = z[asy], z[low]
         if za.size:
+            # pref / sqrt(root) * S(zeta) * exp(q^2 / root * (p + 2)
+            # / (-1.5 (p + 1)^2)), q = d / m, in place in that order
             d = delta[asy]
-            root = np.sqrt(ratio * ratio + c * d)   # sqrt(W)
+            root = c * d
+            root += ratio * ratio
+            np.sqrt(root, out=root)   # sqrt(W)
             p = ratio / root
-            q = d / m
-            out[asy] = pref / np.sqrt(root) * _positive_sum(_zeta(za)) \
-                * np.exp(q * q / root * ((p + 2.0) / (-1.5 * (p + 1.0) ** 2)))
+            expo = d / m
+            expo *= expo
+            expo /= root
+            frac = p + 2.0
+            p += 1.0
+            np.square(p, out=p)
+            p *= -1.5
+            frac /= p
+            expo *= frac
+            np.exp(expo, out=expo)
+            np.sqrt(root, out=root)
+            value = np.divide(pref, root, out=root)
+            value *= _positive_sum(_zeta(za))
+            value *= expo
+            out[asy] = value
         if zl.size:
-            lead = log_pref + rate * (delta[pick] + exp_shift)
-            out[low] = airy_ai(zl) * np.exp(lead[gather])
+            lead = delta[pick] + exp_shift
+            lead *= rate
+            lead += log_pref
+            growth = lead[gather]
+            np.exp(growth, out=growth)
+            ai = airy_ai(zl)
+            ai *= growth
+            out[low] = ai
     return out
 
 
@@ -141,31 +170,35 @@ def added_factor(x: float, params: GateParams) -> float:
 def norm_squared(amplitudes: np.ndarray, dx: float):
     """Trapezoid integral of |amplitudes|^2 along the last axis of a complex
     array: the sum of squares of its float view, the two end points at half
-    weight, every row reduced the same way. On the unnormalized output this
-    is P(y_m), and every route to P uses it, so apply_gate,
-    outcome_probability_density and run_sweep agree to the bit."""
+    weight, every row reduced the same way, a 1-D array as one row. On the
+    unnormalized output this is P(y_m), and every route to P uses it, so
+    apply_gate, outcome_probability_density and run_sweep agree to the bit.
+    An overflow is left to the caller's errstate."""
     f = amplitudes.view(float)
     ends = f[..., _ENDS]
-    with np.errstate(over="ignore", invalid="ignore"):   # gate_rows names it
-        return dx * (np.vecdot(f, f) - 0.5 * np.vecdot(ends, ends))
+    return dx * (np.vecdot(f, f) - 0.5 * np.vecdot(ends, ends))
 
 
 def gate_rows(input: WaveFunction, rows) -> tuple:
     """The gate on one input for each GateParams in rows: the unnormalized
     outputs (rows, n), P(y_m) per row, and per row None or the error that
-    leaves its state undefined. A lone row is one added_factor_grid call, a
-    block one _factor call over constant columns."""
+    leaves its state undefined. A lone row is one added_factor_grid call,
+    multiplied and summed as a 1-D array; a block one _factor call over
+    constant columns."""
     if len(rows) == 1:
         try:
-            factor = added_factor_grid(input.x, rows[0])[None]
+            factor = added_factor_grid(input.x, rows[0])
         except DomainError:   # not finite; named below, from its P
-            factor = np.full((1, input.n_points), math.nan)
+            factor = np.full(input.n_points, math.nan)
     else:
         columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
         factor = _factor(input.x, *columns.transpose(1, 0, 2))
-    with np.errstate(invalid="ignore"):   # inf * 0j: its row fails below
+    # inf * 0j and an overflowing sum: their rows fail below
+    with np.errstate(over="ignore", invalid="ignore"):
         unnorm = input.amplitudes * factor
-    prob = norm_squared(unnorm, input.dx)
+        prob = norm_squared(unnorm, input.dx)
+    if factor.ndim == 1:
+        unnorm, prob, factor = unnorm[None], prob[None], factor[None]
     errors = [None] * len(rows)
     for i, p in enumerate(prob.tolist()):
         if not math.isfinite(p):   # so is a factor that is not finite

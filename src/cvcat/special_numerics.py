@@ -58,7 +58,8 @@ _N_ASY = 20
 def _horner(coeffs, x):
     """Sum over k of coeffs[k] * x**k for float coefficients. In place on
     arrays, which saves a temporary per operation."""
-    acc = coeffs[-1] * x + coeffs[-2]
+    acc = coeffs[-1] * x
+    acc += coeffs[-2]
     for c in coeffs[-3::-1]:
         acc *= x
         acc += c
@@ -117,7 +118,9 @@ _U_NEG = (_economize(_U[0::2], 2 * _ZETA_EDGE ** 2, 7).tolist(),
 
 def _zeta(w):
     """(2/3) w^(3/2) for w >= 0."""
-    return (2.0 / 3.0) * w * np.sqrt(w)
+    zeta = (2.0 / 3.0) * w
+    zeta *= np.sqrt(w)
+    return zeta
 
 
 def _positive_sum(zeta):
@@ -147,16 +150,30 @@ def _asymptotic_neg(z):
     (1 - t^2) even + 2t odd/zeta is summed as even + t (odd/(zeta/2) - t even).
     Halving is exact. No double lies nearer than about 2^-61 to an odd
     multiple of pi/2, so |t| stays below about 1e19 and t^2 cannot overflow.
+    Every step after -z works in place on a temporary of its own.
     """
-    w = -z
-    root = np.sqrt(w)   # kept for w^(1/4); zeta as _zeta forms it
-    zeta = (2.0 / 3.0) * w * root
+    zeta = -z
+    root = np.sqrt(zeta)   # kept for w^(1/4); zeta as _zeta forms it
+    zeta *= 2.0 / 3.0
+    zeta *= root
     half = 0.5 * zeta
-    t = np.tan(half - 0.125 * math.pi)
-    v = -1.0 / (zeta * zeta)
+    t = half - 0.125 * math.pi
+    np.tan(t, out=t)
+    zeta *= zeta
+    v = np.divide(-1.0, zeta, out=zeta)
     even, odd = _horner(_U_NEG[0], v), _horner(_U_NEG[1], v)
-    return (even + t * (odd / half - t * even)) \
-        / ((1.0 + t * t) * (math.sqrt(math.pi) * np.sqrt(root)))
+    # (even + t (odd / half - t even)) / ((1 + t t) (sqrt(pi) sqrt(root)))
+    odd /= half
+    odd -= np.multiply(t, even, out=v)
+    odd *= t
+    odd += even   # the numerator
+    np.sqrt(root, out=root)
+    root *= math.sqrt(math.pi)
+    t *= t
+    t += 1.0
+    t *= root
+    odd /= t
+    return odd
 
 
 def _edge_pair(z: float):
@@ -218,9 +235,13 @@ def _bridge(z):
     Horner with each term's coefficients gathered as it is reached: a
     (terms x points) gather is slower on sweep-sized blocks, where it no
     longer stays in cache."""
-    k = np.floor(z / _NODE_STEP + 0.5)
-    cols = k.astype(np.intp) + _BRIDGE_K0
-    offset = z - k * _NODE_STEP
+    k = z / _NODE_STEP
+    k += 0.5
+    np.floor(k, out=k)
+    cols = k.astype(np.intp)
+    cols += _BRIDGE_K0
+    k *= _NODE_STEP
+    offset = np.subtract(z, k, out=k)
     acc = _BRIDGE_T[-1].take(cols)
     for row in _BRIDGE_T[-2::-1]:
         acc *= offset
@@ -228,14 +249,24 @@ def _bridge(z):
     return acc
 
 
-def _ai(z):
-    """Ai(z) for a finite float array. A non-decreasing 1-D array is split
-    into its three regime runs by two binary searches, any other array by
-    masks; either way each point takes its regime's one formula."""
+def _ordered(z) -> bool:
+    """Whether z is 1-D and non-decreasing; False on any NaN but a lone one."""
+    return z.ndim == 1 and bool((z[1:] >= z[:-1]).all())
+
+
+# z > -ASYMP_EDGE is z >= the next double up, so one left-side binary search
+# finds both seams: the first point above -9 and the first at or above 9
+_SEAMS = np.array([np.nextafter(-ASYMP_EDGE, 0.0), ASYMP_EDGE])
+
+
+def _ai(z, ordered: bool):
+    """Ai(z) for a finite float array. An ordered (non-decreasing 1-D) array
+    is split into its three regime runs by one binary search, any other
+    array by masks; either way each point takes its regime's one formula.
+    No regime writes into its argument, a view of the caller's array."""
     ai = np.empty_like(z)
-    if z.ndim == 1 and (z[1:] >= z[:-1]).all():
-        lo = z.searchsorted(-ASYMP_EDGE, "right")
-        hi = z.searchsorted(ASYMP_EDGE, "left")
+    if ordered:
+        lo, hi = z.searchsorted(_SEAMS)
         parts = slice(lo), slice(lo, hi), slice(hi, None)
     else:
         neg, pos = z <= -ASYMP_EDGE, z >= ASYMP_EDGE
@@ -253,9 +284,14 @@ def airy_ai(z):
     Underflows cleanly to 0 deep on the positive axis.
     """
     arr = np.asarray(z, dtype=float)
-    if not np.isfinite(arr).all():
+    ordered = _ordered(arr)
+    if ordered and arr.size:   # no NaN but a lone one, an inf only at an end
+        finite = math.isfinite(arr[0]) and math.isfinite(arr[-1])
+    else:
+        finite = np.isfinite(arr).all()
+    if not finite:
         raise DomainError("airy_ai requires finite input")
-    ai = _ai(arr)
+    ai = _ai(arr, ordered)
     if np.isscalar(z) or arr.ndim == 0:
         return float(ai)
     return ai
@@ -280,7 +316,7 @@ def airy_ai_scaled(z):
         out[m_asy] = _asymptotic_scaled_pos(za, _zeta(za))
     if m_low.any():
         zl = arr[m_low]
-        out[m_low] = _ai(zl) * np.exp(_zeta(zl))
+        out[m_low] = _ai(zl, False) * np.exp(_zeta(zl))
     if np.isscalar(z) or arr.ndim == 0:
         return float(out)
     return out

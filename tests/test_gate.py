@@ -113,6 +113,27 @@ class TestAddedFactor:
             got = added_factor_grid(x[order], SEAM_PARAMS)[np.argsort(order)]
             assert got.tobytes() == want
 
+    def test_caller_arrays_keep_their_bytes(self):
+        """The factor's forms work in place on temporaries of their own:
+        writable ascending, reversed, shuffled and 2-D x come back unchanged
+        from added_factor_grid, and a stand-in input's writable x and
+        amplitudes from apply_gate and outcome_probability_density."""
+        x = SEAM_Z - 0.25
+        shuffle = np.random.default_rng(0).permutation(x.size)
+        for a in (x.copy(), x[::-1].copy(), x[shuffle], np.stack([x, x[::-1]])):
+            want = a.tobytes()
+            added_factor_grid(a, SEAM_PARAMS)
+            assert a.tobytes() == want
+        grid = GridSpec(-10.0, 10.0, 256)
+        for y_m in (-30.0, 0.0, 30.0):   # all z >= 9, both edges, all z <= -9
+            wave = SimpleNamespace(grid=grid, x=grid.x.copy(), dx=grid.dx,
+                                   amplitudes=np.exp(-grid.x ** 2 / 2.0) + 0.5j,
+                                   n_points=grid.n_points)
+            want = wave.x.tobytes(), wave.amplitudes.tobytes()
+            apply_gate(wave, GateParams(gamma=0.1, s=1.0, y_m=y_m))
+            outcome_probability_density(wave, 0.1, 1.0, y_m)
+            assert (wave.x.tobytes(), wave.amplitudes.tobytes()) == want
+
     def test_non_finite_coordinate_is_named(self):
         """A NaN or infinite coordinate anywhere in an ascending x leaves a
         NaN factor there, which every entry point names. apply_gate and
@@ -261,6 +282,27 @@ class TestAddedFactor:
             assert error is None
             assert repr(prob[i]) == repr(p)
             assert repr(unnorm[i].tolist()) == repr(one[0].tolist())
+
+    def test_lone_row_equals_its_row_in_a_block(self):
+        """A lone row is multiplied and summed as a 1-D array, a block row
+        by row; both give the same output and P to the bit, at an outcome
+        whose z is all at or above 9, one with z all at or below -9 and one
+        that crosses both edges."""
+        wave = vacuum()
+        gamma, s = 0.1, 1.0
+        scale = (3.0 * gamma) ** (-1.0 / 3.0)
+        rows = [GateParams(gamma=gamma, s=s, y_m=y_m) for y_m in (-16.0, 17.0, 0.0)]
+        z = [scale * (wave.x - row.y_m + s ** 4 / (12.0 * gamma)) for row in rows]
+        assert z[0].min() >= 9.0 and z[1].max() <= -9.0
+        assert z[2].min() < -9.0 and z[2].max() > 9.0
+        unnorm, prob, errors = gate_rows(wave, rows)
+        assert errors == [None] * 3
+        for i, row in enumerate(rows):
+            one, [p], [error] = gate_rows(wave, [row])
+            assert error is None and one.shape == (1, wave.n_points)
+            assert one[0].tobytes() == unnorm[i].tobytes()
+            assert repr(p) == repr(prob[i])
+            assert outcome_probability_density(wave, gamma, s, row.y_m) == p
 
     def test_gamma_zero_routed_to_special_case(self):
         """gamma = 0 is the Gaussian limit of the one factor formula."""

@@ -67,9 +67,10 @@ def test_counters_read_the_traced_layers(tmp_path):
 
 
 def test_airy_counters_see_every_gate_point(monkeypatch):
-    """One outcome whose z range crosses both Airy edges, z = -9 and 9: the
-    gate makes one airy_ai call with the points below z = 9, and the traced
-    Airy points add up to them. The points at and above it take the
+    """Three outcomes: z crossing both Airy edges, z = -9 and 9, z wholly
+    at or above 9, and z wholly at or below -9. The gate makes one airy_ai
+    call with the points below z = 9, none when there are none, and the
+    traced Airy points add up to them. The points at and above it take the
     factor's own asymptotic form, with no Airy call."""
     calls = []
     for name in ("airy_ai", "airy_ai_scaled"):
@@ -78,14 +79,17 @@ def test_airy_counters_see_every_gate_point(monkeypatch):
             return fn(z)
         monkeypatch.setattr(gate, name, spy)
     vacuum = states.make_squeezed_vacuum(1.0, states.GridSpec(-10.0, 10.0, 2048))
-    gamma, s, y_m = 0.1, 1.0, 0.0
-    z = (3.0 * gamma) ** (-1.0 / 3.0) * (vacuum.x - y_m + s ** 4 / (12.0 * gamma))
-    assert z.min() < -9.0 and z.max() > 9.0
-    n_scaled = int(np.count_nonzero(z >= 9.0))
-    tracer = load_tracing().Tracer()
-    with tracer.installed():
-        gate.outcome_probability_density(vacuum, gamma, s, y_m)
-    totals, _ = tracer.take()
-    assert totals["special_numerics.airy"]["calls"] == 1
-    assert totals["special_numerics.airy"]["points"] == 2048 - n_scaled
-    assert calls == [("airy_ai", 2048 - n_scaled)]
+    gamma, s = 0.1, 1.0
+    for y_m in (0.0, -16.0, 17.0):
+        z = (3.0 * gamma) ** (-1.0 / 3.0) * (vacuum.x - y_m + s ** 4 / (12.0 * gamma))
+        assert {0.0: z.min() < -9.0 and z.max() > 9.0, -16.0: z.min() >= 9.0,
+                17.0: z.max() <= -9.0}[y_m]
+        n_low = int(np.count_nonzero(z < 9.0))
+        calls.clear()
+        tracer = load_tracing().Tracer()
+        with tracer.installed():
+            gate.outcome_probability_density(vacuum, gamma, s, y_m)
+        totals, _ = tracer.take()
+        assert totals["special_numerics.airy"]["calls"] == (1 if n_low else 0)
+        assert totals["special_numerics.airy"]["points"] == n_low
+        assert calls == ([("airy_ai", n_low)] if n_low else [])

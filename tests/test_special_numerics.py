@@ -96,6 +96,22 @@ class TestAiryAi:
             airy_ai(z)
             assert np.array_equal(np.sort(np.concatenate(seen)), inside)
 
+    def test_caller_arrays_keep_their_bytes(self):
+        """The regimes work in place on temporaries of their own, never on
+        the caller's array, which an ordered input passes them as views:
+        writable ascending, reversed, shuffled and 2-D arrays come back
+        unchanged from airy_ai and, on z >= 0, airy_ai_scaled. The arrays
+        are built here, so that no other test's call can have changed them."""
+        ordered = np.sort(np.concatenate([np.linspace(-30.0, 30.0, 61),
+                                          np.nextafter([-9.0, 9.0], 0.0)]))
+        for fn, z in ((airy_ai, ordered), (airy_ai_scaled, ordered[ordered >= 0])):
+            arrays = [a for a, _ in copies(z)] + [np.stack([z, z[::-1]])]
+            for a in arrays:
+                want = a.tobytes()
+                assert a.flags.writeable
+                fn(a)
+                assert a.tobytes() == want, fn.__name__
+
     def test_ode_residual(self):
         h = 1e-3
         for z in np.arange(-10.0, 5.0 + 1e-9, 0.1):
