@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DomainError, ZeroProbabilityOutcomeError
 # airy_ai_scaled stays bound: perfbench/tracing.py patches it here
-from .special_numerics import ASYMP_EDGE, _ordered, _positive_sum, _zeta, \
-    airy_ai, airy_ai_scaled
+from .special_numerics import _OSC_FLOOR, ASYMP_EDGE, _ordered, \
+    _positive_sum, _runs, _zeta, airy_ai, airy_ai_scaled
 from .states import GateParams, WaveFunction
 
 __all__ = [
@@ -30,9 +30,8 @@ __all__ = [
 # the smallest normal double: below it P is subnormal and has lost bits
 PROBABILITY_FLOOR = sys.float_info.min
 _ENDS = np.array([0, 1, -2, -1])   # norm_squared's end points, float view
-# z > -inf is z >= -DBL_MAX, so one left-side binary search finds both run
-# edges of an ordered z: the first finite point and the first at or above 9
-_EDGES = np.array([-sys.float_info.max, ASYMP_EDGE])
+# z runs: NaN and below airy_ai's floor (-inf included), Airy, asymptotic
+_EDGES = np.array([_OSC_FLOOR, ASYMP_EDGE])
 
 
 @dataclass(frozen=True)
@@ -83,33 +82,28 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift, pref, m, c,
     p = w^(-1/2) and W = w (s/m)^4 = (s/m)^4 + 12 gamma delta/m^4, finite
     at a tiny s, the exponent is -(delta/m)^2 (2 + p)/(1.5 (1 + p)^2 W^(1/2)).
 
-    A 1-D x with non-decreasing z is split at z = -inf and at the edge by
-    one binary search, lead formed on the low run alone and only the -inf
-    run filled with NaN; other x and (rows, 1) columns, one row per setting,
-    by masks, lead formed everywhere and gathered. Each formula is written
-    once for a slice or a mask, in place on temporaries of its own, so every
-    element sees the same operations either way and x is never written.
-    Nothing raises: the tails underflow, and a NaN or -inf z leaves a NaN
-    that the callers name."""
+    special_numerics._runs splits z. Over (rows, 1) columns, one row per
+    setting, lead is formed on every point and gathered, and each column
+    repeated to one value per point; else lead is formed on the low run.
+    Each formula is written once for a slice or a mask, in place on
+    temporaries of its own, so every element sees the same operations
+    either way and x is never written. Nothing raises: the tails underflow,
+    and a z that is NaN or below airy_ai's floor leaves a NaN that the
+    callers name."""
     delta = x - y_m
     with np.errstate(all="ignore"):
         z = delta + z_shift
         z *= scale
-        if _ordered(z):
-            lo, hi = z.searchsorted(_EDGES)
-            out = np.empty_like(z)
-            out[:lo] = math.nan
-            low, asy = slice(lo, hi), slice(hi, None)
-            pick, gather = low, ...
+        nan, low, asy = _runs(z, _EDGES, _ordered(z))
+        out = np.empty_like(z)
+        out[nan] = math.nan
+        if isinstance(m, np.ndarray):   # (rows, 1) columns, one per setting
+            lead, gather = delta, low
+            counts = np.count_nonzero(asy, axis=-1)
+            pref, m, c, ratio = (k[:, 0].repeat(counts)
+                                 for k in (pref, m, c, ratio))
         else:
-            out = np.full_like(z, math.nan)
-            asy = z >= ASYMP_EDGE
-            low = np.isfinite(z) & ~asy
-            pick, gather = ..., low
-            if np.ndim(m) and asy.any():   # one column value per point
-                counts = np.count_nonzero(asy, axis=-1)
-                pref, m, c, ratio = (k[:, 0].repeat(counts)
-                                     for k in (pref, m, c, ratio))
+            lead, gather = delta[low], ...
         za, zl = z[asy], z[low]
         if za.size:
             # pref / sqrt(root) * S(zeta) * exp(q^2 / root * (p + 2)
@@ -135,7 +129,7 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift, pref, m, c,
             value *= expo
             out[asy] = value
         if zl.size:
-            lead = delta[pick] + exp_shift
+            lead = lead + exp_shift
             lead *= rate
             lead += log_pref
             growth = lead[gather]

@@ -231,6 +231,8 @@ def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,
     """
     if not s > 0:
         raise DomainError("squeeze factor s must be positive")
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma!r}")
     if not 0 < sigma_level < math.inf:   # nan fails too
         raise DomainError("sigma_level must be finite and > 0, got "
                           f"{sigma_level!r}")

@@ -35,6 +35,7 @@ z = 0 would cancel to 1e-5 of its terms by z = 4 and lose 1e-12 there.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -159,7 +160,8 @@ def _asymptotic_neg(z):
     half = 0.5 * zeta
     t = half - 0.125 * math.pi
     np.tan(t, out=t)
-    zeta *= zeta
+    with np.errstate(over="ignore"):   # past |z| ~ 7.4e102, where v = -0
+        zeta *= zeta
     v = np.divide(-1.0, zeta, out=zeta)
     even, odd = _horner(_U_NEG[0], v), _horner(_U_NEG[1], v)
     # (even + t (odd / half - t even)) / ((1 + t t) (sqrt(pi) sqrt(root)))
@@ -254,24 +256,44 @@ def _ordered(z) -> bool:
     return z.ndim == 1 and bool((z[1:] >= z[:-1]).all())
 
 
-# z > -ASYMP_EDGE is z >= the next double up, so one left-side binary search
-# finds both seams: the first point above -9 and the first at or above 9
+def _runs(z, edges, ordered: bool) -> tuple:
+    """The three runs of z: below edges[0], from edges[0] up to edges[1], and
+    at or above edges[1]. An ordered z (_ordered(z)) is split into slices by
+    one left-side binary search, any other z into masks, a NaN into the
+    first. This is the one place that chooses between the two."""
+    if ordered:
+        lo, hi = z.searchsorted(edges)
+        return slice(lo), slice(lo, hi), slice(hi, None)
+    above, high = z >= edges[0], z >= edges[1]
+    return ~above, above ^ high, high
+
+
+# z > -ASYMP_EDGE is z >= the next double up, so the runs are the three regimes
 _SEAMS = np.array([np.nextafter(-ASYMP_EDGE, 0.0), ASYMP_EDGE])
 
 
+def _oscillatory_floor() -> float:
+    """The most negative z whose zeta, formed as _zeta forms it, is finite:
+    stepped down one double at a time from just inside (3/2 DBL_MAX)^(2/3),
+    about -4.2e205. Below it zeta overflows and tan(inf) would be NaN."""
+    def finite(z):
+        return math.isfinite((2.0 / 3.0) * -z * math.sqrt(-z))
+    below = -((1.5 - 1e-13) ** (2.0 / 3.0)) * sys.float_info.max ** (2.0 / 3.0)
+    while finite(below):
+        z, below = below, math.nextafter(below, -math.inf)
+    return z
+
+
+_OSC_FLOOR = _oscillatory_floor()
+
+
 def _ai(z, ordered: bool):
-    """Ai(z) for a finite float array. An ordered (non-decreasing 1-D) array
-    is split into its three regime runs by one binary search, any other
-    array by masks; either way each point takes its regime's one formula.
-    No regime writes into its argument, a view of the caller's array."""
+    """Ai(z) for a finite float array at or above _OSC_FLOOR, each point by
+    its regime's one formula. No regime writes into its argument, a view of
+    the caller's array."""
     ai = np.empty_like(z)
-    if ordered:
-        lo, hi = z.searchsorted(_SEAMS)
-        parts = slice(lo), slice(lo, hi), slice(hi, None)
-    else:
-        neg, pos = z <= -ASYMP_EDGE, z >= ASYMP_EDGE
-        parts = neg, ~(neg | pos), pos
-    for part, regime in zip(parts, (_asymptotic_neg, _bridge, _asymptotic_pos)):
+    for part, regime in zip(_runs(z, _SEAMS, ordered),
+                            (_asymptotic_neg, _bridge, _asymptotic_pos)):
         zp = z[part]
         if zp.size:
             ai[part] = regime(zp)
@@ -281,20 +303,19 @@ def _ai(z, ordered: bool):
 def airy_ai(z):
     """Airy function Ai(z) for real z; scalar in, scalar out (arrays pass through).
 
-    Underflows cleanly to 0 deep on the positive axis.
+    Underflows cleanly to 0 deep on the positive axis; refuses z below
+    _OSC_FLOOR, about -4.2e205, where the oscillatory phase overflows.
     """
     arr = np.asarray(z, dtype=float)
     ordered = _ordered(arr)
-    if ordered and arr.size:   # no NaN but a lone one, an inf only at an end
-        finite = math.isfinite(arr[0]) and math.isfinite(arr[-1])
-    else:
-        finite = np.isfinite(arr).all()
-    if not finite:
-        raise DomainError("airy_ai requires finite input")
+    if arr.size:   # an ordered array has no NaN but a lone one: its ends
+        lo, hi = (arr[0], arr[-1]) if ordered else (arr.min(), arr.max())
+        if not _OSC_FLOOR <= lo <= hi < math.inf:   # False on a NaN
+            raise DomainError(f"airy_ai requires finite z >= {_OSC_FLOOR!r}, "
+                              "where (2/3)|z|^(3/2) is finite; got z in "
+                              f"[{float(lo)!r}, {float(hi)!r}]")
     ai = _ai(arr, ordered)
-    if np.isscalar(z) or arr.ndim == 0:
-        return float(ai)
-    return ai
+    return float(ai) if arr.ndim == 0 else ai
 
 
 def airy_ai_scaled(z):
@@ -309,14 +330,10 @@ def airy_ai_scaled(z):
     if (arr < 0.0).any():
         raise DomainError("airy_ai_scaled is undefined on the oscillatory branch (z < 0)")
     out = np.empty_like(arr)
-    m_asy = arr >= ASYMP_EDGE
-    m_low = ~m_asy
-    if m_asy.any():
-        za = arr[m_asy]
-        out[m_asy] = _asymptotic_scaled_pos(za, _zeta(za))
-    if m_low.any():
-        zl = arr[m_low]
-        out[m_low] = _ai(zl, False) * np.exp(_zeta(zl))
-    if np.isscalar(z) or arr.ndim == 0:
-        return float(out)
-    return out
+    _, low, asy = _runs(arr, _SEAMS, _ordered(arr))
+    za, zl = arr[asy], arr[low]
+    if za.size:
+        out[asy] = _asymptotic_scaled_pos(za, _zeta(za))
+    if zl.size:
+        out[low] = _bridge(zl) * np.exp(_zeta(zl))
+    return float(out) if arr.ndim == 0 else out

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cvcat import states
-from cvcat.analysis import SweepRow, SweepSpec, _sinc_samples, db_to_s, \
-    fidelity, phase_aligned_l2, run_sweep
+from cvcat.analysis import SweepRow, SweepSpec, db_to_s, fidelity, \
+    phase_aligned_l2, run_sweep
 from cvcat.cli import _rows_csv
 from cvcat.errors import DomainError
 from cvcat.states import GateParams, GridSpec, WaveFunction, \
@@ -48,10 +48,15 @@ class TestFidelity:
         rotated = WaveFunction(grid, np.exp(1.1j) * b.amplitudes)
         assert abs(fidelity(a, b) - fidelity(a, rotated)) <= 1e-12
 
-    def test_mismatched_grids_resampled(self):
+    def test_mismatched_grids_refused(self):
+        # no resampling: states on two grids are refused, both grids named
         a = vacuum(GridSpec(-10.0, 10.0, 2048))
         b = vacuum(GridSpec(-12.0, 12.0, 1500))
-        assert abs(fidelity(a, b) - 1.0) < 1e-8
+        with pytest.raises(DomainError, match=(
+                r"fidelity requires a common grid, got GridSpec\(x_min=-10.0, "
+                r"x_max=10.0, n_points=2048\) and GridSpec\(x_min=-12.0, "
+                r"x_max=12.0, n_points=1500\)")):
+            fidelity(a, b)
 
     def test_rejects_unnormalized(self):
         # the state fidelity would refuse can no longer be built
@@ -59,30 +64,12 @@ class TestFidelity:
         with pytest.raises(DomainError, match="n_points=2048"):
             WaveFunction(vac.grid, 2.0 * vac.amplitudes)
 
-    def test_overlaps_a_truncating_resample(self):
-        # a's sinc samples on b's grid keep only ~0.99998 of its norm, so
-        # they are no WaveFunction; fidelity still gives the exact
+    def test_squeezed_overlap_is_exact(self):
         # |<vacuum|s=4 vacuum>|^2 = 2s/(1+s^2) = 8/17
-        a = vacuum(GridSpec(-10.0, 10.0, 200))
-        b = make_squeezed_vacuum(4.0, GridSpec(-3.0, 3.0, 2048))
+        grid = GridSpec(-10.0, 10.0, 2048)
+        a, b = vacuum(grid), make_squeezed_vacuum(4.0, grid)
         assert abs(fidelity(a, b) - 8.0 / 17.0) <= 1e-12
         assert abs(fidelity(b, a) - 8.0 / 17.0) <= 1e-12
-
-    def test_refuses_an_oversized_sinc_kernel(self):
-        # 8,193^2 kernel entries pass the 2^26 cap: refused before allocating
-        a = vacuum(GridSpec(-10.0, 10.0, 8193))
-        b = vacuum(GridSpec(-11.0, 11.0, 8193))
-        with pytest.raises(DomainError,
-                           match="onto 8193 points from 8193 points"):
-            fidelity(a, b)
-
-
-class TestResample:
-    def test_gaussian_reconstruction(self):
-        src = vacuum(GridSpec(-10.0, 10.0, 512))
-        dst = vacuum(GridSpec(-8.0, 8.0, 801))
-        samples = _sinc_samples(src, dst.grid)
-        assert np.max(np.abs(samples - dst.amplitudes)) < 1e-6
 
 
 class TestPhaseAlignedL2:
@@ -93,7 +80,8 @@ class TestPhaseAlignedL2:
         assert phase_aligned_l2(a, b) <= 1e-10
 
     def test_requires_common_grid(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match="phase_aligned_l2 requires a common grid"):
             phase_aligned_l2(vacuum(GridSpec(-10.0, 10.0, 512)),
                              vacuum(GridSpec(-10.0, 10.0, 256)))
 

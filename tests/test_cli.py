@@ -178,6 +178,13 @@ class TestSupportRegionCommand:
             f"error: n_boundary must be 32 to {MAX_GRID_POINTS}, "
             "got 2000000000\n")
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_gamma_must_be_finite(self, gamma, capsys):
+        # refused as such, not as a boundary that overflows
+        assert main(["support-region", "--gamma", gamma]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: gamma must be finite, got {float(gamma)!r}\n")
+
     # -6160 dB: the p semi-axis sigma s / sqrt(2) overflows; 3100 dB: the
     # shear 3 gamma x^2 overflows on the x semi-axis of about 1.4e155
     @pytest.mark.parametrize("db", ["-6160", "3100"])

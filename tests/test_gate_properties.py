@@ -9,9 +9,10 @@ import pytest
 
 from cvcat.analysis import fidelity
 from cvcat.errors import ZeroProbabilityOutcomeError
-from cvcat.gate import PROBABILITY_FLOOR, added_factor_grid, apply_gate, \
-    outcome_probability_density
-from cvcat.special_numerics import airy_ai, airy_ai_scaled
+from cvcat.gate import _EDGES, PROBABILITY_FLOOR, added_factor_grid, \
+    apply_gate, outcome_probability_density
+from cvcat.special_numerics import _SEAMS, _ordered, _runs, airy_ai, \
+    airy_ai_scaled
 from cvcat.states import GateParams, GridSpec, WaveFunction, \
     make_squeezed_vacuum
 
@@ -20,7 +21,6 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 VACUUM = make_squeezed_vacuum(1.0, GridSpec(-10.0, 10.0, 512))
-COARSE_VACUUM = make_squeezed_vacuum(1.0, GridSpec(-10.0, 10.0, 300))
 gammas = st.floats(1e-3, 1.0)
 squeezes = st.floats(0.05, 1.0)
 outcomes = st.floats(-40.0, 40.0)
@@ -47,12 +47,12 @@ airy_points = st.one_of(
     st.integers(3, 400).map(tangent_pole))
 
 
-def unit_output(params, vacuum=VACUUM):
+def unit_output(params):
     """apply_gate's state, with outcomes under the probability floor
     rejected."""
-    assume(outcome_probability_density(vacuum, params.gamma, params.s,
+    assume(outcome_probability_density(VACUUM, params.gamma, params.s,
                                        params.y_m) >= PROBABILITY_FLOOR)
-    return apply_gate(vacuum, params).state
+    return apply_gate(VACUUM, params).state
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,13 +93,12 @@ def test_momentum_kick_commutes_with_the_gate(params, p0):
 
 
 @settings(max_examples=40, deadline=None)
-@given(pa=gate_params, pb=st.one_of(st.none(), gate_params),
-       coarse=st.booleans())
-def test_fidelity_is_symmetric_and_bounded(pa, pb, coarse):
+@given(pa=gate_params, pb=st.one_of(st.none(), gate_params))
+def test_fidelity_is_symmetric_and_bounded(pa, pb):
     """pb = None takes the first state itself, whose trapezoid overlap can
-    pass 1 by rounding; the coarse grid sends fidelity through resampling."""
+    pass 1 by rounding."""
     a = unit_output(pa)
-    b = a if pb is None else unit_output(pb, COARSE_VACUUM if coarse else VACUUM)
+    b = a if pb is None else unit_output(pb)
     f = fidelity(a, b)
     assert f == fidelity(b, a)
     assert 0.0 <= f <= 1.0
@@ -160,3 +159,30 @@ def test_factor_scaling_covariance(g, s, lam, shift):
     plain /= math.sqrt(lam)
     assert np.max(np.abs(scaled - plain)) \
         <= COVARIANCE_TOLERANCE * np.max(np.abs(plain))
+
+
+# the Airy kernel's seams and the gate's run edges, each with its
+# neighbouring doubles, and the infinities
+RUN_POINTS = st.one_of(st.floats(allow_nan=False), st.sampled_from(sorted(
+    {-math.inf, math.inf} | {float(np.nextafter(e, to))
+                             for edges in (_SEAMS, _EDGES) for e in edges
+                             for to in (-math.inf, e, math.inf)})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=st.lists(RUN_POINTS, max_size=40))
+def test_run_slices_and_masks_select_the_same_points(z):
+    """On a non-decreasing array, ties and infinities included, the binary
+    search's slices and the masks pick the same points in each of the three
+    runs, for both edge pairs, and each run holds what its edges say."""
+    z = np.sort(np.array(z, dtype=float))
+    assert _ordered(z)
+    index = np.arange(z.size)
+    for edges in (_SEAMS, _EDGES):
+        masks = _runs(z, edges, False)
+        for part, mask in zip(_runs(z, edges, True), masks):
+            assert np.array_equal(index[part], np.flatnonzero(mask))
+        below, mid, high = (z[mask] for mask in masks)
+        assert below.size + mid.size + high.size == z.size
+        assert np.all(below < edges[0]) and np.all(high >= edges[1])
+        assert np.all((mid >= edges[0]) & (mid < edges[1]))

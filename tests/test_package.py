@@ -69,3 +69,23 @@ def test_library_has_no_assert():
              for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_the_gate_takes_its_regime_runs_from_the_airy_kernel():
+    """special_numerics._runs alone chooses between a binary search and
+    masks: gate.py calls no searchsorted, and _factor builds no regime mask
+    of its own, by comparison or by isfinite, but calls _runs."""
+    tree = ast.parse((Path(cvcat.__file__).parent / "gate.py")
+                     .read_text(encoding="utf-8"))
+
+    def names(node):
+        return {n.attr if isinstance(n, ast.Attribute) else n.id
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Attribute, ast.Name))}
+
+    factor = next(n for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name == "_factor")
+    assert "searchsorted" not in names(tree)
+    assert [n.lineno for n in ast.walk(factor)
+            if isinstance(n, ast.Compare)] == []
+    assert "isfinite" not in names(factor) and "_runs" in names(factor)

@@ -42,7 +42,7 @@ def test_counters_read_the_traced_layers(tmp_path):
         a = states.make_squeezed_vacuum(1.0, states.GridSpec(-8.0, 8.0, 64))
         b = states.make_squeezed_vacuum(1.0, states.GridSpec(-9.0, 9.0, 80))
         analysis.fidelity(a, a)
-        analysis.fidelity(a, b)
+        analysis.fidelity(b, b)
         oracle.oracle_two_mode(a, params)
         gate.apply_gate(a, params)
         assert cli.main(["sweep-probability", "--db-range=0:20:3",
@@ -60,7 +60,8 @@ def test_counters_read_the_traced_layers(tmp_path):
     assert totals["states.constructors"]["calls"] == 3
     assert totals["states.constructors"]["points"] == 64 + 80 + 128
     assert totals["analysis.fidelity"]["calls"] == 2
-    assert totals["analysis.fidelity"]["resampled"] == 1
+    # fidelity refuses states on two grids, so it never resamples
+    assert totals["analysis.fidelity"]["resampled"] == 0
     n_ancilla = oracle.ancilla_grid_for(params, 64).n_points
     assert totals["oracle.oracle_two_mode"]["entries"] == 64 * n_ancilla
     assert totals["oracle.oracle_two_mode"]["points"] == 64

@@ -398,6 +398,11 @@ class TestSupportRegion:
         with pytest.raises(DomainError, match="sigma_level must be finite"):
             build_support_region(1.0, 0.1, sigma_level=level)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(DomainError, match="gamma must be finite"):
+            build_support_region(1.0, gamma)
+
     def test_n_boundary_over_the_cap(self):
         # refused before np.linspace allocates the boundary
         with pytest.raises(DomainError, match=f"32 to {MAX_GRID_POINTS}, "):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,11 @@ class TestAiryAi:
             airy_ai(z)
             assert np.array_equal(np.sort(np.concatenate(seen)), inside)
 
+    def test_masks_put_a_nan_in_the_first_run(self):
+        z = np.array([9.0, math.nan, 0.0, -9.0])
+        runs = special_numerics._runs(z, special_numerics._SEAMS, False)
+        assert [np.flatnonzero(m).tolist() for m in runs] == [[1, 3], [2], [0]]
+
     def test_caller_arrays_keep_their_bytes(self):
         """The regimes work in place on temporaries of their own, never on
         the caller's array, which an ordered input passes them as views:
@@ -124,6 +130,39 @@ class TestAiryAi:
             airy_ai(math.nan)
         with pytest.raises(DomainError):
             airy_ai(math.inf)
+
+    def test_floor_is_the_last_finite_zeta(self):
+        """zeta = (2/3)|z|^(3/2) is finite at _OSC_FLOOR and overflows one
+        double below it."""
+        floor = special_numerics._OSC_FLOOR
+        below = math.nextafter(floor, -math.inf)
+        with np.errstate(over="ignore"):
+            zeta = special_numerics._zeta(-np.array([floor, below]))
+        assert math.isfinite(zeta[0]) and zeta[1] == math.inf
+        assert -4.2e205 < floor < -4.1e205
+
+    def test_deep_oscillatory_values_are_finite(self):
+        """Between about -7.4e102 and the floor zeta^2 overflows, silently,
+        to the right v = -1/zeta^2 = -0; the values stay under the envelope
+        |z|^(-1/4)/sqrt(pi), by either route."""
+        floor = special_numerics._OSC_FLOOR
+        z = np.array([floor, math.nextafter(floor, 0.0), -1e205, -1e103,
+                      -7.5e102, -7.3e102])
+        for zs in (z, np.sort(z)):
+            ai = airy_ai(zs)
+            envelope = np.abs(zs) ** -0.25 / math.sqrt(math.pi)
+            assert np.all(np.abs(ai) <= envelope)
+        assert math.isfinite(airy_ai(-1e103))
+
+    @pytest.mark.parametrize("z", [-1e210, "below", [1.0, -1e210, 2.0],
+                                   [-1e210, 1.0]])
+    def test_refuses_z_below_the_floor(self, z):
+        floor = special_numerics._OSC_FLOOR
+        if z == "below":
+            z = math.nextafter(floor, -math.inf)
+        want = re.escape(f"airy_ai requires finite z >= {floor!r}")
+        with pytest.raises(DomainError, match=want):
+            airy_ai(z)
 
 
 class TestAiryAiScaled:
