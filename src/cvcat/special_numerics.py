@@ -308,7 +308,7 @@ def airy_ai(z):
     """
     arr = np.asarray(z, dtype=float)
     ordered = _ordered(arr)
-    if arr.size:   # an ordered array has no NaN but a lone one: its ends
+    if arr.size:   # an ordered array's ends are its range
         lo, hi = (arr[0], arr[-1]) if ordered else (arr.min(), arr.max())
         if not _OSC_FLOOR <= lo <= hi < math.inf:   # False on a NaN
             raise DomainError(f"airy_ai requires finite z >= {_OSC_FLOOR!r}, "
