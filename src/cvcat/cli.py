@@ -264,7 +264,8 @@ def _parse_db_range(text: str):
     except ValueError:
         raise DomainError("--db-range must be lo:hi or lo:hi:n, got "
                           f"{text!r}") from None
-    if math.isinf(lo) or math.isinf(hi):   # before linspace multiplies by inf
+    # before linspace multiplies by inf, and before a NaN fails hi > lo
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"--db-range needs finite lo and hi, got {text!r}")
     if not (hi > lo and n >= 2):
         raise DomainError("--db-range needs hi > lo and n >= 2")

@@ -1,8 +1,9 @@
 """The measurement-induced gate core.
 
-The gate multiplies the target wavefunction by the Airy-form added factor,
-yields the outcome probability density as the squared norm of the
-unnormalized product, and normalizes to obtain the conditional output state.
+The gate multiplies the target wavefunction by the real Airy-form added
+factor F, yields the outcome probability density as the squared norm of the
+unnormalized product, the integral of |psi_in|^2 F^2, and normalizes to
+obtain the conditional output state.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
 
 # the smallest normal double: below it P is subnormal and has lost bits
 PROBABILITY_FLOOR = sys.float_info.min
-_ENDS = np.array([0, 1, -2, -1])   # norm_squared's end points, float view
 # z runs: NaN and below airy_ai's floor (-inf included), Airy, asymptotic
 _EDGES = np.array([_OSC_FLOOR, ASYMP_EDGE])
 
@@ -140,7 +140,14 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift, pref, m, c,
     return out
 
 
-def _not_finite(params: GateParams, factor: np.ndarray) -> DomainError:
+def _row_error(params: GateParams, p: float, factor: np.ndarray):
+    """None, or the error that leaves the state at params undefined: a P
+    that is not finite, named by the added factor when that is not finite
+    (it then makes P not finite), or a P below the probability floor."""
+    if math.isfinite(p):
+        return None if p >= PROBABILITY_FLOOR else ZeroProbabilityOutcomeError(
+            f"outcome y_m={params.y_m} has probability density {p}; "
+            "the conditional state is undefined")
     what = "outcome probability density" if np.isfinite(factor).all() \
         else "added factor"
     return DomainError(f"{what} is not finite at gamma={params.gamma!r}, "
@@ -152,7 +159,7 @@ def added_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
     or a DomainError naming the setting where it is not finite."""
     factor = _factor(np.asarray(x, dtype=float), *_factor_constants(params))
     if not np.isfinite(factor).all():
-        raise _not_finite(params, factor)
+        raise _row_error(params, math.nan, factor)
     return factor
 
 
@@ -161,56 +168,42 @@ def added_factor(x: float, params: GateParams) -> float:
     return float(added_factor_grid(np.asarray([x]), params)[0])
 
 
-def norm_squared(amplitudes: np.ndarray, dx: float):
-    """Trapezoid integral of |amplitudes|^2 along the last axis of a complex
-    array: the sum of squares of its float view, the two end points at half
-    weight, every row reduced the same way, a 1-D array as one row. On the
-    unnormalized output this is P(y_m), and every route to P uses it, so
-    apply_gate, outcome_probability_density and run_sweep agree to the bit.
-    An overflow is left to the caller's errstate."""
-    f = amplitudes.view(float)
-    ends = f[..., _ENDS]
-    return dx * (np.vecdot(f, f) - 0.5 * np.vecdot(ends, ends))
+def _probability(input: WaveFunction, factor: np.ndarray):
+    """P(y_m), the integral of |psi_in|^2 F^2 = |psi_in F|^2, by the
+    trapezoid rule along the last axis of the real factor: the input's
+    density times F, dotted with F, the two end points at half weight,
+    every row reduced the same way, a 1-D factor as one row. Every route to
+    P uses it, so apply_gate, outcome_probability_density and run_sweep
+    agree to the bit. An overflow is left to the caller's errstate."""
+    weighted = input.density() * factor
+    ends = weighted[..., 0] * factor[..., 0] + weighted[..., -1] * factor[..., -1]
+    return input.dx * (np.vecdot(weighted, factor) - 0.5 * ends)
 
 
 def gate_rows(input: WaveFunction, rows) -> tuple:
-    """The gate on one input for each GateParams in rows: the unnormalized
-    outputs (rows, n), P(y_m) per row, and per row None or the error that
-    leaves its state undefined. A lone row is one added_factor_grid call,
-    multiplied and summed as a 1-D array; a block one _factor call over
-    constant columns."""
-    if len(rows) == 1:
-        try:
-            factor = added_factor_grid(input.x, rows[0])
-        except DomainError:   # not finite; named below, from its P
-            factor = np.full(input.n_points, math.nan)
-    else:
-        columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
-        factor = _factor(input.x, *columns.transpose(1, 0, 2))
+    """The gate on one input for each GateParams in rows, by one _factor
+    call over constant columns: the unnormalized outputs (rows, n), P(y_m)
+    per row, and per row None or the error that leaves its state
+    undefined."""
+    columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
+    factor = _factor(input.x, *columns.transpose(1, 0, 2))
     # inf * 0j and an overflowing sum: their rows fail below
     with np.errstate(over="ignore", invalid="ignore"):
         unnorm = input.amplitudes * factor
-        prob = norm_squared(unnorm, input.dx)
-    if factor.ndim == 1:
-        unnorm, prob, factor = unnorm[None], prob[None], factor[None]
-    errors = [None] * len(rows)
-    for i, p in enumerate(prob.tolist()):
-        if not math.isfinite(p):   # so is a factor that is not finite
-            errors[i] = _not_finite(rows[i], factor[i])
-        elif p < PROBABILITY_FLOOR:
-            errors[i] = ZeroProbabilityOutcomeError(
-                f"outcome y_m={rows[i].y_m} has probability density {p}; "
-                "the conditional state is undefined")
+        prob = _probability(input, factor)
+    errors = [_row_error(params, p, f)
+              for params, p, f in zip(rows, prob.tolist(), factor)]
     return unnorm, prob, errors
 
 
 def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:
     """Condition the input on the ancilla momentum outcome params.y_m."""
-    unnorm, prob, [error] = gate_rows(input, [params])
-    if error:
+    factor = added_factor_grid(input.x, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prob = float(_probability(input, factor))
+    if error := _row_error(params, prob, factor):
         raise error
-    prob = float(prob[0])
-    state = WaveFunction(input.grid, unnorm[0] / math.sqrt(prob),
+    state = WaveFunction(input.grid, input.amplitudes * factor / math.sqrt(prob),
                          label=f"gate_output(gamma={params.gamma}, s={params.s}, "
                                f"y_m={params.y_m})")
     return ConditionalOutput(state=state, probability_density=prob)
@@ -218,9 +211,12 @@ def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:
 
 def outcome_probability_density(input: WaveFunction, gamma: float, s: float,
                                 y_m: float) -> float:
-    """P(y_m): squared norm of the unnormalized conditional output, also under
-    the probability floor; a P or factor that is not finite raises."""
-    _, prob, [error] = gate_rows(input, [GateParams(gamma=gamma, s=s, y_m=y_m)])
-    if error and not isinstance(error, ZeroProbabilityOutcomeError):
-        raise error
-    return float(prob[0])
+    """P(y_m) from the input's density and the added factor, also under the
+    probability floor; a P or factor that is not finite raises."""
+    params = GateParams(gamma=gamma, s=s, y_m=y_m)
+    factor = added_factor_grid(input.x, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prob = float(_probability(input, factor))
+    if not math.isfinite(prob):
+        raise _row_error(params, prob, factor)
+    return prob

@@ -129,7 +129,7 @@ def _y_stride(state: WaveFunction, p_bound: float) -> int:
 
 def wigner_transform(state: WaveFunction,
                      bounds: tuple[float, float, float, float],
-                     n_x: int = 256, n_p: int = 256) -> WignerGrid:
+                     n_x: int, n_p: int) -> WignerGrid:
     """W(x, p) = (1/pi) integral of psi*(x+y) psi(x-y) exp(2ipy) dy.
 
     The y quadrature is the trapezoid rule over the state's half-width, on
@@ -222,8 +222,8 @@ class SupportRegion:
         object.__setattr__(self, "boundary", b)
 
 
-def build_support_region(s: float, gamma: float, sigma_level: float = 2.0,
-                         n_boundary: int = 256) -> SupportRegion:
+def build_support_region(s: float, gamma: float, sigma_level: float,
+                         n_boundary: int) -> SupportRegion:
     """Squeezed-vacuum uncertainty ellipse pushed through the cubic shear.
 
     Semi-axes: sigma_level / (sqrt(2) s) along x, sigma_level * s / sqrt(2)

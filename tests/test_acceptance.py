@@ -168,7 +168,8 @@ def test_criterion_05_fidelity_ordering_and_wigner():
     checks = [f_high > f_low]
     min_high = None
     for out in (high, low):
-        w = wigner_transform(out.state, suggest_wigner_bounds(out.state))
+        w = wigner_transform(out.state, suggest_wigner_bounds(out.state),
+                             256, 256)
         checks.append(abs(w.mass() - 1.0) <= 1e-3)
         checks.append(float(np.max(np.abs(w.values))) <= 1.0 / math.pi + 1e-6)
         if out is high:

@@ -371,7 +371,8 @@ class TestSweepCommands:
             1.0 / db_to_s(db) for db in np.linspace(lo, hi, int(n)).tolist()]
         assert all(float(r[2]) > 0 and r[5] == "" for r in rows)
 
-    @pytest.mark.parametrize("db_range", ["0:inf:2", "-inf:0:3"])
+    @pytest.mark.parametrize("db_range", ["0:inf:2", "-inf:0:3", "nan:5:3",
+                                          "0:nan"])
     def test_db_range_bounds_must_be_finite(self, db_range, capsys):
         assert main(["sweep-probability", f"--db-range={db_range}"]) == 1
         assert capsys.readouterr() == ("", (

@@ -126,8 +126,10 @@ class TestAddedFactor:
             assert a.tobytes() == want
         grid = GridSpec(-10.0, 10.0, 256)
         for y_m in (-30.0, 0.0, 30.0):   # all z >= 9, both edges, all z <= -9
+            amplitudes = np.exp(-grid.x ** 2 / 2.0) + 0.5j
             wave = SimpleNamespace(grid=grid, x=grid.x.copy(), dx=grid.dx,
-                                   amplitudes=np.exp(-grid.x ** 2 / 2.0) + 0.5j,
+                                   amplitudes=amplitudes,
+                                   density=lambda: np.abs(amplitudes) ** 2,
                                    n_points=grid.n_points)
             want = wave.x.tobytes(), wave.amplitudes.tobytes()
             apply_gate(wave, GateParams(gamma=0.1, s=1.0, y_m=y_m))
@@ -271,23 +273,26 @@ class TestAddedFactor:
                 apply_gate(vacuum(), GateParams(gamma=0.0, s=s, y_m=y_m))
 
     def test_gamma_zero_rows_in_a_block(self):
-        """gamma = 0 rows take the Gaussian factor in a block as they do
-        alone, next to the gamma > 0 rows that share one factor call."""
+        """gamma = 0 rows take the Gaussian factor in a block as apply_gate
+        takes it alone, next to the gamma > 0 rows that share one factor
+        call."""
         rows = [GateParams(0.0, 1.0, 0.0), GateParams(0.1, 0.7, 3.0),
                 GateParams(0.0, 0.5, 0.0), GateParams(0.2, 0.5, -2.0)]
-        unnorm, prob, errors = gate_rows(vacuum(), rows)
+        wave = vacuum()
+        unnorm, prob, errors = gate_rows(wave, rows)
         assert errors == [None] * len(rows)
         for i, row in enumerate(rows):
-            one, [p], [error] = gate_rows(vacuum(), [row])
-            assert error is None
-            assert repr(prob[i]) == repr(p)
-            assert repr(unnorm[i].tolist()) == repr(one[0].tolist())
+            out = apply_gate(wave, row)
+            assert repr(out.probability_density) == repr(float(prob[i]))
+            state = unnorm[i] / math.sqrt(prob[i])
+            assert out.state.amplitudes.tobytes() == state.tobytes()
 
     def test_lone_row_equals_its_row_in_a_block(self):
-        """A lone row is multiplied and summed as a 1-D array, a block row
-        by row; both give the same output and P to the bit, at an outcome
-        whose z is all at or above 9, one with z all at or below -9 and one
-        that crosses both edges."""
+        """apply_gate and outcome_probability_density take the factor's
+        scalar route on a 1-D array, a block its column route row by row;
+        both give the same output and P to the bit, at an outcome whose z
+        is all at or above 9, one with z all at or below -9 and one that
+        crosses both edges."""
         wave = vacuum()
         gamma, s = 0.1, 1.0
         scale = (3.0 * gamma) ** (-1.0 / 3.0)
@@ -298,11 +303,12 @@ class TestAddedFactor:
         unnorm, prob, errors = gate_rows(wave, rows)
         assert errors == [None] * 3
         for i, row in enumerate(rows):
-            one, [p], [error] = gate_rows(wave, [row])
-            assert error is None and one.shape == (1, wave.n_points)
-            assert one[0].tobytes() == unnorm[i].tobytes()
-            assert repr(p) == repr(prob[i])
-            assert outcome_probability_density(wave, gamma, s, row.y_m) == p
+            out = apply_gate(wave, row)
+            state = unnorm[i] / math.sqrt(prob[i])
+            assert out.state.amplitudes.tobytes() == state.tobytes()
+            assert repr(out.probability_density) == repr(float(prob[i]))
+            p = outcome_probability_density(wave, gamma, s, row.y_m)
+            assert repr(p) == repr(float(prob[i]))
 
     def test_gamma_zero_routed_to_special_case(self):
         """gamma = 0 is the Gaussian limit of the one factor formula."""

@@ -21,6 +21,8 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 VACUUM = make_squeezed_vacuum(1.0, GridSpec(-10.0, 10.0, 512))
+# |psi|^2 of this vacuum is subnormal past |x| ~ 26.6 and 0 past ~ 27.3
+WIDE_VACUUM = make_squeezed_vacuum(1.0, GridSpec(-40.0, 40.0, 4096))
 gammas = st.floats(1e-3, 1.0)
 squeezes = st.floats(0.05, 1.0)
 outcomes = st.floats(-40.0, 40.0)
@@ -107,14 +109,25 @@ def test_fidelity_is_symmetric_and_bounded(pa, pb):
 @settings(max_examples=60, deadline=None)
 @given(gamma=gammas, s=squeezes, y=outcomes)
 def test_probability_is_the_gate_output_norm(gamma, s, y):
-    p = outcome_probability_density(VACUUM, gamma, s, y)
-    assert math.isfinite(p) and p >= 0.0
+    """P, formed from the input's density and F, is apply_gate's P and
+    within 4e-15 relative of the trapezoid norm of the product psi_in F
+    itself, on the vacuum and on a wide grid whose tails underflow."""
     params = GateParams(gamma=gamma, s=s, y_m=y)
-    if p < PROBABILITY_FLOOR:
-        with pytest.raises(ZeroProbabilityOutcomeError):
-            apply_gate(VACUUM, params)
-    else:
-        assert apply_gate(VACUUM, params).probability_density == p
+    for wave in (VACUUM, WIDE_VACUUM):
+        p = outcome_probability_density(wave, gamma, s, y)
+        assert math.isfinite(p) and p >= 0.0
+        if p < PROBABILITY_FLOOR:
+            with pytest.raises(ZeroProbabilityOutcomeError):
+                apply_gate(wave, params)
+        else:
+            assert apply_gate(wave, params).probability_density == p
+            product = wave.amplitudes * added_factor_grid(wave.x, params)
+            norm = np.trapezoid(np.abs(product) ** 2, dx=wave.dx)
+            # near the floor the terms |psi_in F|^2 are subnormal, each off
+            # by up to 2^-1074: at P = 2.2e-308 the norm was 4.7e-15 from a
+            # 40-digit mpmath sum, and P 5.1e-17
+            subnormal = wave.n_points * wave.dx * 2.0 ** -1074
+            assert abs(p - norm) <= 4e-15 * norm + subnormal
 
 
 @settings(max_examples=60, deadline=None)

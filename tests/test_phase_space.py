@@ -56,7 +56,7 @@ class TestWignerTransform:
     def test_wigner_bound(self):
         cat = make_ideal_cat(CatParams(math.sqrt(10.0), math.pi / 4.0),
                              default_grid(math.sqrt(10.0), 2048))
-        w = wigner_transform(cat, suggest_wigner_bounds(cat))
+        w = wigner_transform(cat, suggest_wigner_bounds(cat), 256, 256)
         assert np.max(np.abs(w.values)) <= 1.0 / math.pi + 1e-6
 
     def test_bounds_truncating_state_rejected(self):
@@ -302,9 +302,9 @@ class TestWignerLogNegativity:
         cat = cat_params_from_gate(params)
         vac = make_squeezed_vacuum(1.0, GridSpec(-12.0, 12.0, 2048))
         out = apply_gate(vac, params).state
-        w = wigner_transform(out, suggest_wigner_bounds(out))
+        w = wigner_transform(out, suggest_wigner_bounds(out), 256, 256)
         ideal = make_ideal_cat(cat, default_grid(cat.p_plus, 2048))
-        wi = wigner_transform(ideal, suggest_wigner_bounds(ideal))
+        wi = wigner_transform(ideal, suggest_wigner_bounds(ideal), 256, 256)
         assert np.min(wi.values) < -0.05
         assert np.min(w.values) < -0.05
 
@@ -343,7 +343,7 @@ def intersect_horizontal(region: SupportRegion, p_value: float):
 
 class TestSupportRegion:
     def test_unsheared_ellipse(self):
-        region = build_support_region(0.5, 0.0, sigma_level=2.0)
+        region = build_support_region(0.5, 0.0, sigma_level=2.0, n_boundary=256)
         b = region.boundary
         assert abs(np.max(b[:, 0]) - 2.0 / (math.sqrt(2.0) * 0.5)) < 1e-9
         assert abs(np.max(b[:, 1]) - 2.0 * 0.5 / math.sqrt(2.0)) < 1e-9
@@ -351,13 +351,14 @@ class TestSupportRegion:
 
     def test_shear_preserves_area(self):
         s = 10.0 ** (-14.0 / 20.0)
-        flat = build_support_region(s, 0.0, n_boundary=4096)
-        sheared = build_support_region(s, 0.1, n_boundary=4096)
+        flat = build_support_region(s, 0.0, sigma_level=2.0, n_boundary=4096)
+        sheared = build_support_region(s, 0.1, sigma_level=2.0,
+                                       n_boundary=4096)
         assert abs(shoelace_area(flat) - shoelace_area(sheared)) < 1e-6
 
     def test_two_intervals_at_measured_outcome(self):
         s = 10.0 ** (-14.0 / 20.0)
-        region = build_support_region(s, 0.1, n_boundary=4096)
+        region = build_support_region(s, 0.1, sigma_level=2.0, n_boundary=4096)
         intervals = intersect_horizontal(region, 3.0)
         assert len(intervals) == 2
         (a0, a1), (b0, b1) = intervals
@@ -389,24 +390,25 @@ class TestSupportRegion:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            build_support_region(0.0, 0.1)
+            build_support_region(0.0, 0.1, sigma_level=2.0, n_boundary=256)
         with pytest.raises(DomainError):
-            build_support_region(1.0, 0.1, n_boundary=8)
+            build_support_region(1.0, 0.1, sigma_level=2.0, n_boundary=8)
 
     @pytest.mark.parametrize("level", [0.0, -2.0, math.nan, math.inf])
     def test_sigma_level_must_be_finite_and_positive(self, level):
         with pytest.raises(DomainError, match="sigma_level must be finite"):
-            build_support_region(1.0, 0.1, sigma_level=level)
+            build_support_region(1.0, 0.1, sigma_level=level, n_boundary=256)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_gamma_must_be_finite(self, gamma):
         with pytest.raises(DomainError, match="gamma must be finite"):
-            build_support_region(1.0, gamma)
+            build_support_region(1.0, gamma, sigma_level=2.0, n_boundary=256)
 
     def test_n_boundary_over_the_cap(self):
         # refused before np.linspace allocates the boundary
         with pytest.raises(DomainError, match=f"32 to {MAX_GRID_POINTS}, "):
-            build_support_region(1.0, 0.1, n_boundary=MAX_GRID_POINTS + 1)
+            build_support_region(1.0, 0.1, sigma_level=2.0,
+                                 n_boundary=MAX_GRID_POINTS + 1)
 
     def test_n_boundary_must_be_an_integer(self):
         with pytest.raises(DomainError,

@@ -91,7 +91,8 @@ class TestRowBatchedEngine:
         Gaussian limit to well within 1e-5, so P = pi^(-1/2)/s there. A row
         whose factor is not finite, y_m = 1e206, fails with an error naming
         gamma, s and y_m, and no RuntimeWarning, and leaves the other rows
-        of its gate_rows block untouched."""
+        of its gate_rows block untouched: apply_gate gives each row's P,
+        state and error text."""
         spec = SweepSpec(values=(1e-100, 1e-3, 0.5, 1.0), y_m=3.0,
                          outputs=frozenset({"infidelity", "probability"}),
                          n_grid_points=64)
@@ -108,11 +109,15 @@ class TestRowBatchedEngine:
         unnorm, prob, errors = gate_rows(vacuum, rows)
         assert str(errors[1]) == ("added factor is not finite at "
                                   "gamma=0.1, s=1.0, y_m=1e+206")
+        with pytest.raises(CvcatError) as alone:
+            apply_gate(vacuum, rows[1])
+        assert str(alone.value) == str(errors[1])
         for i in (0, 2):
-            one, [p], [error] = gate_rows(vacuum, [rows[i]])
-            assert errors[i] is None and error is None
-            assert repr(prob[i]) == repr(p)
-            assert repr(unnorm[i].tolist()) == repr(one[0].tolist())
+            out = apply_gate(vacuum, rows[i])
+            assert errors[i] is None
+            assert repr(out.probability_density) == repr(float(prob[i]))
+            state = unnorm[i] / math.sqrt(prob[i])
+            assert out.state.amplitudes.tobytes() == state.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
