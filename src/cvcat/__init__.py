@@ -13,7 +13,7 @@ from .analysis import SweepRow, SweepSpec, db_to_s, fidelity, \
 from .errors import CvcatError, DegenerateSuperpositionError, DomainError, \
     ZeroProbabilityOutcomeError
 from .gate import ConditionalOutput, added_factor, added_factor_grid, \
-    apply_gate, outcome_probability_density
+    added_factor_rows, apply_gate, outcome_probability_density
 from .oracle import ancilla_grid_for, integrate_oscillatory_gaussian, \
     oracle_added_factor, oracle_two_mode
 from .phase_space import SupportRegion, WignerGrid, build_support_region, \
@@ -34,8 +34,8 @@ __all__ = [
     "GridSpec", "WaveFunction", "GateParams", "CatParams", "default_grid",
     "band_limited_grid", "make_squeezed_vacuum", "make_cubic_phase_state",
     "make_ideal_cat", "cat_params_from_gate",
-    "ConditionalOutput", "added_factor", "added_factor_grid", "apply_gate",
-    "outcome_probability_density",
+    "ConditionalOutput", "added_factor", "added_factor_grid",
+    "added_factor_rows", "apply_gate", "outcome_probability_density",
     "ancilla_grid_for", "oracle_added_factor", "oracle_two_mode",
     "WignerGrid", "SupportRegion", "wigner_transform", "wigner_log_negativity",
     "semiclassical_shear", "build_support_region", "suggest_wigner_bounds",

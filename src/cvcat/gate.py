@@ -24,6 +24,7 @@ __all__ = [
     "ConditionalOutput",
     "added_factor",
     "added_factor_grid",
+    "added_factor_rows",
     "apply_gate",
     "outcome_probability_density",
 ]
@@ -163,6 +164,27 @@ def added_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
     return factor
 
 
+def _factor_rows(x: np.ndarray, rows) -> np.ndarray:
+    """The added factor for each GateParams in rows, one row each, by one
+    _factor call over (rows, 1) constant columns, on a shared 1-D x or an
+    x of one row per setting."""
+    columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
+    return _factor(x, *columns.transpose(1, 0, 2))
+
+
+def added_factor_rows(x: np.ndarray, rows) -> np.ndarray:
+    """The added factor (rows, n) for each GateParams in the sequence rows,
+    on a shared 1-D x or an x of one row per setting, each row equal to
+    added_factor_grid on its x to the bit, or the DomainError that
+    added_factor_grid raises at the first setting where it is not finite."""
+    factor = _factor_rows(np.asarray(x, dtype=float), rows)
+    finite = np.isfinite(factor).all(axis=-1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise _row_error(rows[bad], math.nan, factor[bad])
+    return factor
+
+
 def added_factor(x: float, params: GateParams) -> float:
     """Scalar added factor."""
     return float(added_factor_grid(np.asarray([x]), params)[0])
@@ -185,8 +207,7 @@ def gate_rows(input: WaveFunction, rows) -> tuple:
     call over constant columns: the unnormalized outputs (rows, n), P(y_m)
     per row, and per row None or the error that leaves its state
     undefined."""
-    columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
-    factor = _factor(input.x, *columns.transpose(1, 0, 2))
+    factor = _factor_rows(input.x, rows)
     # inf * 0j and an overflowing sum: their rows fail below
     with np.errstate(over="ignore", invalid="ignore"):
         unnorm = input.amplitudes * factor

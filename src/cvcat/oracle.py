@@ -164,16 +164,18 @@ def ancilla_grid_for(params: GateParams, n_target: int,
     With L = _TAIL_EXPONENT, the half-width w = sqrt(2L)/s cuts the envelope
     exp(-(s x)^2 / 2) at e^-L. The column's band is B = |y_m| + 3 gamma w^2
     + s sqrt(2L), its largest instantaneous frequency plus its Gaussian
-    bandwidth; the trapezoid sum repeats that band every 2 pi / dx, so the
-    step dx = 2 pi / (B + max(x1_max, B)) keeps every alias off every target
-    point. A grid of more than MAX_GRID_POINTS raises DomainError, naming
-    gamma, s and the count, before anything allocates.
+    bandwidth. The target point x1 reads the column's spectrum at x1, and
+    the trapezoid sum repeats the band [-B, B] every 2 pi / dx, so the
+    nearest alias image begins at 2 pi / dx - B. It clears every target
+    point, |x1| <= x1_max, once 2 pi / dx - B >= x1_max: the step is
+    dx = 2 pi / (B + x1_max). A grid of more than MAX_GRID_POINTS raises
+    DomainError, naming gamma, s and the count, before anything allocates.
     """
     s = params.s
     tail = math.sqrt(2.0 * _TAIL_EXPONENT)
     w = tail / s
     band = abs(params.y_m) + 3.0 * params.gamma * w * w + s * tail
-    dx = 2.0 * math.pi / (band + max(x1_max, band))
+    dx = 2.0 * math.pi / (band + x1_max)
     steps = 2.0 * w / dx if dx > 0.0 else math.inf
     if not steps <= MAX_GRID_POINTS - 1:   # a nan or inf fails too
         raise DomainError(
@@ -219,10 +221,14 @@ def oracle_two_mode(input: WaveFunction, params: GateParams) -> ConditionalOutpu
     """
     n1, dx1 = input.n_points, input.dx
     rule = ancilla_grid_for(params, n1, max(abs(input.x_min), abs(input.x_max)))
+    # the least FFT length is 2 pi/(dx1 rule.dx); 2^26 is itself 2^a 3^b 5^c,
+    # so a length within the cap leaves _projection_step's N within it
+    product = dx1 * rule.dx
+    length = 2.0 * math.pi / product if product > 0.0 else math.inf
+    if not length <= MAX_ENTRIES:   # an inf fails too
+        raise DomainError(f"the projection needs an FFT of {length:.3g} points, "
+                          "over the 2^26 entry cap: use a coarser target grid")
     n_fft, dx2 = _projection_step(n1, dx1, rule.dx)
-    if n_fft > MAX_ENTRIES:
-        raise DomainError(f"the projection needs an FFT of {n_fft} points, over "
-                          "the 2^26 entry cap: use a coarser target grid")
     half = math.ceil(rule.x_max / dx2)
     x2 = dx2 * np.arange(-half, half + 1)
     s = params.s

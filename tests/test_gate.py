@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from cvcat.errors import DomainError, ZeroProbabilityOutcomeError
-from cvcat.gate import added_factor, added_factor_grid, apply_gate, \
-    gate_rows, outcome_probability_density
+from cvcat.gate import added_factor, added_factor_grid, added_factor_rows, \
+    apply_gate, gate_rows, outcome_probability_density
 from cvcat.oracle import integrate_oscillatory_gaussian
 from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
-from cvcat.analysis import SweepSpec, phase_aligned_l2, run_sweep
+from cvcat.analysis import SweepSpec, db_to_s, phase_aligned_l2, run_sweep
+from cvcat.cli import VERIFY_GRID
 
 
 # (gamma, y_m) at s = 1 where the factor overflows: the Airy phase zeta at
@@ -192,6 +193,34 @@ class TestAddedFactor:
             apply_gate(vacuum(), params)
         with pytest.raises(DomainError, match=named):
             outcome_probability_density(vacuum(), gamma, 1.0, y_m)
+
+    def test_rows_equal_the_per_row_route_on_the_verify_grid(self):
+        """On VERIFY_GRID's 36 settings, over x = y_m + delta (36, 41) and
+        over the offsets shared as one 1-D x, the block equals one
+        added_factor_grid call per row to the bit."""
+        gammas, dbs, y_ms, deltas = VERIFY_GRID
+        rows = [GateParams(gamma=gamma, s=db_to_s(db), y_m=y_m)
+                for gamma in gammas for db in dbs for y_m in y_ms]
+        x = np.array([p.y_m for p in rows])[:, None] + deltas
+        assert x.shape == (36, 41)
+        assert np.array_equal(added_factor_rows(x, rows), np.array(
+            [added_factor_grid(xi, p) for xi, p in zip(x, rows)]))
+        assert np.array_equal(added_factor_rows(deltas, rows), np.array(
+            [added_factor_grid(deltas, p) for p in rows]))
+
+    @pytest.mark.parametrize("gamma, y_m", OVERFLOWING)
+    def test_rows_name_their_first_non_finite_row(self, gamma, y_m):
+        """A block with an overflowing row raises what added_factor_grid
+        raises at that row, though a later row overflows too."""
+        x = np.linspace(-10.0, 10.0, 64)
+        bad = GateParams(gamma=gamma, s=1.0, y_m=y_m)
+        with pytest.raises(DomainError) as want:
+            added_factor_grid(x, bad)
+        rows = [GateParams(gamma=gamma, s=1.0, y_m=3.0), bad,
+                GateParams(gamma=gamma, s=1.0, y_m=2.0 * y_m)]
+        with pytest.raises(DomainError) as got:
+            added_factor_rows(x, rows)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("gamma, y_m", SMALL_GAMMA)
     def test_small_gamma_matches_reference(self, gamma, y_m,

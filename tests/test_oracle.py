@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,11 +138,13 @@ class TestOracleTwoMode:
 
     def test_grid_halving_convergence(self, monkeypatch):
         """Halving the ancilla step on the same width moves neither P nor
-        the state, at the verify cases and at 20 dB: the band-limit rule
+        the state, at the verify cases and at 20 dB, up to (0.5, 20 dB, 15),
+        the widest band and longest FFT of the tests: the band-limit rule
         has already converged."""
         vac = make_squeezed_vacuum(1.0, VERIFY_TARGET)
         cases = [GateParams(gamma=gamma, s=db_to_s(db), y_m=y_m)
-                 for gamma, db, y_m in VERIFY_CASES + ((0.1, 20.0, 3.0),)]
+                 for gamma, db, y_m in VERIFY_CASES + ((0.1, 20.0, 3.0),
+                                                       (0.5, 20.0, 15.0))]
         rules = [oracle_two_mode(vac, params) for params in cases]
 
         def halved(*args):
@@ -167,21 +170,21 @@ class TestOracleTwoMode:
         assert abs(m4 / m2 ** 2 - 3.0) <= 1e-3
 
     def test_ancilla_grid_edge_rule(self):
-        """No alias image of the column's band reaches a target point, and
-        the envelope has fallen to e^-L at the edge."""
+        """No alias image of the column's band, which begins at
+        2 pi/dx - B, reaches a target point, and the envelope has fallen to
+        e^-L at the edge."""
         params = GateParams(gamma=0.5, s=0.1995262314968879, y_m=15.0)
         tail = math.sqrt(2.0 * _TAIL_EXPONENT)
         for x1_max in (0.0, 11.0, 1e4):
             grid = ancilla_grid_for(params, 256, x1_max)
             band = abs(params.y_m) + 3.0 * params.gamma * grid.x_max ** 2 \
                 + params.s * tail
-            assert grid.dx * (band + max(x1_max, band)) \
-                <= 2.0 * math.pi * (1 + 1e-12)
+            assert grid.dx * (band + x1_max) <= 2.0 * math.pi * (1 + 1e-12)
             edge_envelope = math.exp(-0.5 * (params.s * grid.x_max) ** 2)
             assert edge_envelope <= math.exp(-_TAIL_EXPONENT) * (1 + 1e-12)
 
     def test_ancilla_grid_refuses_past_max_grid_points(self, monkeypatch):
-        """At 30 dB the band-limit rule needs 2.16e7 ancilla points, over
+        """At 30 dB the band-limit rule needs 1.08e7 ancilla points, over
         MAX_GRID_POINTS: refused by name, before any step or column."""
         def nothing(*args):
             raise AssertionError("work done for an oversized ancilla grid")
@@ -190,7 +193,7 @@ class TestOracleTwoMode:
         monkeypatch.setattr("cvcat.oracle._cis", nothing)
         params = GateParams(gamma=0.5, s=db_to_s(30.0), y_m=15.0)
         message = (f"ancilla grid at gamma=0.5, s={params.s!r} needs "
-                   f"n_points=2.16e\\+07, over the {MAX_GRID_POINTS} cap")
+                   f"n_points=1.08e\\+07, over the {MAX_GRID_POINTS} cap")
         with pytest.raises(DomainError, match=message):
             ancilla_grid_for(params, 256)
         with pytest.raises(DomainError, match=message):
@@ -220,16 +223,34 @@ class TestOracleTwoMode:
                        for m in smooth if n1 <= m < n_fft), (target, params)
 
     def test_refuses_an_fft_over_the_entry_cap(self, monkeypatch):
-        """A target grid this fine would need an FFT of 1.5e8 points; it is
-        refused before the column is built."""
-        def no_column(*args):
-            raise AssertionError("column built for an oversized FFT")
+        """A target grid this fine would need an FFT of 7.41e7 points; it is
+        refused before the FFT length is searched or the column built."""
+        def nothing(*args):
+            raise AssertionError("work done for an oversized FFT")
 
-        monkeypatch.setattr("cvcat.oracle._cis", no_column)
+        monkeypatch.setattr("cvcat.oracle._projection_step", nothing)
+        monkeypatch.setattr("cvcat.oracle._cis", nothing)
         vac = make_squeezed_vacuum(1e4, GridSpec(-1e-3, 1e-3, 4096))
-        with pytest.raises(DomainError, match="FFT of 147456000 points, over "
+        with pytest.raises(DomainError, match="FFT of 7.41e\\+07 points, over "
                                               "the 2\\^26 entry cap"):
             oracle_two_mode(vac, GateParams(gamma=0.1, s=1.0, y_m=3.0))
+
+    @pytest.mark.parametrize("s, length", [(1e306, "1.04e+308"),
+                                           (1e307, "inf")])
+    def test_refuses_an_fft_length_past_the_float_range(self, monkeypatch, s,
+                                                         length):
+        """At these s the FFT length 2 pi/(dx1 dx) is 1.04e308 and inf: the
+        projection is refused by name, with the length, before
+        _projection_step takes the ceiling of it."""
+        def nothing(*args):
+            raise AssertionError("work done for an oversized FFT")
+
+        monkeypatch.setattr("cvcat.oracle._projection_step", nothing)
+        monkeypatch.setattr("cvcat.oracle._cis", nothing)
+        vac = make_squeezed_vacuum(1.0, VERIFY_TARGET)
+        with pytest.raises(DomainError, match=re.escape(
+                f"FFT of {length} points, over the 2^26 entry cap")):
+            oracle_two_mode(vac, GateParams(gamma=0.1, s=s, y_m=3.0))
 
     @pytest.mark.parametrize("gamma, db, y_m", VERIFY_CASES + (
         (0.1, 14.0, 3.0), (0.1, 20.0, 3.0), (0.2, 9.0, 6.0), (0.033, 0.0, 1.0)))
