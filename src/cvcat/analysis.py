@@ -12,7 +12,7 @@ from .errors import CvcatError, DomainError
 from .gate import PROBABILITY_FLOOR, apply_gate, gate_rows
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
-from .states import GateParams, WaveFunction, band_limited_grid, \
+from .states import GateParams, GridSpec, WaveFunction, band_limited_grid, \
     cat_params_from_gate, default_grid, make_ideal_cat, \
     make_squeezed_vacuum, require_integer
 
@@ -26,12 +26,21 @@ __all__ = [
 ]
 
 
+def _inner(a: np.ndarray, b: np.ndarray, dx: float):
+    """<a|b> along the last axis by the trapezoid rule: dx times the sum of
+    conj(a) b with its two end terms at half weight. np.vecdot conjugates a
+    and reduces each row of a block as it reduces that row alone, so a
+    block of overlaps equals one call per row to the bit."""
+    ends = np.conj(a[..., 0]) * b[..., 0] + np.conj(a[..., -1]) * b[..., -1]
+    return dx * (np.vecdot(a, b) - 0.5 * ends)
+
+
 def _overlap(a: WaveFunction, b: WaveFunction, name: str):
     """<a|b> by the trapezoid rule; states on different grids are refused."""
     if a.grid != b.grid:
         raise DomainError(f"{name} requires a common grid, got {a.grid} "
                           f"and {b.grid}")
-    return np.trapezoid(np.conj(a.amplitudes) * b.amplitudes, dx=a.dx)
+    return _inner(a.amplitudes, b.amplitudes, a.dx)
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:
@@ -51,7 +60,7 @@ def phase_aligned_l2(a: WaveFunction, b: WaveFunction) -> float:
     # ov = <a|b> carries b's phase relative to a; undo it
     phase = np.conj(ov) / abs(ov) if ov != 0 else 1.0
     diff = a.amplitudes - phase * b.amplitudes
-    return float(math.sqrt(np.trapezoid(np.abs(diff) ** 2, dx=a.dx)))
+    return float(math.sqrt(_inner(diff, diff, a.dx).real))
 
 
 def db_to_s(db: float) -> float:
@@ -71,7 +80,7 @@ def db_to_s(db: float) -> float:
 @dataclass(frozen=True)
 class SweepSpec:
     """A scan over 1/s at one outcome y_m; gamma None means y_m / 30, and
-    n_grid_points None means the grid of band_limited_grid."""
+    n_grid_points None means the band-limited grid (see grid)."""
 
     values: tuple                      # 1/s, strictly increasing
     y_m: float
@@ -93,6 +102,9 @@ class SweepSpec:
         bad = set(self.outputs) - {"infidelity", "probability", "wln", "efficiency"}
         if bad:
             raise DomainError(f"unknown outputs {sorted(bad)}")
+        if not self.outputs:
+            raise DomainError("sweep outputs must name at least one of "
+                              "infidelity, probability, wln, efficiency")
         if self.n_grid_points is not None:
             require_integer("n_grid_points", self.n_grid_points)
         object.__setattr__(self, "values", vals)
@@ -103,6 +115,16 @@ class SweepSpec:
         """The gate setting of every row, at s = 1."""
         gamma = self.y_m / 30.0 if self.gamma is None else self.gamma
         return GateParams(gamma=gamma, s=1.0, y_m=self.y_m)
+
+    @property
+    def grid(self) -> GridSpec:
+        """The grid of every row: default_grid at n_grid_points, else
+        band_limited_grid, with the Wigner headroom only when wln is asked
+        for. Raises the DomainError of a setting that has no cat or no grid."""
+        if self.n_grid_points is None:
+            return band_limited_grid(self.params, "wln" in self.outputs)
+        return default_grid(cat_params_from_gate(self.params).p_plus,
+                            self.n_grid_points)
 
 
 @dataclass(frozen=True)
@@ -130,8 +152,9 @@ def _failed(value: float, exc: CvcatError) -> SweepRow:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every 1/s of the scan. gamma, y_m, the target cat and the
     grid are the same in every row, so the rows share one vacuum and one
-    ideal cat and go through gate_rows in (rows, n) blocks. Per-row failures
-    are recorded in-row, with the error of the row alone."""
+    ideal cat and go through gate_rows in (rows, n) blocks, each block's
+    overlaps with the cat in one call. Per-row failures are recorded
+    in-row, with the error of the row alone."""
     base, rows, todo = spec.params, [None] * len(spec.values), []
     for i, value in enumerate(spec.values):
         try:
@@ -140,43 +163,49 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             rows[i] = _failed(value, exc)
     try:
         cat = cat_params_from_gate(base)
-        grid = band_limited_grid(base) if spec.n_grid_points is None \
-            else default_grid(cat.p_plus, spec.n_grid_points)
+        grid = spec.grid
         vacuum = make_squeezed_vacuum(1.0, grid)
     except CvcatError as exc:
         return [row or _failed(value, exc) for row, value in zip(rows, spec.values)]
-    target, step = None, max(1, _ROW_BLOCK_POINTS // grid.n_points)
+    # a row fails by its gate error first, then by the cat's
+    target = cat_error = None
+    if {"infidelity", "efficiency"} & spec.outputs:
+        try:
+            target = make_ideal_cat(cat, grid)
+        except CvcatError as exc:
+            cat_error = exc
+    step = max(1, _ROW_BLOCK_POINTS // grid.n_points)
     for start in range(0, len(todo), step):
         block = todo[start:start + step]
         states, prob, errors = gate_rows(vacuum, [params for _, params in block])
+        overlaps = [math.nan] * len(block)
         # normalized in place; failed rows are never read
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             states /= np.sqrt(np.maximum(prob, PROBABILITY_FLOOR))[:, None]
-        for (i, _), p, error, state in zip(block, prob.tolist(), errors, states):
-            value, fields, f_cat = spec.values[i], {}, math.nan
-            if error:
-                rows[i] = _failed(value, error)
+            if target is not None:
+                overlaps = _inner(states, target.amplitudes, grid.dx)
+        for (i, _), p, error, overlap, state in zip(
+                block, prob.tolist(), errors, overlaps, states):
+            value, fields = spec.values[i], {}
+            if error or cat_error:
+                rows[i] = _failed(value, error or cat_error)
                 continue
-            try:
-                if {"infidelity", "efficiency"} & spec.outputs:
-                    if target is None:
-                        target = make_ideal_cat(cat, grid)
-                    overlap = np.trapezoid(np.conj(state) * target.amplitudes,
-                                           dx=vacuum.dx)
-                    f_cat = _squared_overlap(overlap)
-                if "infidelity" in spec.outputs:
-                    fields["infidelity"] = 1.0 - f_cat
-                if {"probability", "efficiency"} & spec.outputs:
-                    fields["probability_density"] = p
-                if "efficiency" in spec.outputs:
-                    fields["efficiency"] = f_cat * p
-                if "wln" in spec.outputs:
+            f_cat = math.nan if target is None else _squared_overlap(overlap)
+            if "infidelity" in spec.outputs:
+                fields["infidelity"] = 1.0 - f_cat
+            if {"probability", "efficiency"} & spec.outputs:
+                fields["probability_density"] = p
+            if "efficiency" in spec.outputs:
+                fields["efficiency"] = f_cat * p
+            if "wln" in spec.outputs:
+                try:
                     state = WaveFunction(grid, state)
                     bounds = suggest_wigner_bounds(state)
                     n_p = max(256, int((bounds[3] - bounds[2]) / 0.08))
                     w = wigner_transform(state, bounds, 256, n_p)
                     fields["wln"] = wigner_log_negativity(w)
-                rows[i] = SweepRow(variable_value=value, **fields)
-            except CvcatError as exc:
-                rows[i] = _failed(value, exc)
+                except CvcatError as exc:
+                    rows[i] = _failed(value, exc)
+                    continue
+            rows[i] = SweepRow(variable_value=value, **fields)
     return rows

@@ -167,7 +167,9 @@ def added_factor_grid(x: np.ndarray, params: GateParams) -> np.ndarray:
 def _factor_rows(x: np.ndarray, rows) -> np.ndarray:
     """The added factor for each GateParams in rows, one row each, by one
     _factor call over (rows, 1) constant columns, on a shared 1-D x or an
-    x of one row per setting."""
+    x of one row per setting; no settings give an empty (0, n) block."""
+    if not rows:
+        return np.empty((0, x.shape[-1]))
     columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
     return _factor(x, *columns.transpose(1, 0, 2))
 

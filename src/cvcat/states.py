@@ -256,14 +256,17 @@ def cat_params_from_gate(params: GateParams) -> CatParams:
     return CatParams(p_plus=p_plus, theta=theta)
 
 
-def band_limited_grid(params: GateParams) -> GridSpec:
+def band_limited_grid(params: GateParams, wigner: bool) -> GridSpec:
     """default_grid's half-width p_plus + 8, sampled as finely as the gate
-    output and target cat of a vacuum input need: dx = (pi/2)/(k_max + _PAD).
+    output and target cat of a vacuum input need: dx = (pi/2)/k_max, or
+    (pi/2)/(k_max + _PAD) when wigner is true.
 
     With k_in = _K_VACUUM, the factor's largest stationary-phase frequency
     over |x| <= k_in is k_F = sqrt(max(0, y_m + k_in)/(3 gamma)) at every s,
     so the output's band is k_in + k_F and the cat's p_plus + k_in; k_max is
-    the larger. The _PAD keeps the suggested Wigner p bound of either state
+    the larger. dx is half of pi/k_max, the step below which the trapezoid
+    rule integrates a product of two such states, an overlap or P, exact to
+    rounding. The _PAD keeps the suggested Wigner p bound of either state
     within the Nyquist limit pi/(2 dx) of its Wigner transform. A grid of
     more than MAX_GRID_POINTS raises DomainError before anything allocates.
     """
@@ -271,8 +274,10 @@ def band_limited_grid(params: GateParams) -> GridSpec:
     p_plus = cat_params_from_gate(params).p_plus
     k_factor = math.sqrt(max(0.0, y_m + _K_VACUUM) / (3.0 * gamma))
     k_max = max(_K_VACUUM + k_factor, p_plus + _K_VACUUM)
+    if wigner:
+        k_max += _PAD
     half = p_plus + 8.0
-    steps = 2.0 * half * (k_max + _PAD) / (math.pi / 2.0)   # 2 half / dx
+    steps = 2.0 * half * k_max / (math.pi / 2.0)   # 2 half / dx
     if not steps <= MAX_GRID_POINTS - 1:   # an inf fails too
         raise DomainError(
             f"band-limited grid at gamma={gamma!r}, y_m={y_m!r} needs "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvcat import states
-from cvcat.analysis import SweepRow, SweepSpec, db_to_s, fidelity, \
+from cvcat.analysis import SweepRow, SweepSpec, _inner, db_to_s, fidelity, \
     phase_aligned_l2, run_sweep
 from cvcat.cli import _rows_csv
 from cvcat.errors import DomainError
@@ -26,6 +26,13 @@ class TestFidelity:
     def test_self_overlap(self):
         vac = vacuum()
         assert abs(fidelity(vac, vac) - 1.0) < 1e-9
+
+    def test_self_overlap_is_held_to_one(self):
+        # on 102 points the trapezoid |<vac|vac>|^2 rounds to 1 + 4e-16
+        vac = vacuum(GridSpec(-10.0, 10.0, 102))
+        ov = _inner(vac.amplitudes, vac.amplitudes, vac.dx)
+        assert abs(ov) ** 2 > 1.0
+        assert fidelity(vac, vac) == 1.0
 
     def test_far_displaced_vacuum_orthogonal(self):
         # momentum shift sqrt(2)*10 is coherent amplitude 10: F = e^{-100};
@@ -141,6 +148,8 @@ class TestSweep:
             self.spec(values=())
         with pytest.raises(DomainError):
             self.spec(outputs=frozenset({"nonsense"}))
+        with pytest.raises(DomainError, match="sweep outputs must name"):
+            self.spec(outputs=frozenset())
 
     @pytest.mark.parametrize("values", [
         (1.0, math.nan, 2.0), (math.nan,), (1.0, math.inf), (-math.inf, 1.0),
@@ -181,12 +190,12 @@ class TestSweep:
 
     def test_infidelity_complements_fidelity(self):
         from cvcat.gate import apply_gate
-        from cvcat.states import band_limited_grid, cat_params_from_gate, \
-            make_ideal_cat
-        rows = run_sweep(self.spec(values=(2.0,)))
+        from cvcat.states import cat_params_from_gate, make_ideal_cat
+        spec = self.spec(values=(2.0,))
+        rows = run_sweep(spec)
         params = GateParams(gamma=0.1, s=0.5, y_m=3.0)
         cat = cat_params_from_gate(params)
-        grid = band_limited_grid(params)
+        grid = spec.grid
         out = apply_gate(make_squeezed_vacuum(1.0, grid), params)
         f = fidelity(out.state, make_ideal_cat(cat, grid))
         assert rows[0].infidelity == 1.0 - f

@@ -15,8 +15,8 @@ from cvcat.gate import added_factor, apply_gate
 from cvcat.oracle import oracle_added_factor
 from cvcat.phase_space import build_support_region
 from cvcat.states import MAX_GRID_POINTS, GateParams, GridSpec, \
-    band_limited_grid, cat_params_from_gate, default_grid, \
-    make_cubic_phase_state, make_squeezed_vacuum
+    cat_params_from_gate, default_grid, make_cubic_phase_state, \
+    make_squeezed_vacuum
 
 
 class TestExitCodes:
@@ -35,6 +35,15 @@ class TestExitCodes:
     def test_domain_error(self, capsys):
         assert main(["gate", "--gamma", "-1", "--ym", "3", "--db", "5"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("outputs", ["", ","])
+    def test_sweep_with_no_outputs(self, outputs, tmp_path, capsys):
+        # refused by name before the gate runs; no file is written
+        out = tmp_path / "rows.csv"
+        assert main(["sweep-infidelity", f"--outputs={outputs}",
+                     "--out", str(out)]) == 1
+        assert "sweep outputs must name" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_success(self, tmp_path, capsys):
         out = tmp_path / "state.json"
@@ -460,7 +469,8 @@ class TestSweepCommands:
         assert capsys.readouterr().err == ""
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
         assert len(rows) == 7 and all(r[5] == "" for r in rows)
-        grid = band_limited_grid(GateParams(gamma=0.1, s=1.0, y_m=3.0))
+        grid = SweepSpec(values=(1.0,), y_m=3.0,
+                         outputs=frozenset({"probability"})).grid
         vacuum = make_squeezed_vacuum(1.0, grid)
         for r in rows:
             s = 1.0 / float(r[0])

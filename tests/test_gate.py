@@ -208,6 +208,17 @@ class TestAddedFactor:
         assert np.array_equal(added_factor_rows(deltas, rows), np.array(
             [added_factor_grid(deltas, p) for p in rows]))
 
+    def test_no_rows_give_an_empty_block(self):
+        """No settings give a (0, n) factor block, on a shared 1-D x and on
+        an x of rows, and gate_rows an empty block, an empty P and no
+        errors."""
+        x = np.linspace(-10.0, 10.0, 64)
+        assert added_factor_rows(x, []).shape == (0, 64)
+        assert added_factor_rows(np.empty((0, 64)), []).shape == (0, 64)
+        unnorm, prob, errors = gate_rows(vacuum(), [])
+        assert unnorm.shape == (0, vacuum().n_points)
+        assert prob.shape == (0,) and errors == []
+
     @pytest.mark.parametrize("gamma, y_m", OVERFLOWING)
     def test_rows_name_their_first_non_finite_row(self, gamma, y_m):
         """A block with an overflowing row raises what added_factor_grid

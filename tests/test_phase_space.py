@@ -212,7 +212,7 @@ class TestYStride:
     def test_a_band_limited_output_keeps_every_point(self):
         # a sweep's wln row sits on this grid; stride 1 keeps its bytes
         params = GateParams(gamma=0.1, s=10.0 ** (-14.0 / 20.0), y_m=3.0)
-        out = gate_output(0.1, 14.0, 3.0, band_limited_grid(params))
+        out = gate_output(0.1, 14.0, 3.0, band_limited_grid(params, True))
         assert cvcat.phase_space._y_stride(
             out, p_bound(suggest_wigner_bounds(out))) == 1
 
