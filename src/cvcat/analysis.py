@@ -9,11 +9,11 @@ import numpy as np
 
 from .errors import CvcatError, DomainError
 # apply_gate stays bound: perfbench/tracing.py patches cvcat.analysis.apply_gate
-from .gate import PROBABILITY_FLOOR, apply_gate, gate_rows
+from .gate import apply_gate, gate_rows
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
-from .states import GateParams, GridSpec, WaveFunction, band_limited_grid, \
-    cat_params_from_gate, default_grid, make_ideal_cat, \
+from .states import GateParams, GridSpec, WaveFunction, _inner, \
+    band_limited_grid, cat_params_from_gate, default_grid, make_ideal_cat, \
     make_squeezed_vacuum, require_integer
 
 __all__ = [
@@ -24,15 +24,6 @@ __all__ = [
     "SweepRow",
     "run_sweep",
 ]
-
-
-def _inner(a: np.ndarray, b: np.ndarray, dx: float):
-    """<a|b> along the last axis by the trapezoid rule: dx times the sum of
-    conj(a) b with its two end terms at half weight. np.vecdot conjugates a
-    and reduces each row of a block as it reduces that row alone, so a
-    block of overlaps equals one call per row to the bit."""
-    ends = np.conj(a[..., 0]) * b[..., 0] + np.conj(a[..., -1]) * b[..., -1]
-    return dx * (np.vecdot(a, b) - 0.5 * ends)
 
 
 def _overlap(a: WaveFunction, b: WaveFunction, name: str):
@@ -179,10 +170,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         block = todo[start:start + step]
         states, prob, errors = gate_rows(vacuum, [params for _, params in block])
         overlaps = [math.nan] * len(block)
-        # normalized in place; failed rows are never read
-        with np.errstate(invalid="ignore", over="ignore"):
-            states /= np.sqrt(np.maximum(prob, PROBABILITY_FLOOR))[:, None]
-            if target is not None:
+        if target is not None:
+            # a failed row's overlap is never read
+            with np.errstate(invalid="ignore", over="ignore"):
                 overlaps = _inner(states, target.amplitudes, grid.dx)
         for (i, _), p, error, overlap, state in zip(
                 block, prob.tolist(), errors, overlaps, states):

@@ -9,6 +9,7 @@ writes every CSV and JSON document.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -18,7 +19,7 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .analysis import SweepSpec, db_to_s, run_sweep
+from .analysis import SweepRow, SweepSpec, db_to_s, run_sweep
 from .errors import CvcatError, DomainError
 # added_factor stays bound: perfbench/tracing.py patches cvcat.cli.added_factor
 from .gate import added_factor, added_factor_rows, apply_gate
@@ -197,17 +198,17 @@ def _state_record(wf) -> dict:
 
 
 def _rows_csv(rows) -> str:
-    """Header variable_value,infidelity,probability_density,wln,efficiency,
-    error; an unrequested (NaN) output is an empty cell and the error's
+    """A header of SweepRow's field names, then one line per row in that
+    order; an unrequested (NaN) output is an empty cell and the error's
     commas are written as ';'."""
-    lines = ["variable_value,infidelity,probability_density,wln,efficiency,error"]
-    for r in rows:
-        def fmt(v):
-            return "" if (isinstance(v, float) and math.isnan(v)) else f"{v:.17g}"
-        lines.append(",".join([
-            fmt(r.variable_value), fmt(r.infidelity), fmt(r.probability_density),
-            fmt(r.wln), fmt(r.efficiency), r.error.replace(",", ";"),
-        ]))
+    names = [f.name for f in dataclasses.fields(SweepRow)]
+
+    def fmt(v):
+        if isinstance(v, str):
+            return v.replace(",", ";")
+        return "" if (isinstance(v, float) and math.isnan(v)) else f"{v:.17g}"
+    lines = [",".join(names)]
+    lines += [",".join(fmt(getattr(r, name)) for name in names) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import DomainError, ZeroProbabilityOutcomeError
 # airy_ai_scaled stays bound: perfbench/tracing.py patches it here
-from .special_numerics import _OSC_FLOOR, ASYMP_EDGE, _ordered, \
-    _positive_sum, _runs, _zeta, airy_ai, airy_ai_scaled
-from .states import GateParams, WaveFunction
+from .special_numerics import _OSC_FLOOR, ASYMP_EDGE, _positive_sum, \
+    _runs, _zeta, airy_ai, airy_ai_scaled
+from .states import GateParams, WaveFunction, _inner
 
 __all__ = [
     "ConditionalOutput",
@@ -95,7 +95,7 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift, pref, m, c,
     with np.errstate(all="ignore"):
         z = delta + z_shift
         z *= scale
-        nan, low, asy = _runs(z, _EDGES, _ordered(z))
+        nan, low, asy = _runs(z, _EDGES)
         out = np.empty_like(z)
         out[nan] = math.nan
         if isinstance(m, np.ndarray):   # (rows, 1) columns, one per setting
@@ -179,7 +179,11 @@ def added_factor_rows(x: np.ndarray, rows) -> np.ndarray:
     on a shared 1-D x or an x of one row per setting, each row equal to
     added_factor_grid on its x to the bit, or the DomainError that
     added_factor_grid raises at the first setting where it is not finite."""
-    factor = _factor_rows(np.asarray(x, dtype=float), rows)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 and x.shape[:-1] != (len(rows),):
+        raise DomainError("added_factor_rows needs a 1-D x or one x row per "
+                          f"setting, ({len(rows)}, n); got {x.shape}")
+    factor = _factor_rows(x, rows)
     finite = np.isfinite(factor).all(axis=-1)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -193,30 +197,29 @@ def added_factor(x: float, params: GateParams) -> float:
 
 
 def _probability(input: WaveFunction, factor: np.ndarray):
-    """P(y_m), the integral of |psi_in|^2 F^2 = |psi_in F|^2, by the
-    trapezoid rule along the last axis of the real factor: the input's
-    density times F, dotted with F, the two end points at half weight,
-    every row reduced the same way, a 1-D factor as one row. Every route to
-    P uses it, so apply_gate, outcome_probability_density and run_sweep
-    agree to the bit. An overflow is left to the caller's errstate."""
-    weighted = input.density() * factor
-    ends = weighted[..., 0] * factor[..., 0] + weighted[..., -1] * factor[..., -1]
-    return input.dx * (np.vecdot(weighted, factor) - 0.5 * ends)
+    """P(y_m), the integral of |psi_in|^2 F^2 = |psi_in F|^2: the trapezoid
+    inner product of the input's density times the real factor F with F,
+    along the last axis, a 1-D factor as one row. Every route to P uses it,
+    so apply_gate, outcome_probability_density and gate_rows agree to the
+    bit. An overflow is left to the caller's errstate."""
+    return _inner(input.density() * factor, factor, input.dx)
 
 
 def gate_rows(input: WaveFunction, rows) -> tuple:
     """The gate on one input for each GateParams in rows, by one _factor
-    call over constant columns: the unnormalized outputs (rows, n), P(y_m)
-    per row, and per row None or the error that leaves its state
-    undefined."""
+    call over constant columns: the outputs (rows, n), each divided by the
+    square root of its P(y_m), or of PROBABILITY_FLOOR below it, as
+    apply_gate divides it; P(y_m) per row; and per row None or the error
+    that leaves its state undefined, whose output row is not a state."""
     factor = _factor_rows(input.x, rows)
     # inf * 0j and an overflowing sum: their rows fail below
     with np.errstate(over="ignore", invalid="ignore"):
-        unnorm = input.amplitudes * factor
+        states = input.amplitudes * factor
         prob = _probability(input, factor)
+        states /= np.sqrt(np.maximum(prob, PROBABILITY_FLOOR))[:, None]
     errors = [_row_error(params, p, f)
               for params, p, f in zip(rows, prob.tolist(), factor)]
-    return unnorm, prob, errors
+    return states, prob, errors
 
 
 def apply_gate(input: WaveFunction, params: GateParams) -> ConditionalOutput:

@@ -251,21 +251,17 @@ def _bridge(z):
     return acc
 
 
-def _ordered(z) -> bool:
-    """Whether z is 1-D and non-decreasing; False on any NaN but a lone one."""
-    return z.ndim == 1 and bool((z[1:] >= z[:-1]).all())
-
-
-def _runs(z, edges, ordered: bool) -> tuple:
-    """The three runs of z: below edges[0], from edges[0] up to edges[1], and
-    at or above edges[1]. An ordered z (_ordered(z)) is split into slices by
-    one left-side binary search, any other z into masks, a NaN into the
-    first. This is the one place that chooses between the two."""
-    if ordered:
-        lo, hi = z.searchsorted(edges)
-        return slice(lo), slice(lo, hi), slice(hi, None)
-    above, high = z >= edges[0], z >= edges[1]
-    return ~above, above ^ high, high
+def _runs(z, edges) -> tuple:
+    """The len(edges) + 1 runs of z for ascending edges: below edges[0],
+    from each edge up to the next, and at or above the last. A 1-D
+    non-decreasing z is split into slices by one left-side binary search
+    (a lone NaN sorts into the last run), any other z into masks (a NaN
+    into the first). This is the one place that chooses between the two."""
+    if z.ndim == 1 and (z[1:] >= z[:-1]).all():
+        cuts = [None, *z.searchsorted(edges).tolist(), None]
+        return tuple(map(slice, cuts[:-1], cuts[1:]))
+    above = [z >= e for e in edges]
+    return (~above[0], *(a ^ b for a, b in zip(above, above[1:])), above[-1])
 
 
 # z > -ASYMP_EDGE is z >= the next double up, so the runs are the three regimes
@@ -285,19 +281,8 @@ def _oscillatory_floor() -> float:
 
 
 _OSC_FLOOR = _oscillatory_floor()
-
-
-def _ai(z, ordered: bool):
-    """Ai(z) for a finite float array at or above _OSC_FLOOR, each point by
-    its regime's one formula. No regime writes into its argument, a view of
-    the caller's array."""
-    ai = np.empty_like(z)
-    for part, regime in zip(_runs(z, _SEAMS, ordered),
-                            (_asymptotic_neg, _bridge, _asymptotic_pos)):
-        zp = z[part]
-        if zp.size:
-            ai[part] = regime(zp)
-    return ai
+# the domain's runs: NaN and below the floor, the three regimes, +inf
+_DOMAIN = np.array([_OSC_FLOOR, *_SEAMS, math.inf])
 
 
 def airy_ai(z):
@@ -305,16 +290,20 @@ def airy_ai(z):
 
     Underflows cleanly to 0 deep on the positive axis; refuses z below
     _OSC_FLOOR, about -4.2e205, where the oscillatory phase overflows.
+    Each point takes its regime's one formula; no regime writes into its
+    argument, a view of the caller's array.
     """
     arr = np.asarray(z, dtype=float)
-    ordered = _ordered(arr)
-    if arr.size:   # an ordered array's ends are its range
-        lo, hi = (arr[0], arr[-1]) if ordered else (arr.min(), arr.max())
-        if not _OSC_FLOOR <= lo <= hi < math.inf:   # False on a NaN
-            raise DomainError(f"airy_ai requires finite z >= {_OSC_FLOOR!r}, "
-                              "where (2/3)|z|^(3/2) is finite; got z in "
-                              f"[{float(lo)!r}, {float(hi)!r}]")
-    ai = _ai(arr, ordered)
+    below, *runs, above = _runs(arr, _DOMAIN)
+    if arr[below].size or arr[above].size:
+        raise DomainError(f"airy_ai requires finite z >= {_OSC_FLOOR!r}, "
+                          "where (2/3)|z|^(3/2) is finite; got z in "
+                          f"[{float(arr.min())!r}, {float(arr.max())!r}]")
+    ai = np.empty_like(arr)
+    for part, regime in zip(runs, (_asymptotic_neg, _bridge, _asymptotic_pos)):
+        zp = arr[part]
+        if zp.size:
+            ai[part] = regime(zp)
     return float(ai) if arr.ndim == 0 else ai
 
 
@@ -330,7 +319,7 @@ def airy_ai_scaled(z):
     if (arr < 0.0).any():
         raise DomainError("airy_ai_scaled is undefined on the oscillatory branch (z < 0)")
     out = np.empty_like(arr)
-    _, low, asy = _runs(arr, _SEAMS, _ordered(arr))
+    _, low, asy = _runs(arr, _SEAMS)
     za, zl = arr[asy], arr[low]
     if za.size:
         out[asy] = _asymptotic_scaled_pos(za, _zeta(za))

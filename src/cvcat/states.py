@@ -134,6 +134,16 @@ class WaveFunction:
         return self._density
 
 
+def _inner(a: np.ndarray, b: np.ndarray, dx: float):
+    """<a|b> along the last axis by the trapezoid rule: dx times the sum of
+    conj(a) b with its two end terms at half weight. np.vecdot conjugates a
+    and reduces each row of a block as it reduces that row alone, so a
+    block of overlaps equals one call per row to the bit. The end terms take
+    the conj method, which on a scalar skips np.conj's ufunc dispatch."""
+    ends = a[..., 0].conj() * b[..., 0] + a[..., -1].conj() * b[..., -1]
+    return dx * (np.vecdot(a, b) - 0.5 * ends)
+
+
 @dataclass(frozen=True)
 class GateParams:
     """The gate knobs: cubic coefficient, momentum squeeze, measured outcome."""
@@ -159,6 +169,8 @@ class CatParams:
     theta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.p_plus) and math.isfinite(self.theta)):
+            raise DomainError("p_plus and theta must be finite")
         if self.p_plus < 0:
             raise DomainError("p_plus must be >= 0")
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cvcat import states
-from cvcat.analysis import SweepRow, SweepSpec, _inner, db_to_s, fidelity, \
+from cvcat.analysis import SweepRow, SweepSpec, db_to_s, fidelity, \
     phase_aligned_l2, run_sweep
 from cvcat.cli import _rows_csv
 from cvcat.errors import DomainError
-from cvcat.states import GateParams, GridSpec, WaveFunction, \
+from cvcat.states import GateParams, GridSpec, WaveFunction, _inner, \
     make_squeezed_vacuum
 
 

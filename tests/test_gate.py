@@ -215,9 +215,25 @@ class TestAddedFactor:
         x = np.linspace(-10.0, 10.0, 64)
         assert added_factor_rows(x, []).shape == (0, 64)
         assert added_factor_rows(np.empty((0, 64)), []).shape == (0, 64)
-        unnorm, prob, errors = gate_rows(vacuum(), [])
-        assert unnorm.shape == (0, vacuum().n_points)
+        states, prob, errors = gate_rows(vacuum(), [])
+        assert states.shape == (0, vacuum().n_points)
         assert prob.shape == (0,) and errors == []
+
+    @pytest.mark.parametrize("shape", [(), (5,), (1, 5), (2, 5), (3, 5),
+                                       (4, 5), (1, 3, 5), (3, 1, 5)])
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    def test_rows_refuse_an_x_of_another_shape(self, shape, n_rows):
+        """An x that is neither 1-D nor one row per setting is refused by
+        name, where it broadcast against the columns or escaped as numpy's
+        bare ValueError."""
+        rows = [GateParams(0.1, 1.0, y_m) for y_m in range(n_rows)]
+        x = np.zeros(shape)
+        if len(shape) == 1 or shape[:-1] == (n_rows,):
+            assert added_factor_rows(x, rows).shape == (n_rows, shape[-1])
+            return
+        with pytest.raises(DomainError, match=re.escape(
+                f"one x row per setting, ({n_rows}, n); got {shape}")):
+            added_factor_rows(x, rows)
 
     @pytest.mark.parametrize("gamma, y_m", OVERFLOWING)
     def test_rows_name_their_first_non_finite_row(self, gamma, y_m):
@@ -319,13 +335,12 @@ class TestAddedFactor:
         rows = [GateParams(0.0, 1.0, 0.0), GateParams(0.1, 0.7, 3.0),
                 GateParams(0.0, 0.5, 0.0), GateParams(0.2, 0.5, -2.0)]
         wave = vacuum()
-        unnorm, prob, errors = gate_rows(wave, rows)
+        states, prob, errors = gate_rows(wave, rows)
         assert errors == [None] * len(rows)
         for i, row in enumerate(rows):
             out = apply_gate(wave, row)
             assert repr(out.probability_density) == repr(float(prob[i]))
-            state = unnorm[i] / math.sqrt(prob[i])
-            assert out.state.amplitudes.tobytes() == state.tobytes()
+            assert out.state.amplitudes.tobytes() == states[i].tobytes()
 
     def test_lone_row_equals_its_row_in_a_block(self):
         """apply_gate and outcome_probability_density take the factor's
@@ -340,12 +355,11 @@ class TestAddedFactor:
         z = [scale * (wave.x - row.y_m + s ** 4 / (12.0 * gamma)) for row in rows]
         assert z[0].min() >= 9.0 and z[1].max() <= -9.0
         assert z[2].min() < -9.0 and z[2].max() > 9.0
-        unnorm, prob, errors = gate_rows(wave, rows)
+        states, prob, errors = gate_rows(wave, rows)
         assert errors == [None] * 3
         for i, row in enumerate(rows):
             out = apply_gate(wave, row)
-            state = unnorm[i] / math.sqrt(prob[i])
-            assert out.state.amplitudes.tobytes() == state.tobytes()
+            assert out.state.amplitudes.tobytes() == states[i].tobytes()
             assert repr(out.probability_density) == repr(float(prob[i]))
             p = outcome_probability_density(wave, gamma, s, row.y_m)
             assert repr(p) == repr(float(prob[i]))

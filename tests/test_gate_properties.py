@@ -11,7 +11,7 @@ from cvcat.analysis import fidelity
 from cvcat.errors import ZeroProbabilityOutcomeError
 from cvcat.gate import _EDGES, PROBABILITY_FLOOR, added_factor_grid, \
     apply_gate, outcome_probability_density
-from cvcat.special_numerics import _SEAMS, _ordered, _runs, airy_ai, \
+from cvcat.special_numerics import _DOMAIN, _SEAMS, _runs, airy_ai, \
     airy_ai_scaled
 from cvcat.states import GateParams, GridSpec, WaveFunction, \
     make_squeezed_vacuum
@@ -174,11 +174,13 @@ def test_factor_scaling_covariance(g, s, lam, shift):
         <= COVARIANCE_TOLERANCE * np.max(np.abs(plain))
 
 
-# the Airy kernel's seams and the gate's run edges, each with its
-# neighbouring doubles, and the infinities
+# the edges _runs splits at: the Airy kernel's seams, the gate's run edges
+# and airy_ai's domain, four edges with +inf the last
+RUN_EDGES = (_SEAMS, _EDGES, _DOMAIN)
+# every edge with its neighbouring doubles, and the infinities
 RUN_POINTS = st.one_of(st.floats(allow_nan=False), st.sampled_from(sorted(
     {-math.inf, math.inf} | {float(np.nextafter(e, to))
-                             for edges in (_SEAMS, _EDGES) for e in edges
+                             for edges in RUN_EDGES for e in edges
                              for to in (-math.inf, e, math.inf)})))
 
 
@@ -186,16 +188,21 @@ RUN_POINTS = st.one_of(st.floats(allow_nan=False), st.sampled_from(sorted(
 @given(z=st.lists(RUN_POINTS, max_size=40))
 def test_run_slices_and_masks_select_the_same_points(z):
     """On a non-decreasing array, ties and infinities included, the binary
-    search's slices and the masks pick the same points in each of the three
-    runs, for both edge pairs, and each run holds what its edges say."""
+    search's slices and the masks of its 2-D view pick the same points in
+    each run, for every edge set, and each run holds what its edges say. A
+    NaN appended to the view lands in the first run."""
     z = np.sort(np.array(z, dtype=float))
-    assert _ordered(z)
     index = np.arange(z.size)
-    for edges in (_SEAMS, _EDGES):
-        masks = _runs(z, edges, False)
-        for part, mask in zip(_runs(z, edges, True), masks):
-            assert np.array_equal(index[part], np.flatnonzero(mask))
-        below, mid, high = (z[mask] for mask in masks)
-        assert below.size + mid.size + high.size == z.size
-        assert np.all(below < edges[0]) and np.all(high >= edges[1])
-        assert np.all((mid >= edges[0]) & (mid < edges[1]))
+    for edges in RUN_EDGES:
+        slices = _runs(z, edges)
+        assert all(isinstance(part, slice) for part in slices)
+        masks = _runs(np.append(z, math.nan)[None], edges)
+        assert len(slices) == len(masks) == len(edges) + 1
+        assert masks[0][0, -1] and not any(m[0, -1] for m in masks[1:])
+        for part, mask in zip(slices, masks):
+            assert np.array_equal(index[part], np.flatnonzero(mask[0, :-1]))
+        runs = [z[part] for part in slices]
+        assert sum(run.size for run in runs) == z.size
+        assert np.all(runs[0] < edges[0]) and np.all(runs[-1] >= edges[-1])
+        for run, lo, hi in zip(runs[1:-1], edges, edges[1:]):
+            assert np.all((run >= lo) & (run < hi))

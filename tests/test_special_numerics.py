@@ -99,7 +99,7 @@ class TestAiryAi:
 
     def test_masks_put_a_nan_in_the_first_run(self):
         z = np.array([9.0, math.nan, 0.0, -9.0])
-        runs = special_numerics._runs(z, special_numerics._SEAMS, False)
+        runs = special_numerics._runs(z, special_numerics._SEAMS)
         assert [np.flatnonzero(m).tolist() for m in runs] == [[1, 3], [2], [0]]
 
     def test_caller_arrays_keep_their_bytes(self):
@@ -163,6 +163,31 @@ class TestAiryAi:
         want = re.escape(f"airy_ai requires finite z >= {floor!r}")
         with pytest.raises(DomainError, match=want):
             airy_ai(z)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "below"])
+    def test_refusal_text_in_every_layout(self, bad):
+        """A NaN, +-inf or the double below _OSC_FLOOR is refused with one
+        text that names the array's min and max, in sorted, reversed,
+        shuffled, 0-d and 2-D arrays, while _OSC_FLOOR itself is accepted
+        in each of them."""
+        floor = special_numerics._OSC_FLOOR
+        if bad == "below":
+            bad = math.nextafter(floor, -math.inf)
+
+        def layouts(z, point):
+            return [a for a, _ in copies(z)] + [np.stack([z, z[::-1]]),
+                                                np.array(point)]
+
+        good = np.sort(np.append(ORDERED, floor))
+        for a in layouts(good, floor):
+            assert np.isfinite(airy_ai(a)).all()
+        for a in layouts(np.sort(np.append(good, bad)), bad):
+            with pytest.raises(DomainError) as err:
+                airy_ai(a)
+            assert str(err.value) == (
+                f"airy_ai requires finite z >= {floor!r}, where "
+                "(2/3)|z|^(3/2) is finite; got z in "
+                f"[{float(a.min())!r}, {float(a.max())!r}]")
 
 
 class TestAiryAiScaled:

@@ -89,6 +89,21 @@ class TestIdealCat:
                            default_grid(0.0, 2048))
 
 
+class TestCatParams:
+    @pytest.mark.parametrize("p_plus, theta", [
+        (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+    def test_refuses_non_finite_by_name(self, p_plus, theta):
+        with pytest.raises(DomainError, match="p_plus and theta must be finite"):
+            CatParams(p_plus, theta)
+
+    def test_refuses_the_infinite_p_plus_of_a_subnormal_gamma(self):
+        """y_m / (3 gamma) overflows at gamma = 5e-324, while theta stays
+        finite; the cat is refused where it is made, not by the grid."""
+        with pytest.raises(DomainError, match="p_plus and theta must be finite"):
+            cat_params_from_gate(GateParams(5e-324, 1.0, 3.0))
+
+
 class TestCatParamsFromGate:
     def test_ym_zero(self):
         cat = cat_params_from_gate(GateParams(gamma=0.3, s=1.0, y_m=0.0))

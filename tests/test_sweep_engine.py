@@ -7,13 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvcat.analysis import SweepRow, SweepSpec, _inner, _squared_overlap, \
-    db_to_s, fidelity, run_sweep
+from cvcat.analysis import SweepRow, SweepSpec, _squared_overlap, db_to_s, \
+    fidelity, run_sweep
 from cvcat.errors import CvcatError
 from cvcat.gate import apply_gate, gate_rows
 from cvcat.phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
-from cvcat.states import GateParams, band_limited_grid, \
+from cvcat.states import GateParams, _inner, band_limited_grid, \
     cat_params_from_gate, default_grid, make_ideal_cat, make_squeezed_vacuum
 
 pytest.importorskip("hypothesis")
@@ -107,7 +107,7 @@ class TestRowBatchedEngine:
         vacuum = make_squeezed_vacuum(1.0, default_grid(3.0, 64))
         rows = [GateParams(0.1, 1.0, 3.0), GateParams(0.1, 1.0, 1e206),
                 GateParams(0.2, 0.5, -2.0)]
-        unnorm, prob, errors = gate_rows(vacuum, rows)
+        states, prob, errors = gate_rows(vacuum, rows)
         assert str(errors[1]) == ("added factor is not finite at "
                                   "gamma=0.1, s=1.0, y_m=1e+206")
         with pytest.raises(CvcatError) as alone:
@@ -117,8 +117,7 @@ class TestRowBatchedEngine:
             out = apply_gate(vacuum, rows[i])
             assert errors[i] is None
             assert repr(out.probability_density) == repr(float(prob[i]))
-            state = unnorm[i] / math.sqrt(prob[i])
-            assert out.state.amplitudes.tobytes() == state.tobytes()
+            assert out.state.amplitudes.tobytes() == states[i].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,11 +150,11 @@ def test_block_overlaps_equal_lone_fidelity(n_points, n_rows):
             for db in np.linspace(0.0, 20.0, n_rows)]
     states, prob, errors = gate_rows(vacuum, rows)
     assert errors == [None] * n_rows
-    states /= np.sqrt(prob)[:, None]
     block = _inner(states, cat.amplitudes, grid.dx)
     assert block.shape == (n_rows,)
-    for params, overlap in zip(rows, block):
+    for params, row, overlap in zip(rows, states, block):
         state = apply_gate(vacuum, params).state
+        assert state.amplitudes.tobytes() == row.tobytes()
         lone = _inner(state.amplitudes, cat.amplitudes, grid.dx)
         assert repr(complex(overlap)) == repr(complex(lone))
         assert repr(_squared_overlap(overlap)) == repr(fidelity(state, cat))
