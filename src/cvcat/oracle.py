@@ -31,20 +31,24 @@ _TAIL_EXPONENT = 40.0
 # arrays do not grow with the number of offsets; one offset alone may pass
 # it, up to MAX_ENTRIES nodes.
 _QUAD_BLOCK = 2 ** 16
+# Ancilla points that oracle_two_mode builds and folds at once (64 KiB a float).
+_FOLD_BLOCK = 2 ** 13
 
 
 def _cis(phase):
     """exp(i phase) for a float array, from one tangent t = tan(phase/2):
-    cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2), written into one float
-    buffer that is viewed as complex. Halving is exact, and no double lies
-    nearer than about 2^-61 to an odd multiple of pi/2, so t^2 cannot
-    overflow."""
-    t = np.tan(0.5 * phase)
-    sq = t * t
-    den = 1.0 + sq
+    cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2), formed in place on
+    contiguous arrays of its own and copied into one float buffer viewed as
+    complex; phase is only read. Halving is exact, and no double lies nearer
+    than about 2^-61 to an odd multiple of pi/2, so t^2 cannot overflow."""
+    t = np.multiply(0.5, phase)
+    np.tan(t, out=t)
+    den = t * t
+    cos = np.subtract(1.0, den)
+    np.divide(cos, np.add(den, 1.0, out=den), out=cos)
+    np.divide(np.add(t, t, out=t), den, out=t)
     out = np.empty(t.shape + (2,))
-    out[..., 0] = (1.0 - sq) / den
-    out[..., 1] = (t + t) / den
+    out[..., 0], out[..., 1] = cos, t   # a strided out= above was slower
     return out.view(complex)[..., 0]
 
 
@@ -55,14 +59,23 @@ def _trapezoid_sums(n, h, a, beta, k0, gamma: float):
     The envelope is even in t and the phase odd, so the sines cancel in
     pairs and the sum is h (2 S - f(0)), S summing envelope * cos(phase)
     over 0 <= k <= n. All n + 1 nodes of every offset are laid out at once
-    and each offset's run is reduced alone."""
+    and each offset's run is reduced alone, each arithmetic step in place."""
     counts = n + 1
     first = np.cumsum(counts) - counts
-    t = np.repeat(h, counts) * (np.arange(counts.sum())
-                                - np.repeat(first, counts))
+    t = np.arange(counts.sum(), dtype=float)
+    t -= np.repeat(first, counts)
+    t *= np.repeat(h, counts)
+    fv = np.multiply(gamma, t)
+    fv *= t
+    fv += np.repeat(beta, counts)
+    fv *= t
+    np.cos(fv, out=fv)
+    w = np.repeat(a, counts)
+    w *= t
+    w *= t
+    np.subtract(np.repeat(k0, counts), w, out=w)
     with np.errstate(under="ignore"):
-        fv = np.exp(np.repeat(k0, counts) - np.repeat(a, counts) * t * t)
-    fv *= np.cos(t * (np.repeat(beta, counts) + gamma * t * t))
+        fv *= np.exp(w, out=w)
     return h * (2.0 * np.add.reduceat(fv, first) - fv[first])
 
 
@@ -209,15 +222,16 @@ def oracle_two_mode(input: WaveFunction, params: GateParams) -> ConditionalOutpu
     exp(i x1_k x2_j) times the ancilla column. Both grids are uniform, so
     with the ancilla step dx2 = 2 pi/(N dx1) (_projection_step) the kernel
     factorises as exp(i x1_min x2_j) exp(i k dx1 x2_0) exp(2 pi i k j / N):
-    the first factor joins the column's phase, the column is folded modulo
-    N, one inverse FFT of length N sums it for every k at once, and its
-    first n1 entries take the second factor. With x2_0 = -h dx2 that factor
-    is exp(-2 pi i k h / N), whose phase is reduced modulo 2 pi in integers:
-    taken as k dx1 x2_0, up to 2e3 rad at 20 dB, its rounding reached an
-    L2 of 4.9e-14. The FFT errs by rounding at the scale of the state's
-    norm, the scale at which the output is judged. Every phase factor is
-    taken from one tangent of the half phase (_cis), which
-    costs a fraction of numpy's complex exp.
+    the first factor joins the column's phase, the column is built in
+    blocks of _FOLD_BLOCK points and folded modulo N into one buffer, one
+    inverse FFT of length N in that buffer sums it for every k at once,
+    and its first n1 entries take the second factor. With x2_0 = -h dx2
+    that factor is exp(-2 pi i k h / N), whose phase is reduced modulo
+    2 pi in integers: taken as k dx1 x2_0, up to 2e3 rad at 20 dB, its
+    rounding reached an L2 of 4.9e-14. The FFT errs by rounding at the
+    scale of the state's norm, the scale at which the output is judged.
+    Every phase factor is taken from one tangent of the half phase (_cis),
+    which costs a fraction of numpy's complex exp.
     """
     n1, dx1 = input.n_points, input.dx
     rule = ancilla_grid_for(params, n1, max(abs(input.x_min), abs(input.x_max)))
@@ -230,22 +244,28 @@ def oracle_two_mode(input: WaveFunction, params: GateParams) -> ConditionalOutpu
                           "over the 2^26 entry cap: use a coarser target grid")
     n_fft, dx2 = _projection_step(n1, dx1, rule.dx)
     half = math.ceil(rule.x_max / dx2)
-    x2 = dx2 * np.arange(-half, half + 1)
+    n2 = 2 * half + 1
     s = params.s
-    with np.errstate(under="ignore"):
-        sq = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x2) ** 2)
-        # cubic resource phase, homodyne projection phase and the target's
-        # x1_min x2 share one phase per column
-        column = sq * _cis(x2 * (params.gamma * x2 * x2 + input.x_min - params.y_m))
-    # trapezoid weights over x2 (endpoints carry half weight), zero-padded
-    # to a whole number of periods N and folded onto one
-    n2 = x2.size
-    weights = np.zeros(-(-n2 // n_fft) * n_fft, dtype=complex)
-    weights[:n2] = column
-    weights[0] *= 0.5
-    weights[n2 - 1] *= 0.5
-    folded = weights.reshape(-1, n_fft).sum(axis=0)
-    out = np.fft.ifft(folded, norm="forward")[:n1]
+    # trapezoid weights over x2 (endpoints carry half weight), folded block
+    # by block: no array spans the ancilla
+    folded = np.zeros(n_fft, dtype=complex)
+    lo = 0
+    while lo < n2:
+        # a block also ends at the next multiple of N, so it folds unsplit
+        hi = min(lo + _FOLD_BLOCK, n2, lo - lo % n_fft + n_fft)
+        x2 = dx2 * np.arange(lo - half, hi - half)
+        with np.errstate(under="ignore"):
+            sq = (math.sqrt(s) / math.pi ** 0.25) * np.exp(-0.5 * (s * x2) ** 2)
+            # the cubic, homodyne and x1_min x2 phases share one per point
+            column = sq * _cis(x2 * (params.gamma * x2 * x2 + input.x_min
+                                     - params.y_m))
+        if lo == 0:
+            column[0] *= 0.5
+        if hi == n2:
+            column[-1] *= 0.5
+        folded[lo % n_fft:][:hi - lo] += column
+        lo = hi
+    out = np.fft.ifft(folded, norm="forward", out=folded)[:n1]
     out *= _cis((2.0 * math.pi / n_fft) * (np.arange(n1) * -half % n_fft))
     out *= input.amplitudes * (dx2 / math.sqrt(2.0 * math.pi))
     prob = float(np.trapezoid(np.abs(out) ** 2, dx=dx1))

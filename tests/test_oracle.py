@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from cvcat.analysis import db_to_s, phase_aligned_l2
 from cvcat.errors import DomainError
 from cvcat.gate import added_factor, added_factor_grid, apply_gate
-from cvcat.oracle import _TAIL_EXPONENT, _projection_step, ancilla_grid_for, \
-    oracle_added_factor, oracle_two_mode
+from cvcat.oracle import _TAIL_EXPONENT, _cis, _projection_step, \
+    ancilla_grid_for, integrate_oscillatory_gaussian, oracle_added_factor, \
+    oracle_two_mode
 from cvcat.states import MAX_GRID_POINTS, GateParams, GridSpec, \
     default_grid, make_squeezed_vacuum
 
@@ -30,6 +32,36 @@ def gate_distance(vac, params):
     rel = abs(closed.probability_density - oracle.probability_density) \
         / oracle.probability_density
     return phase_aligned_l2(closed.state, oracle.state), rel
+
+
+def projection(input, params):
+    """The two-mode oracle's ancilla rule, FFT length N and ancilla step."""
+    rule = ancilla_grid_for(params, input.n_points,
+                            max(abs(input.x_min), abs(input.x_max)))
+    return (rule,) + _projection_step(input.n_points, input.dx, rule.dx)
+
+
+def cis_out_of_place(phase):
+    """_cis as formed before its steps went in place."""
+    t = np.tan(0.5 * phase)
+    sq = t * t
+    den = 1.0 + sq
+    out = np.empty(t.shape + (2,))
+    out[..., 0] = (1.0 - sq) / den
+    out[..., 1] = (t + t) / den
+    return out.view(complex)[..., 0]
+
+
+def trapezoid_sums_out_of_place(n, h, a, beta, k0, gamma):
+    """oracle._trapezoid_sums as formed before its steps went in place."""
+    counts = n + 1
+    first = np.cumsum(counts) - counts
+    t = np.repeat(h, counts) * (np.arange(counts.sum())
+                                - np.repeat(first, counts))
+    with np.errstate(under="ignore"):
+        fv = np.exp(np.repeat(k0, counts) - np.repeat(a, counts) * t * t)
+    fv *= np.cos(t * (np.repeat(beta, counts) + gamma * t * t))
+    return h * (2.0 * np.add.reduceat(fv, first) - fv[first])
 
 
 def build_two_mode_grid(input, params):
@@ -282,3 +314,113 @@ class TestOracleTwoMode:
         l2, rel = gate_distance(vac, GateParams(gamma=0.0, s=s, y_m=0.0))
         assert l2 <= 1e-12
         assert rel <= 1e-12
+
+
+class TestBoundedBuffers:
+    """The oracles' blocked fold and in-place forms keep every output bit,
+    never write into their input, and hold the two-mode oracle's memory to
+    its FFT buffer."""
+
+    # (target, (gamma, dB, y_m)): 501 ancilla points against N = 1,125, so
+    # no block wraps; 43,715 against 34,992, so blocks straddle the wrap;
+    # and the CLI's 2,048-point target
+    FOLD_CASES = [(VERIFY_TARGET, case) for case in VERIFY_CASES] \
+        + [(CLI_TARGET, CLI_CASES[0])]
+
+    @staticmethod
+    def outputs():
+        return [oracle_two_mode(make_squeezed_vacuum(1.0, target),
+                                GateParams(gamma=gamma, s=db_to_s(db), y_m=y_m))
+                for target, (gamma, db, y_m) in TestBoundedBuffers.FOLD_CASES]
+
+    @pytest.mark.parametrize("block", [1, 7, None, MAX_GRID_POINTS])
+    def test_fold_does_not_depend_on_its_block(self, monkeypatch, block):
+        """Blocks of one point, of seven, the default and one block for the
+        whole ancilla give the same states and P, bit for bit."""
+        default = self.outputs()
+        if block is not None:
+            monkeypatch.setattr("cvcat.oracle._FOLD_BLOCK", block)
+        for want, got in zip(default, self.outputs()):
+            assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
+            assert got.probability_density == want.probability_density
+
+    @pytest.mark.parametrize("gamma, db, y_m", VERIFY_CASES)
+    def test_fold_equals_the_padded_period_sum(self, monkeypatch, gamma, db,
+                                               y_m):
+        """The buffer the FFT takes is, bit for bit, the whole column with
+        its end points halved, zero-padded to whole periods of N and summed
+        over them: no point is folded to the wrong place or weight."""
+        vac = make_squeezed_vacuum(1.0, VERIFY_TARGET)
+        params = GateParams(gamma=gamma, s=db_to_s(db), y_m=y_m)
+        taken = []
+        ifft = np.fft.ifft
+
+        def spy(a, *args, **kwargs):
+            taken.append(a.copy())
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        oracle_two_mode(vac, params)
+        rule, n_fft, dx2 = projection(vac, params)
+        half = math.ceil(rule.x_max / dx2)
+        x2 = dx2 * np.arange(-half, half + 1)
+        s = params.s
+        with np.errstate(under="ignore"):
+            column = (math.sqrt(s) / math.pi ** 0.25) \
+                * np.exp(-0.5 * (s * x2) ** 2) \
+                * _cis(x2 * (gamma * x2 * x2 + vac.x_min - y_m))
+        column[[0, -1]] *= 0.5
+        weights = np.zeros(-(-x2.size // n_fft) * n_fft, dtype=complex)
+        weights[:x2.size] = column
+        assert len(taken) == 1
+        folded = weights.reshape(-1, n_fft).sum(axis=0)
+        assert taken[0].tobytes() == folded.tobytes()
+
+    def test_peak_memory_stays_within_three_fft_buffers(self):
+        """One call at (0.5, 14 dB, 15) on the verify target traces at most
+        3 * 16 * N bytes, N = 34,992 (about 1.6 MiB): the ancilla is
+        43,715 points, and a column that spans it, zero-padded to 2 N,
+        traced 3.5 MiB."""
+        vac = make_squeezed_vacuum(1.0, VERIFY_TARGET)
+        params = GateParams(gamma=0.5, s=db_to_s(14.0), y_m=15.0)
+        _, n_fft, _ = projection(vac, params)
+        assert n_fft == 34_992
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            oracle_two_mode(vac, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 3 * 16 * n_fft
+
+    def test_cis_reads_its_phase_and_keeps_the_out_of_place_bits(self):
+        rng = np.random.default_rng(35)
+        phase = np.concatenate([
+            rng.standard_normal(10_000) * 10.0 ** rng.uniform(-3, 4, 10_000),
+            [0.0, -0.0, math.pi, -math.pi, 1e6, -1e6]])
+        kept = phase.copy()
+        phase.flags.writeable = False
+        assert _cis(phase).tobytes() == cis_out_of_place(phase).tobytes()
+        assert phase.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("gamma, s", [(0.1, 1.0), (0.5, 0.2), (0.0, 3.0),
+                                          (50.0, 0.03)])
+    def test_quadrature_reads_its_offsets_and_keeps_the_out_of_place_bits(
+            self, monkeypatch, gamma, s):
+        """A read-only array of offsets and scalar offsets give the values of
+        the out-of-place trapezoid sums, bit for bit."""
+        delta = np.linspace(-30.0, 30.0, 301)
+        delta.flags.writeable = False
+        got = integrate_oscillatory_gaussian(delta, gamma, s)
+        scalars = [integrate_oscillatory_gaussian(float(d), gamma, s)
+                   for d in delta[::25]]
+        monkeypatch.setattr("cvcat.oracle._trapezoid_sums",
+                            trapezoid_sums_out_of_place)
+        want = integrate_oscillatory_gaussian(delta, gamma, s)
+        assert got.tobytes() == want.tobytes()
+        assert scalars == want[::25].tolist()
