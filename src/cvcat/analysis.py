@@ -1,4 +1,4 @@
-"""Fidelity, dB conversion, and the figure-data sweeps."""
+"""Fidelity, dB conversion, the figure-data sweeps and the verify check."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import CvcatError, DomainError
 # apply_gate stays bound: perfbench/tracing.py patches cvcat.analysis.apply_gate
-from .gate import apply_gate, gate_rows
+from .gate import _factor_rows, apply_gate, gate_rows
+from .oracle import oracle_added_factor
 from .phase_space import suggest_wigner_bounds, wigner_log_negativity, \
     wigner_transform
 from .states import GateParams, GridSpec, WaveFunction, _inner, \
@@ -54,6 +55,13 @@ def phase_aligned_l2(a: WaveFunction, b: WaveFunction) -> float:
     return float(math.sqrt(_inner(diff, diff, a.dx).real))
 
 
+VERIFY_TOLERANCE = 1e-8
+VERIFY_ABS_FLOOR = 1e-12
+# gammas, dBs, outcomes y_m and offsets x - y_m: 3 x 4 x 3 x 41 = 1,476 points
+VERIFY_GRID = ((0.1, 0.2, 0.5), (0.0, 5.0, 9.0, 14.0), (3.0, 6.0, 15.0),
+               np.arange(-10.0, 10.0 + 1e-9, 0.5))
+
+
 def db_to_s(db: float) -> float:
     """Squeezing in dB to the momentum squeeze factor: s = 10^(-dB/20);
     a negative dB is anti-squeezing, s > 1."""
@@ -66,6 +74,33 @@ def db_to_s(db: float) -> float:
     if s == 0.0:
         raise DomainError(f"squeezing of {db!r} dB underflows s to 0")
     return s
+
+
+def run_verification() -> float:
+    """Max scaled deviation between the added factor and its quadrature
+    oracle over VERIFY_GRID.
+
+    Deviation at each grid point is |closed - oracle| / max(|oracle|,
+    floor/tol), so a return value <= tol means every point satisfies
+    |closed - oracle| <= max(tol*|oracle|, floor). A NaN on either side
+    makes it NaN, which fails the tolerance.
+    """
+    gammas, dbs, y_ms, deltas = VERIFY_GRID
+    settings = [(gamma, db_to_s(db)) for gamma in gammas for db in dbs]
+    # the factor depends on y_m only through x - y_m, so each (gamma, s)
+    # takes one oracle call, its values shared across outcomes
+    oracle = np.array([oracle_added_factor(
+        deltas, GateParams(gamma=gamma, s=s, y_m=0.0))
+        for gamma, s in settings])[:, None]
+    scale = np.maximum(np.abs(oracle), VERIFY_ABS_FLOOR / VERIFY_TOLERANCE)
+    rows = [GateParams(gamma=gamma, s=s, y_m=y_m)
+            for gamma, s in settings for y_m in y_ms]
+    # one block over x = y_m + delta, whose x - y_m each row forms as its
+    # own added_factor_grid call would
+    closed = _factor_rows(np.array([p.y_m for p in rows])[:, None] + deltas,
+                          rows)
+    closed = closed.reshape(len(settings), len(y_ms), len(deltas))
+    return float((np.abs(closed - oracle) / scale).max())
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,12 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .analysis import SweepRow, SweepSpec, db_to_s, run_sweep
+from .analysis import VERIFY_TOLERANCE, SweepRow, SweepSpec, db_to_s, \
+    run_sweep, run_verification
 from .errors import CvcatError, DomainError
-# added_factor stays bound: perfbench/tracing.py patches cvcat.cli.added_factor
-from .gate import added_factor, added_factor_rows, apply_gate
+# added_factor and oracle_added_factor are bound here only for the tracer:
+# perfbench/tracing.py patches cvcat.cli.<name>, though nothing here calls them
+from .gate import added_factor, apply_gate
 from .oracle import oracle_added_factor
 from .phase_space import build_support_region, suggest_wigner_bounds, \
     wigner_transform
@@ -33,9 +35,6 @@ from .states import MAX_GRID_POINTS, GateParams, GridSpec, \
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 64
-
-VERIFY_TOLERANCE = 1e-8
-VERIFY_ABS_FLOOR = 1e-12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -319,37 +318,6 @@ def _cmd_support_region(cfg) -> tuple[str, int]:
         return _csv("x,p", region.boundary), EXIT_OK
     return _json({"sigma_level": region.sigma_level},
                  boundary=[list(pt) for pt in region.boundary]), EXIT_OK
-
-
-# gammas, dBs, outcomes y_m and offsets x - y_m: 3 x 4 x 3 x 41 = 1,476 points
-VERIFY_GRID = ((0.1, 0.2, 0.5), (0.0, 5.0, 9.0, 14.0), (3.0, 6.0, 15.0),
-               np.arange(-10.0, 10.0 + 1e-9, 0.5))
-
-
-def run_verification():
-    """Max scaled deviation between added_factor and its quadrature oracle.
-
-    Deviation at each grid point is |closed - oracle| / max(|oracle|,
-    floor/tol), so a return value <= tol means every point satisfies
-    |closed - oracle| <= max(tol*|oracle|, floor).
-    """
-    gammas, dbs, y_ms, deltas = VERIFY_GRID
-    settings = [(gamma, db_to_s(db)) for gamma in gammas for db in dbs]
-    # the factor depends on y_m only through x - y_m, so each (gamma, s)
-    # takes one oracle call, its values shared across outcomes
-    oracle = np.array([oracle_added_factor(
-        deltas, GateParams(gamma=gamma, s=s, y_m=0.0))
-        for gamma, s in settings])[:, None]
-    scale = np.maximum(np.abs(oracle), VERIFY_ABS_FLOOR / VERIFY_TOLERANCE)
-    rows = [GateParams(gamma=gamma, s=s, y_m=y_m)
-            for gamma, s in settings for y_m in y_ms]
-    # one block over x = y_m + delta, whose x - y_m each row forms as its
-    # own added_factor_grid call would
-    closed = added_factor_rows(
-        np.array([p.y_m for p in rows])[:, None] + deltas, rows)
-    closed = closed.reshape(len(settings), len(y_ms), len(deltas))
-    # max keeps a NaN, which fails the tolerance
-    return float((np.abs(closed - oracle) / scale).max())
 
 
 def _cmd_verify(_cfg) -> tuple[str, int]:

@@ -24,7 +24,6 @@ __all__ = [
     "ConditionalOutput",
     "added_factor",
     "added_factor_grid",
-    "added_factor_rows",
     "apply_gate",
     "outcome_probability_density",
 ]
@@ -89,8 +88,8 @@ def _factor(x, y_m, log_pref, rate, exp_shift, scale, z_shift, pref, m, c,
     Each formula is written once for a slice or a mask, in place on
     temporaries of its own, so every element sees the same operations
     either way and x is never written. Nothing raises: the tails underflow,
-    and a z that is NaN or below airy_ai's floor leaves a NaN that the
-    callers name."""
+    and a z that is NaN or below airy_ai's floor leaves a NaN for the
+    callers to refuse."""
     delta = x - y_m
     with np.errstate(all="ignore"):
         z = delta + z_shift
@@ -172,23 +171,6 @@ def _factor_rows(x: np.ndarray, rows) -> np.ndarray:
         return np.empty((0, x.shape[-1]))
     columns = np.array([_factor_constants(p) for p in rows])[:, :, None]
     return _factor(x, *columns.transpose(1, 0, 2))
-
-
-def added_factor_rows(x: np.ndarray, rows) -> np.ndarray:
-    """The added factor (rows, n) for each GateParams in the sequence rows,
-    on a shared 1-D x or an x of one row per setting, each row equal to
-    added_factor_grid on its x to the bit, or the DomainError that
-    added_factor_grid raises at the first setting where it is not finite."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 and x.shape[:-1] != (len(rows),):
-        raise DomainError("added_factor_rows needs a 1-D x or one x row per "
-                          f"setting, ({len(rows)}, n); got {x.shape}")
-    factor = _factor_rows(x, rows)
-    finite = np.isfinite(factor).all(axis=-1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise _row_error(rows[bad], math.nan, factor[bad])
-    return factor
 
 
 def added_factor(x: float, params: GateParams) -> float:

@@ -283,6 +283,8 @@ def _oscillatory_floor() -> float:
 _OSC_FLOOR = _oscillatory_floor()
 # the domain's runs: NaN and below the floor, the three regimes, +inf
 _DOMAIN = np.array([_OSC_FLOOR, *_SEAMS, math.inf])
+# airy_ai_scaled's runs: NaN and z < 0, the bridge, the asymptotic form, +inf
+_SCALED_DOMAIN = np.array([0.0, ASYMP_EDGE, math.inf])
 
 
 def airy_ai(z):
@@ -314,12 +316,11 @@ def airy_ai_scaled(z):
     the asymptotic region because one is computed from the other.
     """
     arr = np.asarray(z, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DomainError("airy_ai_scaled requires finite input")
-    if (arr < 0.0).any():
-        raise DomainError("airy_ai_scaled is undefined on the oscillatory branch (z < 0)")
+    below, low, asy, above = _runs(arr, _SCALED_DOMAIN)
+    if arr[below].size or arr[above].size:
+        raise DomainError("airy_ai_scaled requires finite z >= 0; got z in "
+                          f"[{float(arr.min())!r}, {float(arr.max())!r}]")
     out = np.empty_like(arr)
-    _, low, asy = _runs(arr, _SEAMS)
     za, zl = arr[asy], arr[low]
     if za.size:
         out[asy] = _asymptotic_scaled_pos(za, _zeta(za))

@@ -189,6 +189,8 @@ def _check_grid_covers(grid: GridSpec, s: float):
 
 def make_squeezed_vacuum(s: float, grid: GridSpec) -> WaveFunction:
     """Momentum-squeezed vacuum: (sqrt(s)/pi^(1/4)) exp(-(s x)^2 / 2)."""
+    if not math.isfinite(s):   # before an inf s times x = 0 makes a NaN
+        raise DomainError(f"squeeze factor s must be finite, got {s!r}")
     if not s > 0:
         raise DomainError("squeeze factor s must be positive")
     _check_grid_covers(grid, s)

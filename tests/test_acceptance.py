@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from cvcat.analysis import SweepSpec, db_to_s, fidelity, phase_aligned_l2, \
-    run_sweep
-from cvcat.cli import main, run_verification
+    run_sweep, run_verification
+from cvcat.cli import main
 from cvcat.gate import apply_gate, outcome_probability_density
 from cvcat.oracle import oracle_two_mode
 from cvcat.phase_space import suggest_wigner_bounds, wigner_log_negativity, \

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cvcat.analysis
 import cvcat.gate
-from cvcat.analysis import SweepRow, SweepSpec, db_to_s, run_sweep
-from cvcat.cli import _COMMANDS, _FLAGS, VERIFY_ABS_FLOOR, VERIFY_GRID, \
-    VERIFY_TOLERANCE, _rows_csv, build_parser, main, run_verification
+from cvcat.analysis import VERIFY_ABS_FLOOR, VERIFY_GRID, VERIFY_TOLERANCE, \
+    SweepRow, SweepSpec, db_to_s, run_sweep, run_verification
+from cvcat.cli import _COMMANDS, _FLAGS, _rows_csv, build_parser, main
 from cvcat.gate import added_factor, apply_gate
 from cvcat.oracle import oracle_added_factor
 from cvcat.phase_space import build_support_region
@@ -707,7 +708,7 @@ class TestVerifyCommand:
         at most one Airy call under it, for the points below z = 9."""
         factor_calls, airy_calls = [], []
         for module, name, calls in (
-                (cvcat.cli, "added_factor_rows", factor_calls),
+                (cvcat.analysis, "_factor_rows", factor_calls),
                 (cvcat.gate, "airy_ai", airy_calls),
                 (cvcat.gate, "airy_ai_scaled", airy_calls)):
             def counted(x, *args, fn=getattr(module, name), calls=calls):
@@ -724,7 +725,7 @@ class TestVerifyCommand:
     def test_a_nan_deviation_fails(self, monkeypatch, capsys):
         """A NaN anywhere, here one oracle value of the first block, fails
         verify and is printed, though every later block passes."""
-        def first_block_nan(x, params, fn=cvcat.cli.oracle_added_factor):
+        def first_block_nan(x, params, fn=cvcat.analysis.oracle_added_factor):
             out = fn(x, params)
             if not calls:
                 out[3] = math.nan
@@ -732,11 +733,28 @@ class TestVerifyCommand:
             return out
 
         calls = []
-        monkeypatch.setattr(cvcat.cli, "oracle_added_factor", first_block_nan)
+        monkeypatch.setattr(cvcat.analysis, "oracle_added_factor",
+                            first_block_nan)
         assert main(["verify"]) == 1
         assert capsys.readouterr().out == \
             "max relative deviation nan (tolerance 1e-08)\n"
         assert len(calls) == 12
+
+    def test_a_nan_closed_form_value_fails_the_same_way(self, monkeypatch,
+                                                        capsys):
+        """A NaN in the closed-form block, here one point of its first
+        setting, takes the oracle's one failure path: a NaN deviation,
+        printed, and a domain exit, not an error message."""
+        def first_point_nan(x, rows, fn=cvcat.analysis._factor_rows):
+            out = fn(x, rows)
+            out[0, 3] = math.nan
+            return out
+
+        monkeypatch.setattr(cvcat.analysis, "_factor_rows", first_point_nan)
+        assert main(["verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "max relative deviation nan (tolerance 1e-08)\n"
+        assert captured.err == ""
 
     @pytest.mark.parametrize("flag", [["--gamma", "5"], ["--ym", "3"],
                                       ["--db", "99"], ["--format", "json"]])

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from cvcat.errors import DomainError, ZeroProbabilityOutcomeError
-from cvcat.gate import added_factor, added_factor_grid, added_factor_rows, \
+from cvcat.gate import _factor_rows, added_factor, added_factor_grid, \
     apply_gate, gate_rows, outcome_probability_density
 from cvcat.oracle import integrate_oscillatory_gaussian
 from cvcat.states import GateParams, GridSpec, make_squeezed_vacuum
-from cvcat.analysis import SweepSpec, db_to_s, phase_aligned_l2, run_sweep
-from cvcat.cli import VERIFY_GRID
+from cvcat.analysis import VERIFY_GRID, SweepSpec, db_to_s, phase_aligned_l2, \
+    run_sweep
 
 
 # (gamma, y_m) at s = 1 where the factor overflows: the Airy phase zeta at
@@ -203,9 +203,9 @@ class TestAddedFactor:
                 for gamma in gammas for db in dbs for y_m in y_ms]
         x = np.array([p.y_m for p in rows])[:, None] + deltas
         assert x.shape == (36, 41)
-        assert np.array_equal(added_factor_rows(x, rows), np.array(
+        assert np.array_equal(_factor_rows(x, rows), np.array(
             [added_factor_grid(xi, p) for xi, p in zip(x, rows)]))
-        assert np.array_equal(added_factor_rows(deltas, rows), np.array(
+        assert np.array_equal(_factor_rows(deltas, rows), np.array(
             [added_factor_grid(deltas, p) for p in rows]))
 
     def test_no_rows_give_an_empty_block(self):
@@ -213,41 +213,11 @@ class TestAddedFactor:
         an x of rows, and gate_rows an empty block, an empty P and no
         errors."""
         x = np.linspace(-10.0, 10.0, 64)
-        assert added_factor_rows(x, []).shape == (0, 64)
-        assert added_factor_rows(np.empty((0, 64)), []).shape == (0, 64)
+        assert _factor_rows(x, []).shape == (0, 64)
+        assert _factor_rows(np.empty((0, 64)), []).shape == (0, 64)
         states, prob, errors = gate_rows(vacuum(), [])
         assert states.shape == (0, vacuum().n_points)
         assert prob.shape == (0,) and errors == []
-
-    @pytest.mark.parametrize("shape", [(), (5,), (1, 5), (2, 5), (3, 5),
-                                       (4, 5), (1, 3, 5), (3, 1, 5)])
-    @pytest.mark.parametrize("n_rows", [0, 3])
-    def test_rows_refuse_an_x_of_another_shape(self, shape, n_rows):
-        """An x that is neither 1-D nor one row per setting is refused by
-        name, where it broadcast against the columns or escaped as numpy's
-        bare ValueError."""
-        rows = [GateParams(0.1, 1.0, y_m) for y_m in range(n_rows)]
-        x = np.zeros(shape)
-        if len(shape) == 1 or shape[:-1] == (n_rows,):
-            assert added_factor_rows(x, rows).shape == (n_rows, shape[-1])
-            return
-        with pytest.raises(DomainError, match=re.escape(
-                f"one x row per setting, ({n_rows}, n); got {shape}")):
-            added_factor_rows(x, rows)
-
-    @pytest.mark.parametrize("gamma, y_m", OVERFLOWING)
-    def test_rows_name_their_first_non_finite_row(self, gamma, y_m):
-        """A block with an overflowing row raises what added_factor_grid
-        raises at that row, though a later row overflows too."""
-        x = np.linspace(-10.0, 10.0, 64)
-        bad = GateParams(gamma=gamma, s=1.0, y_m=y_m)
-        with pytest.raises(DomainError) as want:
-            added_factor_grid(x, bad)
-        rows = [GateParams(gamma=gamma, s=1.0, y_m=3.0), bad,
-                GateParams(gamma=gamma, s=1.0, y_m=2.0 * y_m)]
-        with pytest.raises(DomainError) as got:
-            added_factor_rows(x, rows)
-        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("gamma, y_m", SMALL_GAMMA)
     def test_small_gamma_matches_reference(self, gamma, y_m,

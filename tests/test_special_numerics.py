@@ -29,6 +29,12 @@ def copies(z):
         yield z[order], np.argsort(order)
 
 
+def layouts(z, point):
+    """z ascending, reversed and shuffled, z and its reverse stacked 2-D,
+    and point as a 0-d array."""
+    return [a for a, _ in copies(z)] + [np.stack([z, z[::-1]]), np.array(point)]
+
+
 class TestAiryAi:
     def test_value_at_origin(self):
         assert abs(airy_ai(0.0) - AI_ZERO) < 1e-10
@@ -173,11 +179,6 @@ class TestAiryAi:
         floor = special_numerics._OSC_FLOOR
         if bad == "below":
             bad = math.nextafter(floor, -math.inf)
-
-        def layouts(z, point):
-            return [a for a, _ in copies(z)] + [np.stack([z, z[::-1]]),
-                                                np.array(point)]
-
         good = np.sort(np.append(ORDERED, floor))
         for a in layouts(good, floor):
             assert np.isfinite(airy_ai(a)).all()
@@ -218,6 +219,24 @@ class TestAiryAiScaled:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             airy_ai_scaled(-0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "negative"])
+    def test_refusal_text_in_every_layout(self, bad):
+        """A NaN, +-inf or the double below 0 is refused with one text that
+        names the array's min and max, in sorted, reversed, shuffled, 0-d
+        and 2-D arrays, while 0 itself is accepted in each of them."""
+        if bad == "negative":
+            bad = math.nextafter(0.0, -math.inf)
+        good = ORDERED[ORDERED >= 0.0]
+        assert good[0] == 0.0
+        for a in layouts(good, 0.0):
+            assert np.isfinite(airy_ai_scaled(a)).all()
+        for a in layouts(np.sort(np.append(good, bad)), bad):
+            with pytest.raises(DomainError) as err:
+                airy_ai_scaled(a)
+            assert str(err.value) == (
+                "airy_ai_scaled requires finite z >= 0; got z in "
+                f"[{float(a.min())!r}, {float(a.max())!r}]")
 
 
 class TestAsymptoticSums:

@@ -36,6 +36,18 @@ class TestSqueezedVacuum:
         with pytest.raises(DomainError):
             make_squeezed_vacuum(0.0, GridSpec(-10.0, 10.0, 2048))
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_refuses_non_finite_s_by_name(self, s):
+        """An infinite s passed the positivity check and made inf * 0 = NaN
+        amplitudes; it is refused by name before any array work, also
+        through the cubic phase state."""
+        grid = GridSpec(-10.0, 10.0, 2048)
+        want = f"squeeze factor s must be finite, got {s!r}"
+        with pytest.raises(DomainError, match=want):
+            make_squeezed_vacuum(s, grid)
+        with pytest.raises(DomainError, match=want):
+            make_cubic_phase_state(0.1, s, grid)
+
 
 class TestCubicPhaseState:
     def test_pure_phase_factor(self):
